@@ -14,7 +14,8 @@ and emits three machine-readable files into the output directory:
 
 ``validate`` parses a config without running; ``mask-info`` inspects a
 mask file.  Exit codes: 0 ok, 2 config error, 3 mask error, 4 smallness
-gate unreachable, 5 fixed-point divergence, 6 oracle failure.
+gate unreachable, 5 fixed-point divergence or no convergence within
+``picard.max_iterations``, 6 oracle failure.
 
 The config is YAML (keys documented in the README); a seed is mandatory
 so reruns are bit-reproducible apart from the timestamp field.
@@ -49,6 +50,7 @@ from .mild import (
     alpha_trajectory,
     estimate_phi_norm,
     et_norm,
+    et_terms,
     picard_solve,
     shrink_horizon,
     smallness_gate,
@@ -202,10 +204,7 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         mode = init["mode"]
         if not 0 <= mode < spectrum.dim:
             raise ConfigError(f"eigenmode index {mode} outside 0..{spectrum.dim - 1}")
-        coords = spectrum.from_modal(
-            np.eye(spectrum.dim)[mode] / mask.cell_volume ** 0.5
-        )
-        return hodge.lift(float(init["amplitude"]) * coords)
+        return VectorField(mask, float(init["amplitude"]) * spectrum.eigenfield(mode).values)
     if kind == "random":
         rng = np.random.default_rng(init.get("seed", config.seed + 1))
         coords = rng.standard_normal(spectrum.dim)
@@ -213,10 +212,17 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         return hodge.lift(coords)
     # kind == "file": component-blocked array of shape (3, n) or (3n,)
     try:
-        values = np.load(init["path"])
-    except OSError as exc:
+        values = np.asarray(np.load(init["path"]), dtype=float).reshape(-1)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read initial data file {init['path']}: {exc}") from exc
-    return VectorField.from_flat(mask, np.asarray(values, dtype=float).reshape(-1))
+    if values.size != 3 * mask.n_cells:
+        raise ConfigError(
+            f"initial data file {init['path']} holds {values.size} values, "
+            f"the mask needs 3 x {mask.n_cells}"
+        )
+    if not np.isfinite(values).all():
+        raise ConfigError(f"initial data file {init['path']} holds non-finite values")
+    return VectorField.from_flat(mask, values)
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -268,9 +274,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     grid = TimeGrid.graded(config.horizon, config.segments, config.quad_order)
     phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
     # the iteration runs with scale * Phi, so the gate must guard that norm;
-    # scale 0 is the linear mode, which contracts unconditionally
-    linear_mode = config.nonlinearity_scale == 0.0
+    # a zero norm (scale 0, or a domain without convective coupling) is the
+    # linear mode, which contracts unconditionally
     phi_gate = config.gate_safety * config.nonlinearity_scale * phi_hat
+    linear_mode = phi_gate == 0.0
     alpha = alpha_trajectory(spectrum, u0, grid)
     alpha_norms = et_norm(spectrum, alpha)
     gate_ok = linear_mode or smallness_gate(alpha_norms, phi_gate)
@@ -299,7 +306,6 @@ def run_experiment(config: ExperimentConfig) -> int:
         }
         u0 = shrunk.u0_smooth
         grid = shrunk.grid
-        alpha_norms = et_norm(spectrum, alpha_trajectory(spectrum, u0, grid))
 
     picard_cfg = PicardConfig(
         grid=grid,
@@ -313,14 +319,19 @@ def run_experiment(config: ExperimentConfig) -> int:
         if exc.log is not None:
             summary["picard"] = _picard_summary(exc.log)
         return fail("picard", exc, EXIT_PICARD)
-    log.alpha_norms = alpha_norms
     log.phi_norm_estimate = phi_hat
     log.smallness_ok = True
     log.horizon_shrinks = [(a.eps, a.horizon) for a in shrink_attempts]
     summary["picard"] = _picard_summary(log)
+    if not log.converged:
+        exc = PicardDivergenceError(
+            f"no convergence to tol {config.picard_tol:g} in {log.iterations} iterations "
+            f"(last distance {log.distances[-1]:.3e})"
+        )
+        return fail("picard", exc, EXIT_PICARD)
 
     report = strong_residual(spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
-    balances = energy_audit(hodge, ops, traj)
+    balances = energy_audit(spectrum, ops, traj)
     summary["verification"] = {
         "max_divergence": float(report.divergence_norms.max()),
         "max_residual_rel": float(report.residual_rels.max()),
@@ -379,18 +390,9 @@ def _write_summary(out_dir: Path, summary: dict):
 
 
 def _write_norms_csv(path: Path, spectrum, traj):
-    lam = spectrum.eigenvalues
-    vol = spectrum.hodge.mask.cell_volume ** 0.5
-    modal = traj.samples @ spectrum.modes
-    dmodal = traj.derivative_samples @ spectrum.modes
     lines = ["t,quarter_norm,weighted_half_norm,weighted_deriv_norm"]
-    for j, t in enumerate(traj.grid.nodes):
-        quarter = vol * np.linalg.norm(modal[j] * lam**0.25)
-        half = vol * np.linalg.norm(modal[j] * lam**0.5) * t**0.25
-        deriv = (
-            vol * np.linalg.norm(dmodal[j - 1] * lam**0.25) * t if j > 0 else 0.0
-        )
-        lines.append(",".join(_FLOAT_FMT % x for x in (t, quarter, half, deriv)))
+    for t, terms in zip(traj.grid.nodes, et_terms(spectrum, traj)):
+        lines.append(",".join(_FLOAT_FMT % x for x in (t, *terms)))
     path.write_text("\n".join(lines) + "\n")
 
 

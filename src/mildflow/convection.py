@@ -63,14 +63,20 @@ def advect(ops: DiscreteOperators, u: VectorField, v: VectorField) -> VectorFiel
     return VectorField.from_flat(ops.mask, advect_flat(ops, u.flat, v.flat))
 
 
+def _symmetrized(ops: DiscreteOperators, u: VectorField, v: VectorField) -> np.ndarray:
+    """(u.grad)v + (v.grad)u as a flat array."""
+    return advect_flat(ops, u.flat, v.flat) + advect_flat(ops, v.flat, u.flat)
+
+
+def _sample(hodge: HodgeDecomposition, raw_flat: np.ndarray, time: float) -> ForcingSample:
+    raw = VectorField.from_flat(hodge.mask, raw_flat)
+    return ForcingSample(time, raw, -0.5 * (hodge.basis.T @ raw_flat))
+
+
 def forcing(hodge: HodgeDecomposition, u: VectorField, v: VectorField,
             time: float = 0.0) -> ForcingSample:
     """Symmetrized convective forcing -1/2 P ((u.grad)v + (v.grad)u)."""
-    ops = hodge.ops
-    raw_flat = advect_flat(ops, u.flat, v.flat) + advect_flat(ops, v.flat, u.flat)
-    raw = VectorField.from_flat(ops.mask, raw_flat)
-    projected = -0.5 * (hodge.basis.T @ raw_flat)
-    return ForcingSample(time, raw, projected)
+    return _sample(hodge, _symmetrized(hodge.ops, u, v), time)
 
 
 def forcing_derivative(hodge: HodgeDecomposition, u: VectorField, du: VectorField,
@@ -78,16 +84,7 @@ def forcing_derivative(hodge: HodgeDecomposition, u: VectorField, du: VectorFiel
     """Product-rule time derivative of the symmetrized forcing.
 
     ``du`` and ``dv`` are the time derivatives of u and v at the same
-    instant; the raw value is
-    (u'.grad)v + (u.grad)v' + (v'.grad)u + (v.grad)u'.
+    instant; by bilinearity the derivative is forcing(du, v) + forcing(u, dv).
     """
     ops = hodge.ops
-    raw_flat = (
-        advect_flat(ops, du.flat, v.flat)
-        + advect_flat(ops, u.flat, dv.flat)
-        + advect_flat(ops, dv.flat, u.flat)
-        + advect_flat(ops, v.flat, du.flat)
-    )
-    raw = VectorField.from_flat(ops.mask, raw_flat)
-    projected = -0.5 * (hodge.basis.T @ raw_flat)
-    return ForcingSample(time, raw, projected)
+    return _sample(hodge, _symmetrized(ops, du, v) + _symmetrized(ops, u, dv), time)

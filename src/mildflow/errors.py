@@ -46,7 +46,8 @@ class GateUnreachableError(MildflowError, RuntimeError):
 
 
 class PicardDivergenceError(MildflowError, RuntimeError):
-    """Fixed-point iteration expanded for several consecutive steps."""
+    """Fixed-point iteration expanded for several consecutive steps, or
+    (raised by the runner) did not converge within its iteration limit."""
 
     def __init__(self, message, log=None):
         super().__init__(message)

@@ -29,6 +29,11 @@ in the first term.
 
 Time grids are graded toward zero (t_j = T (j/N)^2) so the weighted sups
 resolve the blow-up of the norm weights at t -> 0.
+
+Trajectories are stored in Stokes-modal coordinates: a sample a holds the
+field Y a with Y = ``spectrum.fields`` the ambient eigenfields, so every
+operator of the calculus is a per-mode multiplier on the samples, and
+forcings are lifted through Y and projected back with Y^T.
 """
 
 from __future__ import annotations
@@ -98,10 +103,11 @@ class TimeGrid:
 
 @dataclass(eq=False)
 class MildTrajectory:
-    """Velocity samples in Z coordinates per grid node.
+    """Velocity samples in Stokes-modal coordinates per grid node.
 
     ``samples[j]`` holds u(t_j); ``derivative_samples[j-1]`` holds
-    u'(t_j) for the positive nodes t_1 .. t_N.
+    u'(t_j) for the positive nodes t_1 .. t_N.  The ambient field of a
+    sample a is ``spectrum.fields @ a``.
     """
 
     grid: TimeGrid
@@ -146,26 +152,29 @@ class ETNorms:
         return self.sup_quarter + self.sup_half_weighted + self.sup_deriv_weighted
 
 
+def et_terms(spectrum: StokesSpectrum, traj: MildTrajectory) -> np.ndarray:
+    """Per-node terms of the trajectory norm, shape (N+1, 3).
+
+    Row j holds ||A^{1/4} u(t_j)||, t_j^{1/4} ||A^{1/2} u(t_j)|| and
+    t_j ||A^{1/4} u'(t_j)||; the two weighted terms are 0 at t_0 = 0.
+    """
+    lam = spectrum.eigenvalues
+    scale = spectrum.hodge.mask.cell_volume ** 0.5
+    t = traj.grid.nodes
+    terms = np.zeros((t.size, 3))
+    terms[:, 0] = scale * np.linalg.norm(traj.samples * lam**0.25, axis=1)
+    half = scale * np.linalg.norm(traj.samples[1:] * lam**0.5, axis=1)
+    terms[1:, 1] = t[1:] ** 0.25 * half
+    terms[1:, 2] = t[1:] * (scale * np.linalg.norm(traj.derivative_samples * lam**0.25, axis=1))
+    return terms
+
+
 def et_norm(spectrum: StokesSpectrum, traj: MildTrajectory) -> ETNorms:
     """Evaluate the three sup terms over the grid nodes.
 
     The node t_0 = 0 enters only the unweighted first term.
     """
-    lam = spectrum.eigenvalues
-    scale = spectrum.hodge.mask.cell_volume ** 0.5
-    t = traj.grid.nodes
-    modal = traj.samples @ spectrum.modes          # rows are Q^T c_j
-    dmodal = traj.derivative_samples @ spectrum.modes
-    q4 = lam ** 0.25
-    q2 = lam ** 0.5
-    quarter = scale * np.linalg.norm(modal * q4, axis=1)
-    half = scale * np.linalg.norm(modal[1:] * q2, axis=1)
-    deriv = scale * np.linalg.norm(dmodal * q4, axis=1)
-    return ETNorms(
-        float(quarter.max()),
-        float((t[1:] ** 0.25 * half).max()),
-        float((t[1:] * deriv).max()),
-    )
+    return ETNorms(*map(float, et_terms(spectrum, traj).max(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +188,28 @@ def alpha_trajectory(spectrum: StokesSpectrum, u0: VectorField, grid: TimeGrid) 
     The initial field is projected into the divergence-free subspace; a
     warning is emitted if that changes it by more than 1e-12 relative.
     """
-    hodge = spectrum.hodge
-    coords = hodge.coords(u0)
+    modal0 = spectrum.fields.T @ u0.flat
     scale = np.linalg.norm(u0.flat)
     if scale > 0.0:
-        defect = np.linalg.norm(u0.flat - hodge.basis @ coords) / scale
+        defect = np.linalg.norm(u0.flat - spectrum.fields @ modal0) / scale
         if defect > _PROJECTION_WARN_TOL:
             warnings.warn(
                 f"initial field had a gradient component ({defect:.2e} relative); projected",
                 stacklevel=2,
             )
-    return alpha_from_coords(spectrum, coords, grid)
+    return _orbit(spectrum, modal0, grid)
 
 
 def alpha_from_coords(spectrum: StokesSpectrum, coords: np.ndarray, grid: TimeGrid) -> MildTrajectory:
     """Semigroup orbit of Z coordinates: samples e^{-tA}c, derivatives -Ae^{-tA}c."""
+    return _orbit(spectrum, spectrum.to_modal(np.asarray(coords, dtype=float)), grid)
+
+
+def _orbit(spectrum: StokesSpectrum, modal0: np.ndarray, grid: TimeGrid) -> MildTrajectory:
+    """Semigroup orbit of modal coordinates; row 0 is ``modal0`` exactly."""
     lam = spectrum.eigenvalues
-    coords = np.asarray(coords, dtype=float)
-    modal0 = spectrum.to_modal(coords)
-    decay = np.exp(-np.outer(grid.nodes, lam))
-    samples_modal = decay * modal0
-    deriv_modal = -lam * samples_modal[1:]
-    samples = samples_modal @ spectrum.modes.T
-    samples[0] = coords  # keep u(0) = u0 exact, not an eigenbasis roundtrip
-    return MildTrajectory(grid, samples, deriv_modal @ spectrum.modes.T)
+    samples = np.exp(-np.outer(grid.nodes, lam)) * modal0
+    return MildTrajectory(grid, samples, -lam * samples[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -278,69 +285,62 @@ class _PairForcing:
     """Projected convective forcing of two sampled trajectories.
 
     Values between nodes come from piecewise-linear interpolation of the
-    samples in Z coordinates; derivative values below the first positive
-    node clamp to the t_1 sample (the region only enters integrals damped
-    by the time weights).
+    modal samples; derivative values below the first positive node clamp
+    to the t_1 sample (the region only enters integrals damped by the time
+    weights).
     """
 
     def __init__(self, spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
                  scale: float = 1.0):
-        self.spectrum = spectrum
-        self.hodge = spectrum.hodge
-        self.grid = u.grid
+        self.fields = spectrum.fields
+        self.ops = spectrum.hodge.ops
+        self.nodes = u.grid.nodes
         self.u = u
         self.v = v
         self.scale = scale
 
     def _lift(self, traj_values: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self.hodge.basis @ _interp_rows(nodes, traj_values, s).T
+        return self.fields @ _interp_rows(nodes, traj_values, s).T
+
+    def _project(self, pairs) -> np.ndarray:
+        """Modal forcing -scale/2 Y^T sum ((a.grad)b + (b.grad)a) over the pairs."""
+        raw = sum(advect_flat(self.ops, a, b) + advect_flat(self.ops, b, a) for a, b in pairs)
+        return -0.5 * self.scale * (self.fields.T @ raw)
 
     def value_modal(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self.grid.nodes
-        ops = self.hodge.ops
-        xu = self._lift(self.u.samples, nodes, s)
-        xv = self._lift(self.v.samples, nodes, s)
-        raw = advect_flat(ops, xu, xv) + advect_flat(ops, xv, xu)
-        projected = -0.5 * (self.hodge.basis.T @ raw)
-        return self.scale * (self.spectrum.modes.T @ projected)
+        xu = self._lift(self.u.samples, self.nodes, s)
+        xv = self._lift(self.v.samples, self.nodes, s)
+        return self._project([(xu, xv)])
 
     def derivative_modal(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self.grid.nodes
-        ops = self.hodge.ops
-        xu = self._lift(self.u.samples, nodes, s)
-        xv = self._lift(self.v.samples, nodes, s)
-        xdu = self._lift(self.u.derivative_samples, nodes[1:], s)
-        xdv = self._lift(self.v.derivative_samples, nodes[1:], s)
-        raw = (
-            advect_flat(ops, xdu, xv)
-            + advect_flat(ops, xu, xdv)
-            + advect_flat(ops, xdv, xu)
-            + advect_flat(ops, xv, xdu)
-        )
-        projected = -0.5 * (self.hodge.basis.T @ raw)
-        return self.scale * (self.spectrum.modes.T @ projected)
+        xu = self._lift(self.u.samples, self.nodes, s)
+        xv = self._lift(self.v.samples, self.nodes, s)
+        xdu = self._lift(self.u.derivative_samples, self.nodes[1:], s)
+        xdv = self._lift(self.v.derivative_samples, self.nodes[1:], s)
+        return self._project([(xdu, xv), (xu, xdv)])
 
 
 def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
-        v: MildTrajectory, quad_order: int | None = None, scale: float = 1.0) -> MildTrajectory:
+        v: MildTrajectory, scale: float = 1.0) -> MildTrajectory:
     """Bilinear convolution map Phi(u, v), values and derivatives per node.
 
     ``scale`` multiplies the forcing (0 turns the nonlinearity off).
-    Bilinear and symmetric in (u, v) by construction.
+    Bilinear and symmetric in (u, v) by construction.  The quadrature uses
+    ``grid.quad_order`` points per panel.
     """
     if not u.grid.same_as(v.grid):
         raise ValueError("trajectories on different grids")
     grid = u.grid
     if scale == 0.0:
         return zero_trajectory(spectrum, grid)
-    order = grid.quad_order if quad_order is None else quad_order
+    order = grid.quad_order
     lam = spectrum.eigenvalues
     nodes = grid.nodes
     pair = _PairForcing(spectrum, u, v, scale)
 
-    values_modal = convolve_semigroup(spectrum, grid, pair.value_modal, order)
+    values_modal = convolve_semigroup(spectrum, grid, pair.value_modal)
 
     deriv_modal = np.zeros((grid.segments, lam.size))
     for j in range(1, nodes.size):
@@ -359,9 +359,7 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
         term2 = (lam[:, None] * np.exp(-lam[:, None] * (t - s2)[None, :]) * f2) @ w2
         deriv_modal[j - 1] = boundary + term1 - term2
 
-    return MildTrajectory(
-        grid, values_modal @ spectrum.modes.T, deriv_modal @ spectrum.modes.T
-    )
+    return MildTrajectory(grid, values_modal, deriv_modal)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +371,7 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
                       trials: int = 16, seed: int = 0) -> float:
     """Randomized lower bound on ||Phi|| = sup ||Phi(u,v)|| / (||u|| ||v||).
 
-    Trial trajectories are semigroup orbits of random coordinate vectors;
+    Trial trajectories are semigroup orbits of random modal vectors;
     the draws cycle through spectral profiles (randomly damped broadband,
     single modes, sparse mode pairs) so both spread and concentrated data
     are probed.  Deterministic given the seed; the running maximum is
@@ -402,8 +400,7 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
                 modal[rng.integers(m, size=2)] = rng.standard_normal(2)
                 if not modal.any():
                     modal[0] = 1.0
-            coords = spectrum.from_modal(modal / np.linalg.norm(modal))
-            pair.append(alpha_from_coords(spectrum, coords, grid))
+            pair.append(_orbit(spectrum, modal / np.linalg.norm(modal), grid))
         u, v = pair
         image = phi(spectrum, hodge, u, v)
         denom = et_norm(spectrum, u).total * et_norm(spectrum, v).total
@@ -454,9 +451,8 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
     Raises ``GateUnreachableError`` with the attempt log if the schedule
     never passes.
     """
-    hodge = spectrum.hodge
-    coords0 = hodge.coords(u0)
-    alpha_plain = alpha_from_coords(spectrum, coords0, grid_template)
+    modal0 = spectrum.fields.T @ u0.flat
+    alpha_plain = _orbit(spectrum, modal0, grid_template)
     if smallness_gate(et_norm(spectrum, alpha_plain), phi_norm):
         return ShrinkResult(u0, grid_template.horizon, grid_template, 0.0, [])
 
@@ -466,15 +462,14 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
         raise GateUnreachableError("gate failed and the smoothing schedule is empty", attempts)
 
     lam = spectrum.eigenvalues
-    modal0 = spectrum.to_modal(coords0)
     best = None
     for k in range(max_halvings):
         eps = float(eps_schedule[min(k, len(eps_schedule) - 1)])
         horizon = grid_template.horizon / 2.0 ** k
         grid_k = grid_template.scaled(horizon)
-        coords_eps = spectrum.from_modal(np.exp(-eps * lam) * modal0)
-        alpha_eps = alpha_from_coords(spectrum, coords_eps, grid_k)
-        remainder = alpha_from_coords(spectrum, coords0 - coords_eps, grid_k)
+        modal_eps = np.exp(-eps * lam) * modal0
+        alpha_eps = _orbit(spectrum, modal_eps, grid_k)
+        remainder = _orbit(spectrum, modal0 - modal_eps, grid_k)
         norms = et_norm(spectrum, alpha_eps)
         attempt = ShrinkAttempt(
             eps,
@@ -487,7 +482,8 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
         if best is None or attempt.alpha_eps_total < best.alpha_eps_total:
             best = attempt
         if attempt.passed:
-            return ShrinkResult(hodge.lift(coords_eps), horizon, grid_k, eps, attempts)
+            u0_eps = VectorField.from_flat(u0.mask, spectrum.fields @ modal_eps)
+            return ShrinkResult(u0_eps, horizon, grid_k, eps, attempts)
     raise GateUnreachableError(
         f"smallness gate unreachable after {len(attempts)} attempts "
         f"(best smoothed norm {best.alpha_eps_total:.3e} at eps={best.eps}, T={best.horizon})",
@@ -507,7 +503,6 @@ class PicardConfig:
     tol: float = 1e-10
     max_iterations: int = 15
     nonlinearity_scale: float = 1.0
-    quad_order: int | None = None
     start: str = "alpha"  # "alpha" or "zero"
 
 
@@ -533,8 +528,12 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
 
     Returns ``(trajectory, log)``.  Divergence (three consecutive
     expansion steps) raises ``PicardDivergenceError`` carrying the log.
-    The returned trajectory satisfies
-    ``||u - alpha - Phi(u, u)|| <= 2 tol`` (re-measured into the log).
+    Each Phi call measures the fixed-point residual
+    ``||v - alpha - Phi(v, v)||`` of the current iterate v, so the loop
+    stops as soon as that residual is at most ``tol`` (or after
+    ``max_iterations`` Phi calls) and returns that v; its residual is
+    ``log.fixed_point_residual``, the last entry of ``log.distances``, and
+    its norms are the last entry of ``log.iterate_norms``.
     """
     grid = config.grid
     log = IterationLog()
@@ -545,8 +544,8 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
 
     prev_dist = None
     bad_streak = 0
-    for _ in range(config.max_iterations):
-        correction = phi(spectrum, hodge, v, v, config.quad_order, config.nonlinearity_scale)
+    while True:
+        correction = phi(spectrum, hodge, v, v, scale=config.nonlinearity_scale)
         nxt = combine_trajectories(1.0, alpha, 1.0, correction)
         dist = et_norm(spectrum, combine_trajectories(1.0, nxt, -1.0, v)).total
         log.iterations += 1
@@ -555,22 +554,18 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
             ratio = dist / prev_dist
             log.ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-        v = nxt
-        log.iterate_norms.append(et_norm(spectrum, v))
         if bad_streak >= 3:
             raise PicardDivergenceError(
                 f"no contraction for {bad_streak} consecutive steps "
                 f"(last distances {log.distances[-4:]})",
                 log,
             )
-        if dist <= config.tol:
-            log.converged = True
+        log.converged = dist <= config.tol
+        if log.converged or log.iterations >= config.max_iterations:
             break
         prev_dist = dist
+        v = nxt
+        log.iterate_norms.append(et_norm(spectrum, v))
 
-    final_phi = phi(spectrum, hodge, v, v, config.quad_order, config.nonlinearity_scale)
-    fixed_point = combine_trajectories(1.0, alpha, 1.0, final_phi)
-    log.fixed_point_residual = et_norm(
-        spectrum, combine_trajectories(1.0, v, -1.0, fixed_point)
-    ).total
+    log.fixed_point_residual = dist
     return v, log

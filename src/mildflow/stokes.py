@@ -9,8 +9,11 @@ exact up to round-off:
 
     f(S) c = Q (f(lambda) * (Q^T c)).
 
-All operator applications act on coordinate vectors in the Z basis
-(``hodge.coords`` / ``hodge.lift`` convert to and from ambient fields).
+The operator applications ``apply_frac_power`` and ``apply_semigroup`` act
+on coordinate vectors in the Z basis (``hodge.coords`` / ``hodge.lift``
+convert to and from ambient fields).  Trajectories live in modal
+coordinates Q^T c instead; the ambient eigenfields Y = Z Q lift them
+(``fields @ a``) and project onto them (``fields.T @ u``) in one product.
 The shift ``delta`` supports the shifted calculus (delta + S)^s; it is
 optional here because the discrete spectrum is strictly positive, which
 also makes negative powers legal.
@@ -36,12 +39,15 @@ class StokesSpectrum:
     """Eigenpairs of the reduced operator Z^T L Z plus the shift delta.
 
     ``eigenvalues`` are ascending and strictly positive; ``modes`` holds
-    the orthonormal eigenvectors (in Z coordinates) as columns.
+    the orthonormal eigenvectors (in Z coordinates) as columns and
+    ``fields`` the same eigenvectors as ambient fields, the (3n, m)
+    matrix Y = Z Q with orthonormal columns.
     """
 
     hodge: HodgeDecomposition
     eigenvalues: np.ndarray
     modes: np.ndarray
+    fields: np.ndarray
     delta: float = 0.0
 
     @property
@@ -56,14 +62,8 @@ class StokesSpectrum:
 
     def eigenfield(self, k: int) -> VectorField:
         """k-th eigenmode as a vector field, normalized in the field norm."""
-        coords = self.modes[:, k] / self.hodge.mask.cell_volume ** 0.5
-        return self.hodge.lift(coords)
-
-    def frac_power(self, coords: np.ndarray, s: float, shifted: bool = False) -> np.ndarray:
-        return apply_frac_power(self, s, shifted)(coords)
-
-    def semigroup(self, coords: np.ndarray, t: float) -> np.ndarray:
-        return apply_semigroup(self, t)(coords)
+        flat = self.fields[:, k] / self.hodge.mask.cell_volume ** 0.5
+        return VectorField.from_flat(self.hodge.mask, flat)
 
 
 def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpectrum:
@@ -85,7 +85,7 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    return StokesSpectrum(hodge, eigenvalues, modes, float(delta))
+    return StokesSpectrum(hodge, eigenvalues, modes, z @ modes, float(delta))
 
 
 def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndarray:
@@ -99,6 +99,17 @@ def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndar
     return base ** s
 
 
+def _multiplier(spectrum: StokesSpectrum, factors: np.ndarray):
+    """Operator ``c -> Q (factors * (Q^T c))`` on Z coordinates."""
+    modes = spectrum.modes
+
+    def apply(coords: np.ndarray) -> np.ndarray:
+        modal = modes.T @ np.asarray(coords, dtype=float)
+        return modes @ (factors * modal if modal.ndim == 1 else factors[:, None] * modal)
+
+    return apply
+
+
 def apply_frac_power(spectrum: StokesSpectrum, s: float, shifted: bool = False):
     """Operator ``c -> (delta? + A)^s c`` on Z coordinates.
 
@@ -106,28 +117,14 @@ def apply_frac_power(spectrum: StokesSpectrum, s: float, shifted: bool = False):
     in the last axes) of fields already in the divergence-free subspace;
     project first if in doubt.
     """
-    factors = _power_factors(spectrum, s, shifted)
-    modes = spectrum.modes
-
-    def apply(coords: np.ndarray) -> np.ndarray:
-        modal = modes.T @ np.asarray(coords, dtype=float)
-        return modes @ (factors * modal if modal.ndim == 1 else factors[:, None] * modal)
-
-    return apply
+    return _multiplier(spectrum, _power_factors(spectrum, s, shifted))
 
 
 def apply_semigroup(spectrum: StokesSpectrum, t: float):
     """Operator ``c -> e^{-tA} c`` on Z coordinates; requires t >= 0."""
     if t < 0.0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    factors = np.exp(-t * spectrum.eigenvalues)
-    modes = spectrum.modes
-
-    def apply(coords: np.ndarray) -> np.ndarray:
-        modal = modes.T @ np.asarray(coords, dtype=float)
-        return modes @ (factors * modal if modal.ndim == 1 else factors[:, None] * modal)
-
-    return apply
+    return _multiplier(spectrum, np.exp(-t * spectrum.eigenvalues))
 
 
 def smoothing_bound(spectrum: StokesSpectrum, s: float, t_grid) -> np.ndarray:

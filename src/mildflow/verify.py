@@ -95,7 +95,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     solved with (0 audits the purely linear evolution).
     """
     nodes = traj.grid.nodes
-    basis = hodge.basis
+    fields = spectrum.fields
     vol = ops.mask.cell_volume ** 0.5
     n_pos = nodes.size - 1
     div_norms = np.empty(n_pos)
@@ -106,15 +106,15 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     conv_l32 = np.empty(n_pos)
     pressures = []
     for j in range(1, nodes.size):
-        u_flat = basis @ traj.samples[j]
-        du_flat = basis @ traj.derivative_samples[j - 1]
+        u_flat = fields @ traj.samples[j]
+        du_flat = fields @ traj.derivative_samples[j - 1]
         lap_u = ops.laplacian @ u_flat
         conv = scale * advect_flat(ops, u_flat, u_flat)
         w_flat = du_flat + lap_u + conv
         w = VectorField.from_flat(ops.mask, w_flat)
         denom = vol * (np.linalg.norm(du_flat) + np.linalg.norm(lap_u))
         denom = max(denom, np.finfo(float).tiny)
-        residual_num = vol * np.linalg.norm(basis.T @ w_flat)  # direct projection route
+        residual_num = vol * np.linalg.norm(fields.T @ w_flat)  # direct projection route
         recovery = recover_pressure(hodge, ops, w)
         div_norms[j - 1] = vol * np.linalg.norm(ops.divergence @ u_flat)
         h_components[j - 1] = recovery.h_component
@@ -127,7 +127,8 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
             VectorField.from_flat(ops.mask, conv), 1.5
         )
         pressures.append(recovery.potential)
-    init_err = vol * float(np.linalg.norm(basis @ traj.samples[0] - basis @ hodge.coords(u0)))
+    # the eigenfields are orthonormal: the field error is the modal error
+    init_err = vol * float(np.linalg.norm(traj.samples[0] - fields.T @ u0.flat))
     return StrongCheckReport(
         nodes[1:],
         div_norms,
@@ -164,18 +165,17 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             stacklevel=2,
         )
     ops = hodge.ops
-    basis = hodge.basis
-    modes = spectrum.modes
+    fields = spectrum.fields
     horizon = grid.horizon
     n_whole = int(np.ceil(horizon / dt - 1e-12))
     times = np.union1d(np.minimum(dt * np.arange(n_whole + 1), horizon), grid.nodes)
 
     def forcing_modal(modal_state: np.ndarray) -> np.ndarray:
-        flat = basis @ (modes @ modal_state)
+        flat = fields @ modal_state
         raw = advect_flat(ops, flat, flat)
-        return -scale * (modes.T @ (basis.T @ raw))
+        return -scale * (fields.T @ raw)
 
-    a = modes.T @ hodge.coords(u0)
+    a = fields.T @ u0.flat
     norm0 = max(np.linalg.norm(a), np.finfo(float).tiny)
     node_modal = np.empty((grid.nodes.size, lam.size))
     node_modal[0] = a
@@ -197,10 +197,10 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     for j in range(1, grid.nodes.size):
         state = node_modal[j]
         deriv_modal[j - 1] = -lam * state + forcing_modal(state)
-    return MildTrajectory(grid, node_modal @ modes.T, deriv_modal @ modes.T)
+    return MildTrajectory(grid, node_modal, deriv_modal)
 
 
-def energy_audit(hodge: HodgeDecomposition, ops: DiscreteOperators,
+def energy_audit(spectrum: StokesSpectrum, ops: DiscreteOperators,
                  traj: MildTrajectory) -> np.ndarray:
     """Cumulative balance ||u(t)||^2 + 2 int_0^t <Lap u, u> ds - ||u0||^2.
 
@@ -208,12 +208,12 @@ def energy_audit(hodge: HodgeDecomposition, ops: DiscreteOperators,
     quadrature error.  Returns one value per grid node.
     """
     nodes = traj.grid.nodes
-    basis = hodge.basis
+    fields = spectrum.fields
     vol = ops.mask.cell_volume
     energies = np.empty(nodes.size)
     dissipation = np.empty(nodes.size)
     for j in range(nodes.size):
-        u_flat = basis @ traj.samples[j]
+        u_flat = fields @ traj.samples[j]
         energies[j] = vol * float(u_flat @ u_flat)
         dissipation[j] = vol * float(u_flat @ (ops.laplacian @ u_flat))
     cumulative = np.concatenate(

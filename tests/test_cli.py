@@ -146,6 +146,32 @@ class TestRunPipeline:
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
 
+    @pytest.mark.parametrize("values", ["wrong_size", "nan"])
+    def test_bad_file_initial_data_is_config_error(self, tmp_path, values):
+        import numpy as np
+
+        out = tmp_path / "out"
+        data = np.zeros((3, 63)) if values == "wrong_size" else np.full((3, 64), np.nan)
+        npy = tmp_path / "u0.npy"
+        np.save(npy, data)
+        cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["failure"]["stage"] == "initial_data"
+
+    def test_single_cell_mask_runs(self, tmp_path):
+        # one cell has no convective coupling: ||Phi|| is 0 and the gate
+        # passes as in linear mode
+        out = tmp_path / "out"
+        cfg = base_config(out, mask=mask_path("single"))
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        summary = read_summary(out)
+        assert summary["phi_norm"]["gate_value"] == 0.0
+        assert summary["gate"]["passed_initially"] is True
+        assert summary["gate"]["threshold"] is None
+        assert summary["picard"]["converged"] is True
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_a = base_config(tmp_path / "a", oracle={"dts": [0.02]})
         cfg_b = base_config(tmp_path / "b", oracle={"dts": [0.02]})
@@ -219,6 +245,16 @@ class TestRunPipeline:
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_PICARD
         assert read_summary(out)["failure"]["stage"] == "picard"
+
+    def test_no_convergence_exit_code(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, picard={"tol": 1e-30, "max_iterations": 1})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_PICARD
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["failure"]["stage"] == "picard"
+        assert summary["picard"]["converged"] is False
+        assert summary["picard"]["iterations"] == 1
 
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod

@@ -214,7 +214,7 @@ def test_weighted_convective_l32_constant_recorded(box4_hodge, box4_spectrum, ca
     norm_u = et_norm(box4_spectrum, traj).total
     best = 0.0
     for j in range(1, grid.nodes.size):
-        field = box4_hodge.lift(traj.samples[j])
+        field = VectorField.from_flat(box4_hodge.mask, box4_spectrum.fields @ traj.samples[j])
         raw = forcing(box4_hodge, field, field).raw
         weighted = grid.nodes[j] ** 0.5 * vector_lp_norm(raw, 1.5)
         best = max(best, weighted / norm_u**2)

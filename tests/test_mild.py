@@ -11,6 +11,7 @@ from mildflow import (
     VectorField,
     alpha_from_coords,
     alpha_trajectory,
+    apply_semigroup,
     combine_trajectories,
     convolve_semigroup,
     estimate_phi_norm,
@@ -71,7 +72,8 @@ class TestAlphaTrajectory:
         coords0 = box4_spectrum.hodge.coords(_mode_field(box4_spectrum, k))
         for j in (0, 5, grid.segments):
             expected = np.exp(-lam * grid.nodes[j]) * coords0
-            assert np.allclose(traj.samples[j], expected, rtol=1e-12, atol=1e-14)
+            sample = box4_spectrum.from_modal(traj.samples[j])
+            assert np.allclose(sample, expected, rtol=1e-12, atol=1e-14)
         norms = et_norm(box4_spectrum, traj)
         assert norms.sup_quarter == pytest.approx(lam**0.25, rel=1e-12)
 
@@ -85,6 +87,16 @@ class TestAlphaTrajectory:
         manual = np.max(t * lam**1.25 * np.exp(-lam * t))
         assert norms.sup_deriv_weighted == pytest.approx(manual, rel=1e-12)
         assert norms.sup_deriv_weighted <= (1.0 / np.e) * lam**0.25 + 1e-15
+
+    def test_samples_lift_to_semigroup_orbit(self, box4_spectrum, box4_hodge, grid):
+        # modal samples lifted through the eigenfields are the semigroup
+        # orbit of the Z coordinates lifted through the Hodge basis
+        c = np.random.default_rng(6).standard_normal(box4_spectrum.dim)
+        alpha = alpha_from_coords(box4_spectrum, c, grid)
+        for j, t in enumerate(grid.nodes):
+            lifted = box4_spectrum.fields @ alpha.samples[j]
+            expected = box4_hodge.basis @ apply_semigroup(box4_spectrum, t)(c)
+            assert np.abs(lifted - expected).max() <= 1e-12
 
     def test_projection_warning(self, box4_ops, box4_spectrum, grid):
         rng = np.random.default_rng(0)
@@ -109,11 +121,11 @@ class TestEtNorm:
         vol = box4_spectrum.hodge.mask.cell_volume ** 0.5
         sup_q = sup_h = sup_d = 0.0
         for j, t in enumerate(grid.nodes):
-            modal = box4_spectrum.to_modal(traj.samples[j])
+            modal = traj.samples[j]
             sup_q = max(sup_q, vol * np.linalg.norm(lam**0.25 * modal))
             if j > 0:
                 sup_h = max(sup_h, t**0.25 * vol * np.linalg.norm(lam**0.5 * modal))
-                dmodal = box4_spectrum.to_modal(traj.derivative_samples[j - 1])
+                dmodal = traj.derivative_samples[j - 1]
                 sup_d = max(sup_d, t * vol * np.linalg.norm(lam**0.25 * dmodal))
         assert norms.sup_quarter == pytest.approx(sup_q, rel=1e-13)
         assert norms.sup_half_weighted == pytest.approx(sup_h, rel=1e-13)
@@ -327,13 +339,32 @@ class TestPicard:
         tol = 1e-10
         residuals = {}
         for order in (6, 12):
-            cfg = PicardConfig(grid=grid, tol=tol, quad_order=order)
+            cfg = PicardConfig(grid=TimeGrid.graded(grid.horizon, grid.segments, order), tol=tol)
             _, log = picard_solve(box4_spectrum, box4_hodge, u0, cfg)
             assert log.converged
-            assert log.fixed_point_residual <= 2.0 * tol
+            assert log.fixed_point_residual <= tol
             residuals[order] = log.fixed_point_residual
         lo, hi = sorted(residuals.values())
         assert hi <= 5.0 * max(lo, 1e-16)
+
+    def test_one_phi_call_per_iteration(self, box4_spectrum, box4_hodge, grid, monkeypatch):
+        import mildflow.mild as mild_mod
+
+        calls = []
+        real_phi = mild_mod.phi
+
+        def counting_phi(*args, **kwargs):
+            calls.append(1)
+            return real_phi(*args, **kwargs)
+
+        monkeypatch.setattr(mild_mod, "phi", counting_phi)
+        u0 = _mode_field(box4_spectrum, 0, 0.05)
+        traj, log = picard_solve(box4_spectrum, box4_hodge, u0, PicardConfig(grid=grid))
+        assert log.converged and log.iterations >= 2
+        assert len(calls) == log.iterations
+        # the returned iterate is the one whose residual was measured last
+        assert log.fixed_point_residual == log.distances[-1]
+        assert log.iterate_norms[-1] == et_norm(box4_spectrum, traj)
 
     def test_uniqueness_probe(self, box4_spectrum, box4_hodge, grid):
         u0 = _mode_field(box4_spectrum, 0, 0.05)
