@@ -6,7 +6,8 @@ Dirichlet Laplacian compressed to the divergence-free subspace is the
 Stokes operator, whose dense eigendecomposition powers an exact functional
 calculus (fractional powers, shifts, semigroup).  Mild solutions are
 constructed by a Picard iteration on the semigroup convolution of the
-projected convective forcing, guarded by the smallness condition
+projected convective forcing (one kernel, ``modal_forcing``, evaluated on
+pairs of grid-node samples), guarded by the smallness condition
 ||alpha|| < 1/(4 ||Phi||), and verified against the momentum equation with
 pressure recovery and an independent time-stepping oracle.
 
@@ -17,7 +18,7 @@ across threads needs no synchronization.
 
 __version__ = "0.1.0"
 
-from .convection import ForcingSample, advect, forcing, forcing_derivative
+from .convection import advect
 from .domain import (
     DiscreteOperators,
     DomainMask,
@@ -59,6 +60,7 @@ from .mild import (
     convolve_semigroup,
     estimate_phi_norm,
     et_norm,
+    modal_forcing,
     phi,
     picard_solve,
     shrink_horizon,

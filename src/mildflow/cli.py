@@ -17,8 +17,9 @@ mask file.  Exit codes: 0 ok, 2 config error, 3 mask error, 4 smallness
 gate unreachable, 5 fixed-point divergence or no convergence within
 ``picard.max_iterations``, 6 oracle failure.
 
-The config is YAML (keys documented in the README); a seed is mandatory
-so reruns are bit-reproducible apart from the timestamp field.
+The config is YAML (keys documented in the README; any other key is a
+config error); a seed is mandatory so reruns at the same BLAS thread
+count are bit-reproducible apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ EXIT_ORACLE = 6
 
 _FLOAT_FMT = "%.17g"
 
+# The README's config schema: every section and the keys it may hold.
+_SECTION_KEYS = {
+    "picard": {"tol", "max_iterations"},
+    "phi_norm": {"trials"},
+    "gate": {"safety_factor"},
+    "shrink": {"eps_schedule"},
+    "oracle": {"dts"},
+    "initial_data": {"kind", "mode", "amplitude", "seed", "path"},
+}
+_CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "delta", "seed",
+                "nonlinearity_scale", *_SECTION_KEYS}
+
 
 @dataclass(eq=False)
 class ExperimentConfig:
@@ -106,10 +119,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    def need(key, kind, where=None, label=None):
-        src = data if where is None else where
-        name = key if label is None else label
-        if not isinstance(src, dict) or key not in src:
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in _SECTION_KEYS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a mapping")
+            for sub in value:
+                if sub not in _SECTION_KEYS[key]:
+                    raise ConfigError(f"unknown config key '{key}.{sub}'")
+
+    def need(key, kind, section=None):
+        src = data if section is None else data.get(section, {})
+        name = key if section is None else f"{section}.{key}"
+        if key not in src:
             raise ConfigError(f"missing config key {name!r}")
         value = src[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -118,11 +141,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"config key {name!r} must be {kind.__name__}")
         return value
 
-    def optional(key, kind, default, where=None, label=None):
-        src = data if where is None else where
-        if not isinstance(src, dict) or key not in src:
+    def optional(key, kind, default, section=None):
+        if key not in (data if section is None else data.get(section, {})):
             return default
-        return need(key, kind, where=src, label=label)
+        return need(key, kind, section)
+
+    def positive_list(section, key):
+        values = data.get(section, {}).get(key, [])
+        if not isinstance(values, list) or any(
+            not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0 for e in values
+        ):
+            raise ConfigError(f"{section}.{key} must be a list of positive numbers")
+        return [float(e) for e in values]
 
     mask_path = need("mask", str)
     output_dir = need("output_dir", str)
@@ -132,47 +162,32 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     delta = optional("delta", float, 0.0)
     seed = need("seed", int)
     scale = optional("nonlinearity_scale", float, 1.0)
-
-    picard = data.get("picard", {})
-    tol = optional("tol", float, 1e-10, where=picard, label="picard.tol")
-    max_it = optional("max_iterations", int, 15, where=picard, label="picard.max_iterations")
-
-    phi_cfg = data.get("phi_norm", {})
-    trials = optional("trials", int, 16, where=phi_cfg, label="phi_norm.trials")
-
-    gate = data.get("gate", {})
-    safety = optional("safety_factor", float, 2.0, where=gate, label="gate.safety_factor")
-
-    shrink = data.get("shrink", {})
-    schedule = shrink.get("eps_schedule", []) if isinstance(shrink, dict) else []
-    if not isinstance(schedule, list) or any(
-        not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0 for e in schedule
-    ):
-        raise ConfigError("shrink.eps_schedule must be a list of positive numbers")
-
-    oracle = data.get("oracle", {})
-    dts = oracle.get("dts", []) if isinstance(oracle, dict) else []
-    if not isinstance(dts, list) or any(
-        not isinstance(d, (int, float)) or isinstance(d, bool) or d <= 0 for d in dts
-    ):
-        raise ConfigError("oracle.dts must be a list of positive numbers")
+    tol = optional("tol", float, 1e-10, "picard")
+    max_it = optional("max_iterations", int, 15, "picard")
+    trials = optional("trials", int, 16, "phi_norm")
+    safety = optional("safety_factor", float, 2.0, "gate")
+    schedule = positive_list("shrink", "eps_schedule")
+    dts = positive_list("oracle", "dts")
 
     init = need("initial_data", dict)
-    kind = need("kind", str, where=init, label="initial_data.kind")
+    kind = need("kind", str, "initial_data")
     if kind not in ("zero", "eigenmode", "random", "file"):
         raise ConfigError(f"unknown initial_data.kind {kind!r}")
     if kind == "eigenmode":
-        need("mode", int, where=init, label="initial_data.mode")
-        need("amplitude", float, where=init, label="initial_data.amplitude")
+        need("mode", int, "initial_data")
+        need("amplitude", float, "initial_data")
     elif kind == "random":
-        need("amplitude", float, where=init, label="initial_data.amplitude")
+        need("amplitude", float, "initial_data")
+        optional("seed", int, None, "initial_data")
     elif kind == "file":
-        need("path", str, where=init, label="initial_data.path")
+        need("path", str, "initial_data")
 
     if horizon <= 0 or segments < 2 or quad_order < 1:
         raise ConfigError("horizon must be positive, segments >= 2, quad_order >= 1")
     if tol <= 0 or max_it < 1 or trials < 1 or safety < 1.0 or delta < 0.0:
         raise ConfigError("picard/phi_norm/gate/delta settings out of range")
+    if not scale >= 0.0:
+        raise ConfigError("nonlinearity_scale must be non-negative")
 
     return ExperimentConfig(
         mask_path=mask_path,
@@ -187,8 +202,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         picard_max_iterations=max_it,
         phi_trials=trials,
         gate_safety=safety,
-        eps_schedule=[float(e) for e in schedule],
-        oracle_dts=[float(d) for d in dts],
+        eps_schedule=schedule,
+        oracle_dts=dts,
         initial_data=init,
         raw=data,
     )

@@ -32,8 +32,15 @@ resolve the blow-up of the norm weights at t -> 0.
 
 Trajectories are stored in Stokes-modal coordinates: a sample a holds the
 field Y a with Y = ``spectrum.fields`` the ambient eigenfields, so every
-operator of the calculus is a per-mode multiplier on the samples, and
-forcings are lifted through Y and projected back with Y^T.
+operator of the calculus is a per-mode multiplier on the samples.
+
+The forcing f = B(u, v) = -1/2 P ((u . grad) v + (v . grad) u) has one
+kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
+and projects with Y^T.  Phi sees only the piecewise-linear interpolants
+of the node samples, so on each grid interval f is an exact quadratic in
+the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i);
+those are computed once per Phi call and the quadrature points only
+combine them.
 """
 
 from __future__ import annotations
@@ -272,54 +279,71 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
     return out
 
 
-def _interp_rows(nodes: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation of per-node rows at times s (clamped)."""
-    i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
-    t0 = nodes[i]
-    t1 = nodes[i + 1]
-    w = np.clip((s - t0) / (t1 - t0), 0.0, 1.0)
-    return values[i] * (1.0 - w)[:, None] + values[i + 1] * w[:, None]
+def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
+                  scale: float = 1.0) -> np.ndarray:
+    """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
+
+    ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
+    sample per column, and Y = ``spectrum.fields``; the result holds the
+    Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
+    bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
+    every discrete gradient.
+    """
+    ops = spectrum.hodge.ops
+    raw = advect_flat(ops, xa, xb) + advect_flat(ops, xb, xa)
+    return -0.5 * scale * (spectrum.fields.T @ raw)
+
+
+def _node_pairs(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray, scale: float):
+    """Node-pair forcings of two lifted node sequences (3n, N+1): the diagonal
+    B(a_i, b_i), shape (m, N+1), and the cross sums B(a_i, b_{i+1}) + B(a_{i+1}, b_i),
+    shape (m, N), from one kernel call."""
+    k = xa.shape[1]
+    f = modal_forcing(spectrum, np.hstack([xa, xa[:, :-1], xa[:, 1:]]),
+                      np.hstack([xb, xb[:, 1:], xb[:, :-1]]), scale)
+    return f[:, :k], f[:, k:2 * k - 1] + f[:, 2 * k - 1:]
 
 
 class _PairForcing:
     """Projected convective forcing of two sampled trajectories.
 
-    Values between nodes come from piecewise-linear interpolation of the
-    modal samples; derivative values below the first positive node clamp
-    to the t_1 sample (the region only enters integrals damped by the time
-    weights).
+    Between nodes the trajectories are the piecewise-linear interpolants
+    of their modal samples, so on [t_i, t_{i+1}] at weight w the bilinear
+    forcing B is the exact quadratic
+
+        (1-w)^2 B(a_i, b_i) + w(1-w) (B(a_i, b_{i+1}) + B(a_{i+1}, b_i))
+            + w^2 B(a_{i+1}, b_{i+1})
+
+    in the node-pair forcings, which are computed once.  The derivative
+    forcing B(u', v) + B(u, v') has the same form; the derivative samples
+    hold their t_1 value below the first positive node (the region only
+    enters integrals damped by the time weights).
     """
 
     def __init__(self, spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
                  scale: float = 1.0):
-        self.fields = spectrum.fields
-        self.ops = spectrum.hodge.ops
         self.nodes = u.grid.nodes
-        self.u = u
-        self.v = v
-        self.scale = scale
+        rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
+                for t in (u, v)]
+        xu, xdu, xv, xdv = np.hsplit(spectrum.fields @ np.vstack(rows).T, 4)
+        self.value = _node_pairs(spectrum, xu, xv, scale)
+        du_v = _node_pairs(spectrum, xdu, xv, scale)
+        u_dv = _node_pairs(spectrum, xu, xdv, scale)
+        self.derivative = (du_v[0] + u_dv[0], du_v[1] + u_dv[1])
 
-    def _lift(self, traj_values: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self.fields @ _interp_rows(nodes, traj_values, s).T
-
-    def _project(self, pairs) -> np.ndarray:
-        """Modal forcing -scale/2 Y^T sum ((a.grad)b + (b.grad)a) over the pairs."""
-        raw = sum(advect_flat(self.ops, a, b) + advect_flat(self.ops, b, a) for a, b in pairs)
-        return -0.5 * self.scale * (self.fields.T @ raw)
+    def _evaluate(self, pairs, s) -> np.ndarray:
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        nodes = self.nodes
+        i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+        w = np.clip((s - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
+        diag, cross = pairs
+        return diag[:, i] * (1.0 - w) ** 2 + cross[:, i] * (w * (1.0 - w)) + diag[:, i + 1] * w**2
 
     def value_modal(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        xu = self._lift(self.u.samples, self.nodes, s)
-        xv = self._lift(self.v.samples, self.nodes, s)
-        return self._project([(xu, xv)])
+        return self._evaluate(self.value, s)
 
     def derivative_modal(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        xu = self._lift(self.u.samples, self.nodes, s)
-        xv = self._lift(self.v.samples, self.nodes, s)
-        xdu = self._lift(self.u.derivative_samples, self.nodes[1:], s)
-        xdv = self._lift(self.v.derivative_samples, self.nodes[1:], s)
-        return self._project([(xdu, xv), (xu, xdv)])
+        return self._evaluate(self.derivative, s)
 
 
 def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,

@@ -76,6 +76,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"nonlinearity_scal": 0.0},  # misspelt top-level key
+            {"picard": {"tol": 1e-10, "max_iteration": 3}},  # misspelt nested key
+            {"picard": 5},  # section that is not a mapping
+            {"nonlinearity_scale": -1.0},
+            {"initial_data": {"kind": "random", "amplitude": 0.02, "seed": "seven"}},
+        ],
+        ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
+             "random_seed_not_int"],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, **change))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main([command, path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_validate_command(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["validate", path]) == EXIT_OK

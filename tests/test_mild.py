@@ -5,6 +5,7 @@ import pytest
 
 from mildflow import (
     GateUnreachableError,
+    MildTrajectory,
     PicardConfig,
     PicardDivergenceError,
     TimeGrid,
@@ -16,6 +17,7 @@ from mildflow import (
     convolve_semigroup,
     estimate_phi_norm,
     et_norm,
+    modal_forcing,
     phi,
     picard_solve,
     shrink_horizon,
@@ -200,6 +202,60 @@ class TestPhi:
         )
         diff = et_norm(box4_spectrum, combine_trajectories(1.0, left, -1.0, right)).total
         assert diff <= 1e-10 * max(et_norm(box4_spectrum, left).total, 1e-30)
+
+    def test_node_pair_forcing_matches_direct_kernel(self, box4_spectrum, grid):
+        # the quadratic in node-pair forcings equals the kernel evaluated on
+        # the lifted linear interpolants, derivative samples held at their
+        # t_1 value below t_1
+        from mildflow.mild import _PairForcing
+
+        rng = np.random.default_rng(12)
+        m = box4_spectrum.dim
+        nodes = grid.nodes
+        u, v = (
+            MildTrajectory(grid, rng.standard_normal((nodes.size, m)),
+                           rng.standard_normal((nodes.size - 1, m)))
+            for _ in range(2)
+        )
+        scale = 0.8
+        pair = _PairForcing(box4_spectrum, u, v, scale)
+        times = np.concatenate([rng.uniform(0.0, grid.horizon, 6), nodes[[2, 7]],
+                                [0.0, 0.3 * nodes[1], grid.horizon]])
+
+        def lifted(values, knots, s):
+            return box4_spectrum.fields @ np.array([np.interp(s, knots, c) for c in values.T])
+
+        for s in times:
+            xu, xv = lifted(u.samples, nodes, s), lifted(v.samples, nodes, s)
+            xdu = lifted(u.derivative_samples, nodes[1:], s)
+            xdv = lifted(v.derivative_samples, nodes[1:], s)
+            value = modal_forcing(box4_spectrum, xu, xv, scale)
+            deriv = (modal_forcing(box4_spectrum, xdu, xv, scale)
+                     + modal_forcing(box4_spectrum, xu, xdv, scale))
+            for got, want in ((pair.value_modal(s)[:, 0], value),
+                              (pair.derivative_modal(s)[:, 0], deriv)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", [2, 8])
+    def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
+        # node-pair forcings: three kernel calls (value, u'v, uv') of two
+        # advections each, on 3N + 1 node pairs, whatever the quadrature
+        import mildflow.mild as mild_mod
+
+        columns = []
+        real_advect = mild_mod.advect_flat
+
+        def counting_advect(ops, xu, xv):
+            columns.append(xu.shape[1])
+            return real_advect(ops, xu, xv)
+
+        monkeypatch.setattr(mild_mod, "advect_flat", counting_advect)
+        segments = 20
+        grid = TimeGrid.graded(0.5, segments, order)
+        rng = np.random.default_rng(13)
+        u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
+        phi(box4_spectrum, box4_hodge, u, u)
+        assert columns == [3 * segments + 1] * 6
 
     def test_grid_mismatch(self, box4_spectrum, box4_hodge, grid):
         other = TimeGrid.graded(0.5, 10, 6)
