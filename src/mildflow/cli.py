@@ -15,7 +15,8 @@ and emits three machine-readable files into the output directory:
 ``validate`` parses a config without running; ``mask-info`` inspects a
 mask file.  Exit codes: 0 ok, 2 config error, 3 mask error, 4 smallness
 gate unreachable, 5 fixed-point divergence or no convergence within
-``picard.max_iterations``, 6 oracle failure.
+``picard.max_iterations``, 6 oracle failure, 7 inconsistent Hodge or
+Stokes decomposition.
 
 The config is YAML (keys documented in the README; any other key is a
 config error); a seed is mandatory so reruns at the same BLAS thread
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -43,6 +45,7 @@ from .errors import (
     MildflowError,
     OracleInstabilityError,
     PicardDivergenceError,
+    SpectrumError,
 )
 from .hodge import build_hodge
 from .mild import (
@@ -65,6 +68,7 @@ EXIT_MASK = 3
 EXIT_GATE = 4
 EXIT_PICARD = 5
 EXIT_ORACLE = 6
+EXIT_SPECTRUM = 7
 
 _FLOAT_FMT = "%.17g"
 
@@ -77,7 +81,7 @@ _SECTION_KEYS = {
     "oracle": {"dts"},
     "initial_data": {"kind", "mode", "amplitude", "seed", "path"},
 }
-_CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "delta", "seed",
+_CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "seed",
                 "nonlinearity_scale", *_SECTION_KEYS}
 
 
@@ -90,7 +94,6 @@ class ExperimentConfig:
     horizon: float
     segments: int
     quad_order: int
-    delta: float
     seed: int
     nonlinearity_scale: float
     picard_tol: float
@@ -139,6 +142,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             value = float(value)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"config key {name!r} must be {kind.__name__}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"config key {name!r} must be finite")
         return value
 
     def optional(key, kind, default, section=None):
@@ -149,7 +154,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     def positive_list(section, key):
         values = data.get(section, {}).get(key, [])
         if not isinstance(values, list) or any(
-            not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0 for e in values
+            not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
+            for e in values
         ):
             raise ConfigError(f"{section}.{key} must be a list of positive numbers")
         return [float(e) for e in values]
@@ -159,7 +165,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     horizon = need("horizon", float)
     segments = need("segments", int)
     quad_order = optional("quad_order", int, 6)
-    delta = optional("delta", float, 0.0)
     seed = need("seed", int)
     scale = optional("nonlinearity_scale", float, 1.0)
     tol = optional("tol", float, 1e-10, "picard")
@@ -184,8 +189,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     if horizon <= 0 or segments < 2 or quad_order < 1:
         raise ConfigError("horizon must be positive, segments >= 2, quad_order >= 1")
-    if tol <= 0 or max_it < 1 or trials < 1 or safety < 1.0 or delta < 0.0:
-        raise ConfigError("picard/phi_norm/gate/delta settings out of range")
+    if tol <= 0 or max_it < 1 or trials < 1 or safety < 1.0:
+        raise ConfigError("picard/phi_norm/gate settings out of range")
     if not scale >= 0.0:
         raise ConfigError("nonlinearity_scale must be non-negative")
 
@@ -195,7 +200,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         horizon=horizon,
         segments=segments,
         quad_order=quad_order,
-        delta=delta,
         seed=seed,
         nonlinearity_scale=scale,
         picard_tol=tol,
@@ -265,20 +269,21 @@ def run_experiment(config: ExperimentConfig) -> int:
         return fail("mask", exc, EXIT_MASK)
 
     ops = build_operators(mask)
-    hodge = build_hodge(ops)
-    spectrum = assemble_stokes(hodge, config.delta)
     summary["domain"] = {
         "dims": list(mask.dims),
         "spacing": mask.spacing,
         "cells": mask.n_cells,
-        "hodge_dim": hodge.dim,
-        "gradient_rank": hodge.grad_rank,
     }
+    try:
+        hodge = build_hodge(ops)
+        spectrum = assemble_stokes(hodge)
+    except SpectrumError as exc:
+        return fail("spectrum", exc, EXIT_SPECTRUM)
+    summary["domain"].update(hodge_dim=hodge.dim, gradient_rank=hodge.grad_rank)
     summary["spectrum"] = {
         "dim": spectrum.dim,
         "lambda_min": float(spectrum.eigenvalues[0]),
         "lambda_max": float(spectrum.eigenvalues[-1]),
-        "delta": spectrum.delta,
     }
 
     try:
@@ -332,12 +337,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         traj, log = picard_solve(spectrum, hodge, u0, picard_cfg)
     except PicardDivergenceError as exc:
         if exc.log is not None:
-            summary["picard"] = _picard_summary(exc.log)
+            summary["picard"] = _picard_summary(exc.log, shrink_attempts)
         return fail("picard", exc, EXIT_PICARD)
-    log.phi_norm_estimate = phi_hat
-    log.smallness_ok = True
-    log.horizon_shrinks = [(a.eps, a.horizon) for a in shrink_attempts]
-    summary["picard"] = _picard_summary(log)
+    summary["picard"] = _picard_summary(log, shrink_attempts)
     if not log.converged:
         exc = PicardDivergenceError(
             f"no convergence to tol {config.picard_tol:g} in {log.iterations} iterations "
@@ -375,7 +377,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _picard_summary(log) -> dict:
+def _picard_summary(log, shrink_attempts) -> dict:
     return {
         "iterations": log.iterations,
         "converged": log.converged,
@@ -394,7 +396,7 @@ def _picard_summary(log) -> dict:
             "sup_deriv_weighted": log.iterate_norms[-1].sup_deriv_weighted,
             "total": log.iterate_norms[-1].total,
         } if log.iterate_norms else None,
-        "horizon_shrinks": [list(t) for t in log.horizon_shrinks],
+        "horizon_shrinks": [[a.eps, a.horizon] for a in shrink_attempts],
     }
 
 

@@ -118,10 +118,6 @@ class ScalarField:
             )
         self.values = vals
 
-    @classmethod
-    def zeros(cls, mask: DomainMask) -> "ScalarField":
-        return cls(mask, np.zeros(mask.n_cells))
-
 
 @dataclass(eq=False)
 class VectorField:

@@ -69,14 +69,6 @@ class HodgeDecomposition:
     def project(self, u: VectorField) -> VectorField:
         return self.lift(self.coords(u))
 
-    def projector_matrix(self) -> np.ndarray:
-        """Dense P = Z Z^T (test and diagnostics use only)."""
-        return self.basis @ self.basis.T
-
-    def coord_norm(self, coords: np.ndarray) -> float:
-        """Field norm of the lifted coordinates (basis is orthonormal)."""
-        return self.mask.cell_volume ** 0.5 * float(np.linalg.norm(coords))
-
     # -- potentials ----------------------------------------------------------
 
     def potential(self, w) -> ScalarField:

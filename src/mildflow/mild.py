@@ -24,8 +24,14 @@ trajectory derivative uses the split form
     Phi(u, v)(t) = int_0^{t/2} e^{-sA} f(t-s) ds
                  + int_0^{t/2} e^{-(t-s)A} f(s) ds
 
-differentiated termwise, with the product-rule derivative of the forcing
-in the first term.
+differentiated termwise, with the product-rule derivative f' of the
+forcing in the first term; after s -> t - s there,
+
+    Phi'(t) = e^{-tA/2} f(t/2) + int_{t/2}^t e^{-(t-s)A} f'(s) ds
+            - A int_0^{t/2} e^{-(t-s)A} f(s) ds.
+
+The value and both derivative integrals go through one primitive,
+int_a^b e^{-(t-s)A} g(s) ds on panels of s = a + (b - a) sin^2(theta).
 
 Time grids are graded toward zero (t_j = T (j/N)^2) so the weighted sups
 resolve the blow-up of the norm weights at t -> 0.
@@ -38,13 +44,15 @@ The forcing f = B(u, v) = -1/2 P ((u . grad) v + (v . grad) u) has one
 kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
 and projects with Y^T.  Phi sees only the piecewise-linear interpolants
 of the node samples, so on each grid interval f is an exact quadratic in
-the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i);
-those are computed once per Phi call and the quadrature points only
+the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i),
+and f' = B(u', v) + B(u, v') likewise; those are computed once per Phi
+call, one kernel call per operand pair, and the quadrature points only
 combine them.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -223,40 +231,47 @@ def _orbit(spectrum: StokesSpectrum, modal0: np.ndarray, grid: TimeGrid) -> Mild
 # Quadrature of the semigroup convolution
 # ---------------------------------------------------------------------------
 
-_leggauss_cache: dict = {}
-
-
+@functools.cache
 def _leggauss(order: int):
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _leggauss_cache[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_quadrature(upper: float, interior_breaks, order: int):
-    """Nodes and weights for int_0^upper g(s) ds under s = upper sin^2(theta).
+def _panel_quadrature(lower: float, upper: float, breaks, order: int):
+    """Nodes and weights for int_lower^upper g(s) ds under
+    s = lower + (upper - lower) sin^2(theta).
 
-    ``interior_breaks`` lists s values in (0, upper) where the integrand
+    The ``breaks`` inside (lower, upper) are s values where the integrand
     may have kinks (trajectory interpolation nodes); panel boundaries are
     placed there so each panel sees a smooth integrand.
     """
-    breaks = np.asarray(sorted(b for b in interior_breaks if 0.0 < b < upper), dtype=float)
-    if breaks.size:
-        keep = np.ones(breaks.size, dtype=bool)
-        keep[1:] = np.diff(breaks) > 1e-14 * upper
-        keep &= breaks > 1e-14 * upper
-        keep &= breaks < (1.0 - 1e-14) * upper
-        breaks = breaks[keep]
+    width = upper - lower
+    rel = np.asarray(sorted(b - lower for b in breaks if lower < b < upper), dtype=float)
+    if rel.size:
+        keep = np.ones(rel.size, dtype=bool)
+        keep[1:] = np.diff(rel) > 1e-14 * width
+        keep &= rel > 1e-14 * width
+        keep &= rel < (1.0 - 1e-14) * width
+        rel = rel[keep]
     theta_b = np.concatenate(
-        [[0.0], np.arcsin(np.sqrt(np.clip(breaks / upper, 0.0, 1.0))), [0.5 * np.pi]]
+        [[0.0], np.arcsin(np.sqrt(np.clip(rel / width, 0.0, 1.0))), [0.5 * np.pi]]
     )
     x, w = _leggauss(order)
     mid = 0.5 * (theta_b[1:] + theta_b[:-1])
     halfwidth = 0.5 * (theta_b[1:] - theta_b[:-1])
     theta = (mid[:, None] + halfwidth[:, None] * x[None, :]).ravel()
     wt = (halfwidth[:, None] * w[None, :]).ravel()
-    s = upper * np.sin(theta) ** 2
-    ds = upper * np.sin(2.0 * theta)
+    s = lower + width * np.sin(theta) ** 2
+    ds = width * np.sin(2.0 * theta)
     return s, wt * ds
+
+
+def _convolve(lam: np.ndarray, t: float, lower: float, upper: float, breaks, order: int,
+              forcing) -> np.ndarray:
+    """Modal  int_lower^upper e^{-(t - s)A} f(s) ds  with f = ``forcing(s_array)`` (m, k)."""
+    s, w = _panel_quadrature(lower, upper, breaks, order)
+    f = forcing(s)
+    decay = np.exp(-lam[:, None] * (t - s)[None, :])
+    return (decay * f) @ w
 
 
 def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
@@ -271,11 +286,7 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
     nodes = grid.nodes
     out = np.zeros((nodes.size, lam.size))
     for j in range(1, nodes.size):
-        t = nodes[j]
-        s, w = _panel_quadrature(t, nodes[1:j], order)
-        f = forcing_modal(s)
-        decay = np.exp(-lam[:, None] * (t - s)[None, :])
-        out[j] = (decay * f) @ w
+        out[j] = _convolve(lam, nodes[j], 0.0, nodes[j], nodes, order, forcing_modal)
     return out
 
 
@@ -294,56 +305,32 @@ def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
     return -0.5 * scale * (spectrum.fields.T @ raw)
 
 
-def _node_pairs(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray, scale: float):
-    """Node-pair forcings of two lifted node sequences (3n, N+1): the diagonal
-    B(a_i, b_i), shape (m, N+1), and the cross sums B(a_i, b_{i+1}) + B(a_{i+1}, b_i),
-    shape (m, N), from one kernel call."""
-    k = xa.shape[1]
-    f = modal_forcing(spectrum, np.hstack([xa, xa[:, :-1], xa[:, 1:]]),
-                      np.hstack([xb, xb[:, 1:], xb[:, :-1]]), scale)
-    return f[:, :k], f[:, k:2 * k - 1] + f[:, 2 * k - 1:]
+def _interpolant(spectrum: StokesSpectrum, nodes: np.ndarray, operand_pairs, scale: float):
+    """Summed forcing B(a, b) of the lifted node sequences (a, b), each (3n, N+1),
+    in ``operand_pairs``, as a function of time s -> (m, k) modal samples.
 
-
-class _PairForcing:
-    """Projected convective forcing of two sampled trajectories.
-
-    Between nodes the trajectories are the piecewise-linear interpolants
-    of their modal samples, so on [t_i, t_{i+1}] at weight w the bilinear
-    forcing B is the exact quadratic
+    Between nodes a and b are linear, so on [t_i, t_{i+1}] at weight w the
+    bilinear B is the exact quadratic
 
         (1-w)^2 B(a_i, b_i) + w(1-w) (B(a_i, b_{i+1}) + B(a_{i+1}, b_i))
             + w^2 B(a_{i+1}, b_{i+1})
 
-    in the node-pair forcings, which are computed once.  The derivative
-    forcing B(u', v) + B(u, v') has the same form; the derivative samples
-    hold their t_1 value below the first positive node (the region only
-    enters integrals damped by the time weights).
+    in the node-pair forcings, which one kernel call per operand pair
+    computes on the 3N+1 node pairs.
     """
+    k = nodes.size
+    f = sum(modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
+                          np.hstack([b, b[:, 1:], b[:, :-1]]), scale)
+            for a, b in operand_pairs)
+    diag, cross = f[:, :k], f[:, k:2 * k - 1] + f[:, 2 * k - 1:]
 
-    def __init__(self, spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
-                 scale: float = 1.0):
-        self.nodes = u.grid.nodes
-        rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
-                for t in (u, v)]
-        xu, xdu, xv, xdv = np.hsplit(spectrum.fields @ np.vstack(rows).T, 4)
-        self.value = _node_pairs(spectrum, xu, xv, scale)
-        du_v = _node_pairs(spectrum, xdu, xv, scale)
-        u_dv = _node_pairs(spectrum, xu, xdv, scale)
-        self.derivative = (du_v[0] + u_dv[0], du_v[1] + u_dv[1])
-
-    def _evaluate(self, pairs, s) -> np.ndarray:
+    def forcing(s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self.nodes
-        i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+        i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, k - 2)
         w = np.clip((s - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
-        diag, cross = pairs
         return diag[:, i] * (1.0 - w) ** 2 + cross[:, i] * (w * (1.0 - w)) + diag[:, i + 1] * w**2
 
-    def value_modal(self, s) -> np.ndarray:
-        return self._evaluate(self.value, s)
-
-    def derivative_modal(self, s) -> np.ndarray:
-        return self._evaluate(self.derivative, s)
+    return forcing
 
 
 def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
@@ -362,27 +349,24 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
     order = grid.quad_order
     lam = spectrum.eigenvalues
     nodes = grid.nodes
-    pair = _PairForcing(spectrum, u, v, scale)
+    # node samples and node derivatives of both trajectories, lifted in one
+    # GEMM; the t_1 derivative row is repeated at t_0, so the derivative
+    # interpolants hold their t_1 value below t_1 (a region that only
+    # enters integrals damped by the time weights)
+    rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
+            for t in (u, v)]
+    xu, xdu, xv, xdv = np.hsplit(spectrum.fields @ np.vstack(rows).T, 4)
+    f = _interpolant(spectrum, nodes, [(xu, xv)], scale)
+    df = _interpolant(spectrum, nodes, [(xdu, xv), (xu, xdv)], scale)
 
-    values_modal = convolve_semigroup(spectrum, grid, pair.value_modal)
-
+    values_modal = convolve_semigroup(spectrum, grid, f)
     deriv_modal = np.zeros((grid.segments, lam.size))
     for j in range(1, nodes.size):
         t = nodes[j]
         half = 0.5 * t
-        boundary = np.exp(-half * lam) * pair.value_modal(half)[:, 0]
-        # d/dt of the half-split: e^{-sA} f'(t-s) keeps the forcing argument
-        # in [t/2, t]; kinks of the interpolant sit at s = t - t_i there.
-        breaks1 = [t - ti for ti in nodes if half < ti < t]
-        s1, w1 = _panel_quadrature(half, breaks1, order)
-        f1 = pair.derivative_modal(t - s1)
-        term1 = (np.exp(-lam[:, None] * s1[None, :]) * f1) @ w1
-        breaks2 = [ti for ti in nodes if 0.0 < ti < half]
-        s2, w2 = _panel_quadrature(half, breaks2, order)
-        f2 = pair.value_modal(s2)
-        term2 = (lam[:, None] * np.exp(-lam[:, None] * (t - s2)[None, :]) * f2) @ w2
-        deriv_modal[j - 1] = boundary + term1 - term2
-
+        deriv_modal[j - 1] = (np.exp(-half * lam) * f(half)[:, 0]
+                              + _convolve(lam, t, half, t, nodes, order, df)
+                              - lam * _convolve(lam, t, 0.0, half, nodes, order, f))
     return MildTrajectory(grid, values_modal, deriv_modal)
 
 
@@ -538,9 +522,6 @@ class IterationLog:
     distances: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
     alpha_norms: ETNorms | None = None
-    phi_norm_estimate: float | None = None
-    smallness_ok: bool | None = None
-    horizon_shrinks: list = field(default_factory=list)
     fixed_point_residual: float | None = None
     converged: bool = False
     iterations: int = 0

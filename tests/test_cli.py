@@ -13,12 +13,21 @@ from mildflow.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PICARD,
+    EXIT_SPECTRUM,
+    config_from_dict,
     load_config,
     main,
     run_experiment,
 )
-from mildflow.errors import ConfigError, OracleInstabilityError, PicardDivergenceError
+from mildflow.errors import (
+    ConfigError,
+    OracleInstabilityError,
+    PicardDivergenceError,
+    SpectrumError,
+)
 from conftest import mask_path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_config(out_dir, **overrides):
@@ -85,9 +94,19 @@ class TestConfigParsing:
             {"picard": 5},  # section that is not a mapping
             {"nonlinearity_scale": -1.0},
             {"initial_data": {"kind": "random", "amplitude": 0.02, "seed": "seven"}},
+            {"horizon": float("nan")},
+            {"horizon": float("inf")},
+            {"gate": {"safety_factor": float("nan")}},
+            {"oracle": {"dts": [float("nan")]}},
+            {"oracle": {"dts": [float("inf")]}},
+            {"initial_data": {"kind": "eigenmode", "mode": 0, "amplitude": float("nan")}},
+            {"initial_data": {"kind": "random", "amplitude": float("inf")}},
+            {"picard": {"tol": float("nan")}},
         ],
         ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
-             "random_seed_not_int"],
+             "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
+             "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
+             "picard_tol_nan"],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
         out = tmp_path / "out"
@@ -97,6 +116,13 @@ class TestConfigParsing:
         assert main([command, path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_readme_schema_block_is_accepted(self):
+        text = README.read_text()
+        block = text[text.index("### Config schema"):]
+        block = block[block.index("```yaml\n") + len("```yaml\n"):]
+        schema = yaml.safe_load(block[:block.index("```")])
+        assert config_from_dict(schema).segments == schema["segments"]
 
     def test_validate_command(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -277,6 +303,24 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "picard"
         assert summary["picard"]["converged"] is False
         assert summary["picard"]["iterations"] == 1
+
+    @pytest.mark.parametrize("stage", ["build_hodge", "assemble_stokes"])
+    def test_spectrum_error_exit_code(self, tmp_path, monkeypatch, capsys, stage):
+        import mildflow.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise SpectrumError("rank bookkeeping broken")
+
+        monkeypatch.setattr(cli_mod, stage, broken)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_SPECTRUM
+        assert "exit code 7" in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["failure"]["stage"] == "spectrum"
+        assert summary["failure"]["error"] == "SpectrumError"
+        assert summary["domain"]["cells"] == 64
+        assert "spectrum" not in summary
 
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod

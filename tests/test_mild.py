@@ -169,6 +169,25 @@ class TestConvolution:
         e3, e6 = worst(3), worst(6)
         assert e6 < e3
 
+    @pytest.mark.parametrize("order, tol", [(6, 1e-6), (12, 1e-10)])
+    def test_subinterval_constant_forcing_closed_form(self, box4_spectrum, grid, order, tol):
+        # int_a^b e^{-(t-s)A} g ds = (e^{-(t-b)A} - e^{-(t-a)A}) A^{-1} g on
+        # both halves [0, t/2] and [t/2, t] of every node, the panels that
+        # Phi's derivative integrates over
+        from mildflow.mild import _convolve
+
+        lam = box4_spectrum.eigenvalues
+        g = np.random.default_rng(14).standard_normal(lam.size)
+        nodes = grid.nodes
+        worst = 0.0
+        for t in nodes[1:]:
+            for a, b in ((0.0, 0.5 * t), (0.5 * t, t)):
+                got = _convolve(lam, t, a, b, nodes, order,
+                                lambda s: np.tile(g[:, None], (1, s.size)))
+                exact = (np.exp(-lam * (t - b)) - np.exp(-lam * (t - a))) / lam * g
+                worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
+        assert worst <= tol
+
 
 class TestPhi:
     def test_zero_operand(self, box4_spectrum, box4_hodge, grid):
@@ -207,7 +226,7 @@ class TestPhi:
         # the quadratic in node-pair forcings equals the kernel evaluated on
         # the lifted linear interpolants, derivative samples held at their
         # t_1 value below t_1
-        from mildflow.mild import _PairForcing
+        from mildflow.mild import _interpolant
 
         rng = np.random.default_rng(12)
         m = box4_spectrum.dim
@@ -218,7 +237,14 @@ class TestPhi:
             for _ in range(2)
         )
         scale = 0.8
-        pair = _PairForcing(box4_spectrum, u, v, scale)
+
+        def node_fields(traj):
+            held = np.vstack([traj.derivative_samples[:1], traj.derivative_samples])
+            return box4_spectrum.fields @ traj.samples.T, box4_spectrum.fields @ held.T
+
+        (nu, ndu), (nv, ndv) = node_fields(u), node_fields(v)
+        value_at = _interpolant(box4_spectrum, nodes, [(nu, nv)], scale)
+        deriv_at = _interpolant(box4_spectrum, nodes, [(ndu, nv), (nu, ndv)], scale)
         times = np.concatenate([rng.uniform(0.0, grid.horizon, 6), nodes[[2, 7]],
                                 [0.0, 0.3 * nodes[1], grid.horizon]])
 
@@ -232,8 +258,7 @@ class TestPhi:
             value = modal_forcing(box4_spectrum, xu, xv, scale)
             deriv = (modal_forcing(box4_spectrum, xdu, xv, scale)
                      + modal_forcing(box4_spectrum, xu, xdv, scale))
-            for got, want in ((pair.value_modal(s)[:, 0], value),
-                              (pair.derivative_modal(s)[:, 0], deriv)):
+            for got, want in ((value_at(s)[:, 0], value), (deriv_at(s)[:, 0], deriv)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("order", [2, 8])
