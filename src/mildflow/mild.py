@@ -13,13 +13,9 @@ which contracts when  ||alpha|| < 1 / (4 ||Phi||)  (the smallness gate).
 
 Phi is the semigroup convolution of the projected convective forcing,
 
-    Phi(u, v)(t) = int_0^t e^{-(t-s)A} f(s) ds,
+    Phi(u, v)(t) = int_0^t e^{-(t-s)A} f(s) ds.
 
-integrated per mode with Gauss-Legendre panels after the substitution
-s = t sin^2(theta), which removes the model endpoint singularities
-(the (t-s)^{-1/2} s^{-1/2} behavior of the continuum estimates) and
-clusters points where the graded grid concentrates information.  The
-trajectory derivative uses the split form
+The trajectory derivative uses the split form
 
     Phi(u, v)(t) = int_0^{t/2} e^{-sA} f(t-s) ds
                  + int_0^{t/2} e^{-(t-s)A} f(s) ds
@@ -30,8 +26,18 @@ forcing in the first term; after s -> t - s there,
     Phi'(t) = e^{-tA/2} f(t/2) + int_{t/2}^t e^{-(t-s)A} f'(s) ds
             - A int_0^{t/2} e^{-(t-s)A} f(s) ds.
 
-The value and both derivative integrals go through one primitive,
-int_a^b e^{-(t-s)A} g(s) ds on panels of s = a + (b - a) sin^2(theta).
+Phi sees f and f' only as exact quadratics in time between grid nodes
+(see below), so each mode integrates them in closed form on every
+interval (exponential time differencing) with the weights
+mu_k(z) = int_0^1 e^{-z(1-w)} w^k dw, k = 0, 1, 2, taken from a Taylor
+series where z = lambda h is small; Phi has no quadrature error on its own
+interpolant, and ``grid.quad_order`` does not enter it.
+
+``convolve_semigroup`` is the reference path: it integrates any forcing
+with Gauss-Legendre panels after the substitution s = a + (b - a)
+sin^2(theta), which removes the model endpoint singularities (the
+(t-s)^{-1/2} s^{-1/2} behavior of the continuum estimates), with panel
+breaks at the grid nodes and ``grid.quad_order`` points per panel.
 
 Time grids are graded toward zero (t_j = T (j/N)^2) so the weighted sups
 resolve the blow-up of the norm weights at t -> 0.
@@ -46,8 +52,7 @@ and projects with Y^T.  Phi sees only the piecewise-linear interpolants
 of the node samples, so on each grid interval f is an exact quadratic in
 the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i),
 and f' = B(u', v) + B(u, v') likewise; those are computed once per Phi
-call, one kernel call per operand pair, and the quadrature points only
-combine them.
+call, one kernel call per operand pair.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ _PROJECTION_WARN_TOL = 1e-12
 class TimeGrid:
     """Strictly increasing sample times 0 = t_0 < ... < t_N = T.
 
-    ``quad_order`` is the number of Gauss-Legendre points used per
-    quadrature panel in the convolution integrals.
+    ``quad_order`` is the number of Gauss-Legendre points per panel of the
+    reference quadrature ``convolve_semigroup``; ``phi`` integrates
+    exactly and does not read it.
     """
 
     horizon: float
@@ -228,7 +234,7 @@ def _orbit(spectrum: StokesSpectrum, modal0: np.ndarray, grid: TimeGrid) -> Mild
 
 
 # ---------------------------------------------------------------------------
-# Quadrature of the semigroup convolution
+# Reference quadrature of the semigroup convolution
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -290,6 +296,11 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Phi: node-pair forcings, integrated exactly per mode
+# ---------------------------------------------------------------------------
+
+
 def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
                   scale: float = 1.0) -> np.ndarray:
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
@@ -305,32 +316,83 @@ def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
     return -0.5 * scale * (spectrum.fields.T @ raw)
 
 
-def _interpolant(spectrum: StokesSpectrum, nodes: np.ndarray, operand_pairs, scale: float):
-    """Summed forcing B(a, b) of the lifted node sequences (a, b), each (3n, N+1),
-    in ``operand_pairs``, as a function of time s -> (m, k) modal samples.
+def _node_pair_forcings(spectrum: StokesSpectrum, operand_pairs, scale: float):
+    """Node-pair forcings of the summed B(a, b) over the lifted node sequences
+    (a, b), each (3n, N+1), in ``operand_pairs``.
 
-    Between nodes a and b are linear, so on [t_i, t_{i+1}] at weight w the
-    bilinear B is the exact quadratic
+    Returns the rows ``diag[i] = B(a_i, b_i)``, shape (N+1, m), and
+    ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m), from one
+    kernel call per operand pair on the 3N+1 node pairs.  Between nodes a
+    and b are linear, so on [t_i, t_{i+1}] at weight w the bilinear B is
+    the exact quadratic
 
-        (1-w)^2 B(a_i, b_i) + w(1-w) (B(a_i, b_{i+1}) + B(a_{i+1}, b_i))
-            + w^2 B(a_{i+1}, b_{i+1})
-
-    in the node-pair forcings, which one kernel call per operand pair
-    computes on the 3N+1 node pairs.
+        (1-w)^2 diag[i] + w(1-w) cross[i] + w^2 diag[i+1].
     """
-    k = nodes.size
+    k = operand_pairs[0][0].shape[1]
     f = sum(modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
                           np.hstack([b, b[:, 1:], b[:, :-1]]), scale)
-            for a, b in operand_pairs)
-    diag, cross = f[:, :k], f[:, k:2 * k - 1] + f[:, 2 * k - 1:]
+            for a, b in operand_pairs).T
+    return f[:k], f[k:2 * k - 1] + f[2 * k - 1:]
 
-    def forcing(s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, k - 2)
-        w = np.clip((s - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
-        return diag[:, i] * (1.0 - w) ** 2 + cross[:, i] * (w * (1.0 - w)) + diag[:, i + 1] * w**2
 
-    return forcing
+def _locate(nodes: np.ndarray, s: np.ndarray):
+    """Interval index i and weight w in [0, 1] of each time s, s = t_i + w h_i."""
+    i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+    return i, np.clip((s - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
+
+
+def _interpolate(nodes: np.ndarray, diag: np.ndarray, cross: np.ndarray, s) -> np.ndarray:
+    """The node-pair quadratic of ``_node_pair_forcings`` at times s, shape (len(s), m)."""
+    i, w = _locate(nodes, np.atleast_1d(np.asarray(s, dtype=float)))
+    w = w[:, None]
+    return diag[i] * (1.0 - w) ** 2 + cross[i] * (w * (1.0 - w)) + diag[i + 1] * w**2
+
+
+# mu_2(z) / 2 = sum_n (-z)^n / (n+3)! below _SERIES_BELOW; its 20 terms
+# leave a relative truncation error under 1e-21 there
+_SERIES_BELOW = 1.0
+_SERIES = 1.0 / np.cumprod(np.arange(1.0, 23.0))[2:]
+
+
+def _moments(z: np.ndarray) -> np.ndarray:
+    """mu_k(z) = int_0^1 e^{-z(1-w)} w^k dw for k = 0, 1, 2 and z >= 0, shape (3, *z.shape).
+
+    These are phi_1(-z), phi_2(-z) and 2 phi_3(-z).  At z >= 1 they come
+    from mu_0 = (1 - e^{-z}) / z and the upward recurrence
+    mu_k = (1 - k mu_{k-1}) / z, which cancels badly as z -> 0; below 1,
+    mu_2 comes from its Taylor series and the downward recurrence
+    mu_{k-1} = (1 - z mu_k) / k, which is stable there.
+    """
+    z = np.asarray(z, dtype=float)
+    mu = np.empty((3,) + z.shape)
+    small = z < _SERIES_BELOW
+    zl = z[~small]
+    m0 = -np.expm1(-zl) / zl
+    m1 = (1.0 - m0) / zl
+    mu[:, ~small] = m0, m1, (1.0 - 2.0 * m1) / zl
+    zs = z[small]
+    m2 = np.full(zs.shape, _SERIES[-1])
+    for c in _SERIES[-2::-1]:
+        m2 = c - zs * m2
+    m2 *= 2.0
+    m1 = 0.5 * (1.0 - zs * m2)
+    mu[:, small] = 1.0 - zs * m1, m1, m2
+    return mu
+
+
+def _interval_weights(lam: np.ndarray, elapsed: np.ndarray, w: np.ndarray):
+    """Per-mode weights (c_lo, c_mid, c_hi), each (k, m), with
+
+        int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} q(s) ds = c_lo lo + c_mid mid + c_hi hi
+
+    for the interval quadratic q = lo (1-x)^2 + mid x(1-x) + hi x^2 in the
+    interval weight x; ``elapsed`` e and its weight ``w`` = e / h_i are
+    (k,).  With x = w y the integral is e int_0^1 e^{-lam e (1-y)} q(w y) dy,
+    a combination of the moments mu_k(lam e).
+    """
+    mu0, mu1, mu2 = _moments(np.outer(elapsed, lam))
+    e, w = elapsed[:, None], w[:, None]
+    return e * (mu0 - 2.0 * w * mu1 + w**2 * mu2), e * w * (mu1 - w * mu2), e * w**2 * mu2
 
 
 def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
@@ -338,15 +400,15 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
     """Bilinear convolution map Phi(u, v), values and derivatives per node.
 
     ``scale`` multiplies the forcing (0 turns the nonlinearity off).
-    Bilinear and symmetric in (u, v) by construction.  The quadrature uses
-    ``grid.quad_order`` points per panel.
+    Bilinear and symmetric in (u, v) by construction.  The forcing of the
+    interpolated trajectories is integrated exactly per mode, so the
+    result does not depend on ``grid.quad_order``.
     """
     if not u.grid.same_as(v.grid):
         raise ValueError("trajectories on different grids")
     grid = u.grid
     if scale == 0.0:
         return zero_trajectory(spectrum, grid)
-    order = grid.quad_order
     lam = spectrum.eigenvalues
     nodes = grid.nodes
     # node samples and node derivatives of both trajectories, lifted in one
@@ -356,18 +418,40 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
     rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
             for t in (u, v)]
     xu, xdu, xv, xdv = np.hsplit(spectrum.fields @ np.vstack(rows).T, 4)
-    f = _interpolant(spectrum, nodes, [(xu, xv)], scale)
-    df = _interpolant(spectrum, nodes, [(xdu, xv), (xu, xdv)], scale)
+    f = _node_pair_forcings(spectrum, [(xu, xv)], scale)
+    df = _node_pair_forcings(spectrum, [(xdu, xv), (xu, xdv)], scale)
 
-    values_modal = convolve_semigroup(spectrum, grid, f)
-    deriv_modal = np.zeros((grid.segments, lam.size))
-    for j in range(1, nodes.size):
-        t = nodes[j]
-        half = 0.5 * t
-        deriv_modal[j - 1] = (np.exp(-half * lam) * f(half)[:, 0]
-                              + _convolve(lam, t, half, t, nodes, order, df)
-                              - lam * _convolve(lam, t, 0.0, half, nodes, order, f))
-    return MildTrajectory(grid, values_modal, deriv_modal)
+    # node convolutions of f (the values) and of f', interval by interval
+    h = np.diff(nodes)
+    step = np.exp(-np.outer(h, lam))
+    c_lo, c_mid, c_hi = _interval_weights(lam, h, np.ones(h.size))
+
+    def node_convolution(diag, cross):
+        gain = c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:]
+        out = np.zeros((nodes.size, lam.size))
+        for k in range(h.size):
+            out[k + 1] = step[k] * out[k] + gain[k]
+        return out
+
+    values, dvalues = node_convolution(*f), node_convolution(*df)
+
+    # the same convolutions at the midpoints tau = t_j / 2, from the node
+    # below; with them the split-form derivative is
+    # Phi'(t) = e^{-tau A} (f(tau) - W(tau) - A V(tau)) + W(t),
+    # V and W the convolutions of f and f' (W(t) - e^{-tau A} W(tau) is
+    # the integral of f' over [tau, t])
+    half = 0.5 * nodes[1:]
+    i, w = _locate(nodes, half)
+    elapsed = half - nodes[i]
+    carry = np.exp(-np.outer(elapsed, lam))
+    p_lo, p_mid, p_hi = _interval_weights(lam, elapsed, w)
+
+    def at_half(conv, diag, cross):
+        return carry * conv[i] + p_lo * diag[i] + p_mid * cross[i] + p_hi * diag[i + 1]
+
+    deriv = dvalues[1:] + np.exp(-np.outer(half, lam)) * (
+        _interpolate(nodes, *f, half) - at_half(dvalues, *df) - lam * at_half(values, *f))
+    return MildTrajectory(grid, values, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +481,8 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
             if trial == 0:
                 # The ground mode empirically carries the largest ratio;
                 # probing it first makes small trial counts useful.
-                modal = np.eye(m)[0]
+                modal = np.zeros(m)
+                modal[0] = 1.0
             elif trial % 3 == 1:
                 modal = rng.standard_normal(m) * lam ** (-rng.uniform(0.0, 1.0))
             elif trial % 3 == 2:

@@ -189,6 +189,26 @@ class TestConvolution:
         assert worst <= tol
 
 
+class TestMoments:
+    def test_against_mpmath(self):
+        # mu_k(x) = int_0^1 e^{-x(1-w)} w^k dw at x = z w* for partial
+        # interval fractions w*, across the series / closed-form switch
+        mpmath = pytest.importorskip("mpmath")
+        from mildflow.mild import _SERIES_BELOW, _moments
+
+        cut = _SERIES_BELOW
+        zs = [0.0, 1e-12, 1e-8, 1e-4, 0.1, 0.5, cut - 1e-9, cut, cut + 1e-9,
+              2.0, 10.0, 100.0, 1e3]
+        xs = np.array([z * w for z in zs for w in (1e-3, 0.3, 0.7, 1.0)])
+        got = _moments(xs)
+        with mpmath.workdps(30):
+            for x, mu in zip(xs, got.T):
+                for k in range(3):
+                    want = float(mpmath.quad(
+                        lambda y: mpmath.exp(-mpmath.mpf(x) * (1 - y)) * y**k, [0, 1]))
+                    assert abs(mu[k] - want) <= 1e-14 * want
+
+
 class TestPhi:
     def test_zero_operand(self, box4_spectrum, box4_hodge, grid):
         rng = np.random.default_rng(3)
@@ -226,7 +246,7 @@ class TestPhi:
         # the quadratic in node-pair forcings equals the kernel evaluated on
         # the lifted linear interpolants, derivative samples held at their
         # t_1 value below t_1
-        from mildflow.mild import _interpolant
+        from mildflow.mild import _interpolate, _node_pair_forcings
 
         rng = np.random.default_rng(12)
         m = box4_spectrum.dim
@@ -243,8 +263,8 @@ class TestPhi:
             return box4_spectrum.fields @ traj.samples.T, box4_spectrum.fields @ held.T
 
         (nu, ndu), (nv, ndv) = node_fields(u), node_fields(v)
-        value_at = _interpolant(box4_spectrum, nodes, [(nu, nv)], scale)
-        deriv_at = _interpolant(box4_spectrum, nodes, [(ndu, nv), (nu, ndv)], scale)
+        value_pairs = _node_pair_forcings(box4_spectrum, [(nu, nv)], scale)
+        deriv_pairs = _node_pair_forcings(box4_spectrum, [(ndu, nv), (nu, ndv)], scale)
         times = np.concatenate([rng.uniform(0.0, grid.horizon, 6), nodes[[2, 7]],
                                 [0.0, 0.3 * nodes[1], grid.horizon]])
 
@@ -258,7 +278,8 @@ class TestPhi:
             value = modal_forcing(box4_spectrum, xu, xv, scale)
             deriv = (modal_forcing(box4_spectrum, xdu, xv, scale)
                      + modal_forcing(box4_spectrum, xu, xdv, scale))
-            for got, want in ((value_at(s)[:, 0], value), (deriv_at(s)[:, 0], deriv)):
+            for got, want in ((_interpolate(nodes, *value_pairs, s)[0], value),
+                              (_interpolate(nodes, *deriv_pairs, s)[0], deriv)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("order", [2, 8])
@@ -281,6 +302,75 @@ class TestPhi:
         u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
         phi(box4_spectrum, box4_hodge, u, u)
         assert columns == [3 * segments + 1] * 6
+
+    @pytest.mark.parametrize("hodge_fixture", ["box4_hodge", "lmask_hodge"])
+    def test_exact_integration_matches_quadrature(self, hodge_fixture, request):
+        # Phi integrates its piecewise-quadratic node-pair forcing exactly;
+        # the panel quadrature of the same forcing, values and split-form
+        # derivative, converges to it
+        from mildflow import assemble_stokes
+        from mildflow.mild import _convolve
+
+        hodge = request.getfixturevalue(hodge_fixture)
+        spectrum = assemble_stokes(hodge)
+        rng = np.random.default_rng(15)
+        m, lam, scale = spectrum.dim, spectrum.eigenvalues, 0.8
+        grid = TimeGrid.graded(0.5, 20, 6)
+        nodes = grid.nodes
+        u, v = (MildTrajectory(grid, rng.standard_normal((nodes.size, m)),
+                               rng.standard_normal((nodes.size - 1, m)))
+                for _ in range(2))
+        image = phi(spectrum, hodge, u, v, scale)
+
+        def lift(traj):
+            held = np.vstack([traj.derivative_samples[:1], traj.derivative_samples])
+            return spectrum.fields @ traj.samples.T, spectrum.fields @ held.T
+
+        def quadratic(pairs):
+            diag = sum(modal_forcing(spectrum, a, b, scale) for a, b in pairs)
+            cross = sum(modal_forcing(spectrum, a[:, :-1], b[:, 1:], scale)
+                        + modal_forcing(spectrum, a[:, 1:], b[:, :-1], scale) for a, b in pairs)
+
+            def forcing(s):
+                i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+                w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
+                return (diag[:, i] * (1 - w) ** 2 + cross[:, i] * (w * (1 - w))
+                        + diag[:, i + 1] * w**2)
+
+            return forcing
+
+        (xu, xdu), (xv, xdv) = lift(u), lift(v)
+        f = quadratic([(xu, xv)])
+        df = quadratic([(xdu, xv), (xu, xdv)])
+        for order, tol in ((20, 1e-12), (12, 1e-10)):
+            values = convolve_semigroup(spectrum, grid, f, order)
+            deriv = np.array([
+                np.exp(-0.5 * t * lam) * f(np.array([0.5 * t]))[:, 0]
+                + _convolve(lam, t, 0.5 * t, t, nodes, order, df)
+                - lam * _convolve(lam, t, 0.0, 0.5 * t, nodes, order, f)
+                for t in nodes[1:]
+            ])
+            for got, want in ((image.samples, values), (image.derivative_samples, deriv)):
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_independent_of_quad_order(self, box4_spectrum, box4_hodge, monkeypatch):
+        # the quadrature order only sets the reference quadrature; Phi
+        # never builds a panel
+        import mildflow.mild as mild_mod
+
+        def no_panels(*args):
+            raise AssertionError("phi used the panel quadrature")
+
+        monkeypatch.setattr(mild_mod, "_panel_quadrature", no_panels)
+        rng = np.random.default_rng(16)
+        coords = rng.standard_normal((2, box4_spectrum.dim))
+        images = []
+        for order in (2, 8):
+            grid = TimeGrid.graded(0.5, 20, order)
+            u, v = (alpha_from_coords(box4_spectrum, c, grid) for c in coords)
+            images.append(phi(box4_spectrum, box4_hodge, u, v))
+        assert np.array_equal(images[0].samples, images[1].samples)
+        assert np.array_equal(images[0].derivative_samples, images[1].derivative_samples)
 
     def test_grid_mismatch(self, box4_spectrum, box4_hodge, grid):
         other = TimeGrid.graded(0.5, 10, 6)
