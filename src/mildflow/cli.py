@@ -83,6 +83,8 @@ _SECTION_KEYS = {
 }
 _CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "seed",
                 "nonlinearity_scale", *_SECTION_KEYS}
+#: Most oracle steps one ``oracle.dts`` entry may take (``horizon / dt``).
+MAX_ORACLE_STEPS = 10**6
 
 
 @dataclass(eq=False)
@@ -141,7 +143,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"config key {name!r} must be {kind.__name__}")
+            hint = _float_text_hint(value) if kind is float else ""
+            raise ConfigError(f"config key {name!r} must be {kind.__name__}{hint}")
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"config key {name!r} must be finite")
         return value
@@ -153,11 +156,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     def positive_list(section, key):
         values = data.get(section, {}).get(key, [])
-        if not isinstance(values, list) or any(
-            not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
-            for e in values
-        ):
-            raise ConfigError(f"{section}.{key} must be a list of positive numbers")
+        bad = [
+            e for e in values
+            if not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
+        ] if isinstance(values, list) else [None]
+        if bad:
+            raise ConfigError(
+                f"{section}.{key} must be a list of positive numbers{_float_text_hint(bad[0])}"
+            )
         return [float(e) for e in values]
 
     mask_path = need("mask", str)
@@ -193,6 +199,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("picard/phi_norm/gate settings out of range")
     if not scale >= 0.0:
         raise ConfigError("nonlinearity_scale must be non-negative")
+    if any(horizon / dt > MAX_ORACLE_STEPS for dt in dts):
+        raise ConfigError(f"oracle.dts: horizon / dt exceeds {MAX_ORACLE_STEPS} oracle steps")
 
     return ExperimentConfig(
         mask_path=mask_path,
@@ -211,6 +219,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         initial_data=init,
         raw=data,
     )
+
+
+def _float_text_hint(value) -> str:
+    """The cause when YAML 1.1 read a number such as 1e-12 as text, else ''."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return ""
+    text = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+    ok = isinstance(value, str) and math.isfinite(number)
+    return f"; write {text}: YAML 1.1 reads {value} as text" if ok else ""
 
 
 def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorField:
@@ -384,20 +403,14 @@ def _picard_summary(log, shrink_attempts) -> dict:
         "distances": list(map(float, log.distances)),
         "ratios": list(map(float, log.ratios)),
         "fixed_point_residual": log.fixed_point_residual,
-        "alpha_norms": None if log.alpha_norms is None else {
-            "sup_quarter": log.alpha_norms.sup_quarter,
-            "sup_half_weighted": log.alpha_norms.sup_half_weighted,
-            "sup_deriv_weighted": log.alpha_norms.sup_deriv_weighted,
-            "total": log.alpha_norms.total,
-        },
-        "final_norms": {
-            "sup_quarter": log.iterate_norms[-1].sup_quarter,
-            "sup_half_weighted": log.iterate_norms[-1].sup_half_weighted,
-            "sup_deriv_weighted": log.iterate_norms[-1].sup_deriv_weighted,
-            "total": log.iterate_norms[-1].total,
-        } if log.iterate_norms else None,
+        "alpha_norms": _norms_dict(log.alpha_norms),
+        "final_norms": _norms_dict(log.iterate_norms[-1] if log.iterate_norms else None),
         "horizon_shrinks": [[a.eps, a.horizon] for a in shrink_attempts],
     }
+
+
+def _norms_dict(norms) -> dict | None:
+    return None if norms is None else {**vars(norms), "total": norms.total}
 
 
 def _write_summary(out_dir: Path, summary: dict):
@@ -416,11 +429,10 @@ def _write_norms_csv(path: Path, spectrum, traj):
 def _write_iterations_csv(path: Path, log):
     lines = ["iterate,et_total,distance,ratio"]
     for n, norms in enumerate(log.iterate_norms):
-        dist = log.distances[n] if n < len(log.distances) else float("nan")
         ratio = log.ratios[n - 1] if 1 <= n <= len(log.ratios) else float("nan")
         lines.append(
             "%d,%s,%s,%s"
-            % (n, _FLOAT_FMT % norms.total, _FLOAT_FMT % dist, _FLOAT_FMT % ratio)
+            % (n, _FLOAT_FMT % norms.total, _FLOAT_FMT % log.distances[n], _FLOAT_FMT % ratio)
         )
     path.write_text("\n".join(lines) + "\n")
 

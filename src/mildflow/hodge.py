@@ -71,11 +71,14 @@ class HodgeDecomposition:
 
     # -- potentials ----------------------------------------------------------
 
+    def potentials(self, flat: np.ndarray) -> np.ndarray:
+        """``potential`` of each column of a (3n, k) array, as an (n, k) array."""
+        return self._vt_r.T @ ((self._u_r.T @ flat) / self._s_r[:, None])
+
     def potential(self, w) -> ScalarField:
         """Minimum-norm least-squares solution p of  grad p = (I - P) w."""
         flat = w.flat if isinstance(w, VectorField) else np.asarray(w, dtype=float)
-        coeff = self._vt_r.T @ ((self._u_r.T @ flat) / self._s_r)
-        return ScalarField(self.mask, coeff)
+        return ScalarField(self.mask, self.potentials(flat[:, None])[:, 0])
 
 
 def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> HodgeDecomposition:

@@ -135,12 +135,8 @@ def smoothing_bound(spectrum: StokesSpectrum, s: float, t_grid) -> np.ndarray:
     """
     if s < 0.0:
         raise ValueError(f"smoothing exponent must be nonnegative, got {s}")
-    lam = spectrum.eigenvalues
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        x = t * lam
-        out[i] = np.max(x**s * np.exp(-x)) if s > 0 else np.exp(-x[0])
-    return out
+    x = np.outer(t_grid, spectrum.eigenvalues)
+    return np.max(x**s * np.exp(-x), axis=1) if s > 0 else np.exp(-x[:, 0])
 
 
 def smoothing_envelope(s: float) -> float:

@@ -1,6 +1,6 @@
 """Strong-solution checks: residuals, pressure recovery, independent oracle.
 
-A converged trajectory is audited at every positive node:
+A converged trajectory is audited at every positive node, one column each:
 
 * divergence of the lifted sample (zero up to round-off by construction),
 * the momentum residual  w = u' - Lap u + (u . grad) u  projected onto the
@@ -71,18 +71,27 @@ class PressureRecovery:
     h_component: float
 
 
+def _recover_pressures(hodge: HodgeDecomposition, ops: DiscreteOperators,
+                       w_flat: np.ndarray):
+    """``recover_pressure`` on the columns of a (3n, k) array.
+
+    Returns the potentials, the mismatch grad p + w (what the gradient
+    cannot explain), the gradient residuals and the H components.
+    """
+    p = -hodge.potentials(w_flat)
+    mismatch = ops.gradient @ p + w_flat
+    mismatch_h = hodge.basis @ (hodge.basis.T @ mismatch)
+    vol = ops.mask.cell_volume ** 0.5
+    return (p, mismatch, vol * np.linalg.norm(mismatch - mismatch_h, axis=0),
+            vol * np.linalg.norm(mismatch_h, axis=0))
+
+
 def recover_pressure(hodge: HodgeDecomposition, ops: DiscreteOperators,
                      w: VectorField) -> PressureRecovery:
     """Solve grad p = -w in the least-squares sense with the canonical p."""
-    p = hodge.potential(w)
-    p = ScalarField(ops.mask, -p.values)
-    mismatch = ops.gradient @ p.values + w.flat  # what the gradient cannot explain
-    mismatch_h = hodge.basis @ (hodge.basis.T @ mismatch)
-    vol = ops.mask.cell_volume ** 0.5
+    p, _, gradient_residual, h_component = _recover_pressures(hodge, ops, w.flat[:, None])
     return PressureRecovery(
-        p,
-        vol * float(np.linalg.norm(mismatch - mismatch_h)),
-        vol * float(np.linalg.norm(mismatch_h)),
+        ScalarField(ops.mask, p[:, 0]), float(gradient_residual[0]), float(h_component[0])
     )
 
 
@@ -97,47 +106,28 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     nodes = traj.grid.nodes
     fields = spectrum.fields
     vol = ops.mask.cell_volume ** 0.5
-    n_pos = nodes.size - 1
-    div_norms = np.empty(n_pos)
-    residual_rels = np.empty(n_pos)
-    grad_match = np.empty(n_pos)
-    h_components = np.empty(n_pos)
-    consistency = np.empty(n_pos)
-    conv_l32 = np.empty(n_pos)
-    pressures = []
-    for j in range(1, nodes.size):
-        u_flat = fields @ traj.samples[j]
-        du_flat = fields @ traj.derivative_samples[j - 1]
-        lap_u = ops.laplacian @ u_flat
-        conv = scale * advect_flat(ops, u_flat, u_flat)
-        w_flat = du_flat + lap_u + conv
-        w = VectorField.from_flat(ops.mask, w_flat)
-        denom = vol * (np.linalg.norm(du_flat) + np.linalg.norm(lap_u))
-        denom = max(denom, np.finfo(float).tiny)
-        residual_num = vol * np.linalg.norm(fields.T @ w_flat)  # direct projection route
-        recovery = recover_pressure(hodge, ops, w)
-        div_norms[j - 1] = vol * np.linalg.norm(ops.divergence @ u_flat)
-        h_components[j - 1] = recovery.h_component
-        residual_rels[j - 1] = residual_num / denom
-        consistency[j - 1] = abs(recovery.h_component - residual_num) / denom
-        # || grad pi + w || with grad pi = the recovered gradient part
-        grad_full = ops.gradient @ recovery.potential.values + w_flat
-        grad_match[j - 1] = vol * np.linalg.norm(grad_full) / denom
-        conv_l32[j - 1] = nodes[j] ** 0.5 * vector_lp_norm(
-            VectorField.from_flat(ops.mask, conv), 1.5
-        )
-        pressures.append(recovery.potential)
+    lifted = fields @ np.concatenate([traj.samples[1:], traj.derivative_samples]).T
+    u, du = np.split(lifted, 2, axis=1)
+    lap_u = ops.laplacian @ u
+    conv = scale * advect_flat(ops, u, u)
+    w = du + lap_u + conv
+    denom = vol * (np.linalg.norm(du, axis=0) + np.linalg.norm(lap_u, axis=0))
+    denom = np.maximum(denom, np.finfo(float).tiny)
+    residual_num = vol * np.linalg.norm(fields.T @ w, axis=0)  # direct projection route
+    potentials, mismatch, _, h_components = _recover_pressures(hodge, ops, w)
     # the eigenfields are orthonormal: the field error is the modal error
     init_err = vol * float(np.linalg.norm(traj.samples[0] - fields.T @ u0.flat))
     return StrongCheckReport(
         nodes[1:],
-        div_norms,
-        residual_rels,
-        pressures,
-        grad_match,
+        vol * np.linalg.norm(ops.divergence @ u, axis=0),
+        residual_num / denom,
+        [ScalarField(ops.mask, p) for p in potentials.T],
+        # || grad pi + w || with grad pi = the recovered gradient part
+        vol * np.linalg.norm(mismatch, axis=0) / denom,
         h_components,
-        consistency,
-        conv_l32,
+        np.abs(h_components - residual_num) / denom,
+        nodes[1:] ** 0.5 * np.array([vector_lp_norm(VectorField.from_flat(ops.mask, c), 1.5)
+                                     for c in conv.T]),
         init_err,
     )
 
@@ -193,10 +183,8 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
                 f"oracle norm grew beyond {growth_limit:.0e} x initial at t={times[n + 1]:.3g}"
             )
 
-    deriv_modal = np.empty((grid.segments, lam.size))
-    for j in range(1, grid.nodes.size):
-        state = node_modal[j]
-        deriv_modal[j - 1] = -lam * state + forcing_modal(state)
+    states = node_modal[1:]
+    deriv_modal = -lam * states + forcing_modal(states.T).T
     return MildTrajectory(grid, node_modal, deriv_modal)
 
 
@@ -208,14 +196,10 @@ def energy_audit(spectrum: StokesSpectrum, ops: DiscreteOperators,
     quadrature error.  Returns one value per grid node.
     """
     nodes = traj.grid.nodes
-    fields = spectrum.fields
     vol = ops.mask.cell_volume
-    energies = np.empty(nodes.size)
-    dissipation = np.empty(nodes.size)
-    for j in range(nodes.size):
-        u_flat = fields @ traj.samples[j]
-        energies[j] = vol * float(u_flat @ u_flat)
-        dissipation[j] = vol * float(u_flat @ (ops.laplacian @ u_flat))
+    u = spectrum.fields @ traj.samples.T
+    energies = vol * np.einsum("ij,ij->j", u, u)
+    dissipation = vol * np.einsum("ij,ij->j", u, ops.laplacian @ u)
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(nodes) * (dissipation[1:] + dissipation[:-1]))]
     )

@@ -102,11 +102,15 @@ class TestConfigParsing:
             {"initial_data": {"kind": "eigenmode", "mode": 0, "amplitude": float("nan")}},
             {"initial_data": {"kind": "random", "amplitude": float("inf")}},
             {"picard": {"tol": float("nan")}},
+            {"picard": {"tol": "1e-12"}},  # how YAML 1.1 reads `tol: 1e-12`
+            {"oracle": {"dts": ["1e-3"]}},
+            {"horizon": 1e300},  # 1e302 oracle steps at dt 0.01
         ],
         ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
              "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
-             "picard_tol_nan"],
+             "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
+             "oracle_steps_over_cap"],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
         out = tmp_path / "out"
@@ -116,6 +120,24 @@ class TestConfigParsing:
         assert main([command, path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("picard:\n  tol: 1e-12\n", "float; write 1.0e-12: YAML 1.1 reads 1e-12 as text"),
+            ("horizon: 1e5\n", "float; write 100000.0: YAML 1.1 reads 1e5 as text"),
+            ("oracle:\n  dts: [1e-3]\n", "numbers; write 0.001: YAML 1.1 reads 1e-3 as text"),
+            ("oracle:\n  dts: [2.0e-7]\n", "horizon / dt exceeds 1000000 oracle steps"),
+        ],
+        ids=["tol", "horizon", "oracle_dt", "oracle_step_cap"],
+    )
+    def test_config_error_names_cause(self, tmp_path, text, message):
+        cfg = base_config(tmp_path / "out")
+        del cfg[text.split(":")[0]]  # the text supplies that key instead
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg) + text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
     def test_readme_schema_block_is_accepted(self):
         text = README.read_text()

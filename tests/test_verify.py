@@ -3,19 +3,26 @@
 import numpy as np
 import pytest
 
+import mildflow.verify
 from mildflow import (
+    MildTrajectory,
     OracleInstabilityError,
     PicardConfig,
     ScalarField,
     TimeGrid,
     VectorField,
     alpha_trajectory,
+    assemble_stokes,
+    build_operators,
     energy_audit,
     imex_oracle,
+    modal_forcing,
     picard_solve,
     recover_pressure,
     strong_residual,
 )
+from mildflow.convection import advect_flat
+from mildflow.domain import vector_lp_norm
 from conftest import random_scalar_values, random_vector_field
 
 
@@ -86,6 +93,98 @@ class TestStrongResidual:
             report = strong_residual(box4_spectrum, box4_hodge, box4_ops, traj, small_u0)
             maxima.append(report.residual_rels.max())
         assert maxima[1] < maxima[0]
+
+
+def per_node_strong_residual(spectrum, hodge, ops, traj, scale):
+    """The strong-residual report fields, one node at a time."""
+    fields = spectrum.fields
+    vol = ops.mask.cell_volume ** 0.5
+    rows, pressures = [], []
+    for j in range(1, traj.grid.nodes.size):
+        u = fields @ traj.samples[j]
+        du = fields @ traj.derivative_samples[j - 1]
+        lap_u = ops.laplacian @ u
+        conv = scale * advect_flat(ops, u, u)
+        w = du + lap_u + conv
+        denom = vol * (np.linalg.norm(du) + np.linalg.norm(lap_u))
+        residual = vol * np.linalg.norm(fields.T @ w)
+        recovery = recover_pressure(hodge, ops, VectorField.from_flat(ops.mask, w))
+        grad_full = ops.gradient @ recovery.potential.values + w
+        rows.append((
+            vol * np.linalg.norm(ops.divergence @ u),
+            residual / denom,
+            vol * np.linalg.norm(grad_full) / denom,
+            recovery.h_component,
+            abs(recovery.h_component - residual) / denom,
+            traj.grid.nodes[j] ** 0.5
+            * vector_lp_norm(VectorField.from_flat(ops.mask, conv), 1.5),
+        ))
+        pressures.append(recovery.potential.values)
+    return np.array(rows).T, np.array(pressures)
+
+
+@pytest.fixture(scope="module")
+def lmask_case(lmask_hodge, grid):
+    spectrum = assemble_stokes(lmask_hodge)
+    rng = np.random.default_rng(3)
+    traj = MildTrajectory(
+        grid,
+        0.1 * rng.standard_normal((grid.nodes.size, spectrum.dim)),
+        0.1 * rng.standard_normal((grid.segments, spectrum.dim)),
+    )
+    return spectrum, lmask_hodge, build_operators(lmask_hodge.mask), traj
+
+
+class TestBatchedAudit:
+    @pytest.mark.parametrize("case", ["box4", "lmask"])
+    def test_strong_residual_matches_per_node_reference(self, request, case, box4_spectrum,
+                                                        box4_hodge, box4_ops, small_u0,
+                                                        small_solution):
+        if case == "box4":
+            spectrum, hodge, ops, traj = box4_spectrum, box4_hodge, box4_ops, small_solution
+        else:
+            spectrum, hodge, ops, traj = request.getfixturevalue("lmask_case")
+        u0 = VectorField.from_flat(ops.mask, spectrum.fields @ traj.samples[0])
+        report = strong_residual(spectrum, hodge, ops, traj, u0)
+        ref, ref_pressures = per_node_strong_residual(spectrum, hodge, ops, traj, 1.0)
+        batched = (report.divergence_norms, report.residual_rels, report.gradient_match_rels,
+                   report.h_component_norms, report.pressure_consistency_rels,
+                   report.convective_l32)
+        for got, want in zip(batched, ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        pressures = np.array([p.values for p in report.pressures])
+        np.testing.assert_allclose(pressures, ref_pressures, rtol=0,
+                                   atol=1e-12 * np.abs(ref_pressures).max())
+        np.testing.assert_array_equal(report.times, traj.grid.nodes[1:])
+
+    def test_advection_calls(self, monkeypatch, box4_spectrum, box4_hodge, box4_ops,
+                             small_u0, small_solution, grid):
+        shapes = []
+
+        def counting(ops, xu, xv):
+            shapes.append(xu.shape)
+            return advect_flat(ops, xu, xv)
+
+        monkeypatch.setattr(mildflow.verify, "advect_flat", counting)
+        columns = (3 * box4_ops.mask.n_cells, grid.segments)
+        strong_residual(box4_spectrum, box4_hodge, box4_ops, small_solution, small_u0)
+        assert shapes == [columns]
+        shapes.clear()
+        dt = 0.05
+        imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt)
+        # the oracle lands on every multiple of dt up to T = 0.5 and on every node
+        steps = np.union1d(dt * np.arange(11), grid.nodes).size - 1
+        assert len(shapes) == steps + 1
+        assert shapes[-1] == columns
+
+    def test_oracle_node_derivatives(self, box4_spectrum, box4_hodge, small_u0, grid):
+        oracle = imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, 0.05)
+        for j in range(1, grid.nodes.size):
+            x = box4_spectrum.fields @ oracle.samples[j]
+            want = (-box4_spectrum.eigenvalues * oracle.samples[j]
+                    + modal_forcing(box4_spectrum, x, x))
+            np.testing.assert_allclose(oracle.derivative_samples[j - 1], want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestRecoverPressure:
@@ -165,6 +264,20 @@ class TestEnergyAudit:
 
         balances = energy_audit(box4_spectrum, box4_ops, zero_trajectory(box4_spectrum, grid))
         assert not balances.any()
+
+    def test_matches_per_node_reference(self, box4_spectrum, box4_ops, small_solution):
+        vol = box4_ops.mask.cell_volume
+        energies, dissipation = [], []
+        for sample in small_solution.samples:
+            u = box4_spectrum.fields @ sample
+            energies.append(vol * (u @ u))
+            dissipation.append(vol * (u @ (box4_ops.laplacian @ u)))
+        energies, dissipation = np.array(energies), np.array(dissipation)
+        steps = np.diff(small_solution.grid.nodes)
+        cumulative = np.cumsum(0.5 * steps * (dissipation[1:] + dissipation[:-1]))
+        want = energies - energies[0] + 2.0 * np.concatenate([[0.0], cumulative])
+        got = energy_audit(box4_spectrum, box4_ops, small_solution)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * energies.max())
 
     def test_linear_single_mode_balance_is_quadrature_error(self, box4_spectrum,
                                                             box4_hodge, box4_ops):
