@@ -245,7 +245,7 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         return VectorField(mask, float(init["amplitude"]) * spectrum.eigenfield(mode).values)
     if kind == "random":
         rng = np.random.default_rng(init.get("seed", config.seed + 1))
-        coords = rng.standard_normal(spectrum.dim)
+        coords = hodge.coords(rng.standard_normal(3 * mask.n_cells))
         coords *= float(init["amplitude"]) / (mask.cell_volume ** 0.5 * np.linalg.norm(coords))
         return hodge.lift(coords)
     # kind == "file": component-blocked array of shape (3, n) or (3n,)

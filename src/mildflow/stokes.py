@@ -32,6 +32,10 @@ from .hodge import HodgeDecomposition
 
 #: exp argument beyond which a spectral multiplier would overflow
 _EXP_LIMIT = 700.0
+#: Relative eigenvalue gap (over lambda_max) up to which eigenvalues share a cluster.
+CLUSTER_TOLERANCE = 1e-9
+#: Seed of the Gaussian draw that fixes the eigenvector basis inside each cluster.
+CLUSTER_SEED = 0
 
 
 @dataclass(eq=False)
@@ -85,7 +89,37 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    return StokesSpectrum(hodge, eigenvalues, modes, z @ modes, float(delta))
+    fields = z @ modes
+    _canonical_clusters(eigenvalues, modes, fields)
+    return StokesSpectrum(hodge, eigenvalues, modes, fields, float(delta))
+
+
+def _canonical_clusters(eigenvalues: np.ndarray, modes: np.ndarray, fields: np.ndarray):
+    """Rotate the eigenvectors of each cluster to a basis fixed by its eigenspace.
+
+    Ascending eigenvalues whose relative gap is at most ``CLUSTER_TOLERANCE``
+    form one cluster C.  Its columns become Y_C q, q the Q factor (with a
+    positive diagonal in R) of Y_C^T R_C, where R_C holds the first |C|
+    columns of one seeded Gaussian draw; Y_C q = P_C R_C r^{-1} depends on
+    the cluster's subspace only.  Single eigenvectors get the sign of
+    g^T y, g the first column of the draw.  ``modes`` and ``fields`` are
+    rotated together, in place.
+    """
+    gaps = np.diff(eigenvalues) / eigenvalues[-1]
+    starts = np.flatnonzero(np.concatenate([[True], gaps > CLUSTER_TOLERANCE]))
+    sizes = np.diff(np.append(starts, eigenvalues.size))
+    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((fields.shape[0], sizes.max()))
+    single = np.zeros(eigenvalues.size, dtype=bool)
+    single[starts[sizes == 1]] = True
+    flip = np.where(single & (draw[:, 0] @ fields < 0.0), -1.0, 1.0)
+    fields *= flip
+    modes *= flip
+    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        cols = slice(start, start + size)
+        q, r = np.linalg.qr(fields[:, cols].T @ draw[:, :size])
+        q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        fields[:, cols] = fields[:, cols] @ q
+        modes[:, cols] = modes[:, cols] @ q
 
 
 def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndarray:

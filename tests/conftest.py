@@ -1,15 +1,18 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mildflow import (
+    StokesSpectrum,
     VectorField,
     assemble_stokes,
     build_hodge,
     build_operators,
     load_mask,
 )
+from mildflow.stokes import _canonical_clusters
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,3 +57,17 @@ def random_vector_field(mask, rng) -> VectorField:
 
 def random_scalar_values(mask, rng) -> np.ndarray:
     return rng.standard_normal(mask.n_cells)
+
+
+def dense_reference_spectrum(hodge, basis) -> StokesSpectrum:
+    """Stokes spectrum of ``basis^T L basis`` by a dense ``eigh``, with the
+    eigenvectors of each cluster rotated as ``assemble_stokes`` rotates them.
+
+    ``basis`` is any orthonormal basis of the divergence-free subspace; the
+    returned spectrum's hodge carries it.
+    """
+    reduced = basis.T @ (hodge.ops.laplacian @ basis)
+    eigenvalues, modes = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    fields = basis @ modes
+    _canonical_clusters(eigenvalues, modes, fields)
+    return StokesSpectrum(dataclasses.replace(hodge, basis=basis), eigenvalues, modes, fields)

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from mildflow import (
+    PicardConfig,
+    TimeGrid,
+    VectorField,
     apply_frac_power,
     apply_semigroup,
     assemble_stokes,
     build_hodge,
     build_operators,
+    estimate_phi_norm,
     field_dot,
     load_mask,
+    picard_solve,
     smoothing_bound,
     smoothing_envelope,
 )
-from conftest import mask_path
+from conftest import dense_reference_spectrum, mask_path
 
 
 def _random_coords(hodge, rng):
@@ -212,3 +217,27 @@ class TestSmoothingBounds:
     def test_envelope_values(self):
         assert smoothing_envelope(0.0) == 1.0
         assert abs(smoothing_envelope(1.0) - 1.0 / np.e) <= 1e-15
+
+
+@pytest.mark.parametrize("hodge_name", ["box4_hodge", "lmask_hodge"])
+def test_results_do_not_depend_on_the_hodge_basis(hodge_name, request):
+    # the box's eigenvalues are highly degenerate, so eigh may return any
+    # basis inside a cluster; a rotated Z must give the same eigenfields
+    hodge = request.getfixturevalue(hodge_name)
+    spectrum = assemble_stokes(hodge)
+    rng = np.random.default_rng(11)
+    rotation, _ = np.linalg.qr(rng.standard_normal((hodge.dim, hodge.dim)))
+    rotated = dense_reference_spectrum(hodge, hodge.basis @ rotation)
+    assert np.abs(rotated.fields - spectrum.fields).max() <= 1e-10
+
+    grid = TimeGrid.graded(0.5, 8, 4)
+    probes = [estimate_phi_norm(s, s.hodge, grid, trials=6, seed=3) for s in (spectrum, rotated)]
+    assert abs(probes[1] - probes[0]) <= 1e-12 * probes[0]
+
+    coords = hodge.coords(rng.standard_normal(3 * hodge.mask.n_cells))
+    u0 = hodge.lift(coords / (np.linalg.norm(coords) * hodge.mask.cell_volume ** 0.5))
+    u0 = VectorField(u0.mask, 0.5 * u0.values)
+    logs = [picard_solve(s, s.hodge, u0, PicardConfig(grid=grid))[1] for s in (spectrum, rotated)]
+    assert logs[0].converged and logs[1].iterations == logs[0].iterations
+    distances = np.array([log.distances for log in logs])
+    assert np.abs(distances[1] - distances[0]).max() <= 1e-12 * distances[0, 0]
