@@ -2,12 +2,31 @@
 
 The operator is the vector Dirichlet Laplacian compressed to the
 divergence-free subspace: in the orthonormal basis Z it is the symmetric
-positive definite matrix  S = Z^T L Z.  A dense eigendecomposition
+positive definite matrix  S = Z^T L Z.  An eigendecomposition
 S = Q diag(lambda) Q^T turns every function of the operator into a
 spectral multiplier, so fractional powers, shifts and the semigroup are
 exact up to round-off:
 
     f(S) c = Q (f(lambda) * (Q^T c)).
+
+The spectrum comes from one SVD.  The 7-point Laplacian has the constant
+diagonal 6/h^2 and couples only parity blocks (see ``hodge``) whose
+classes differ in one bit, so with Z = [Z_e | Z_o] split by the parity
+of popcount(k),
+
+    S = (6/h^2) I - (1/h^2) [[0, C], [C^T, 0]],   C = -h^2 Z_e^T L Z_o,
+
+and the SVD C = U diag(sigma) V^T gives the eigenvalues (6 -+ sigma)/h^2
+with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
+6/h^2.  ``assemble_stokes`` checks that structure on the sparse L.
+
+Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
+is an eigenbasis, so ascending eigenvalues whose relative gap is at most
+``CLUSTER_TOLERANCE`` form one cluster, and each cluster's eigenvectors
+are rotated to a basis that depends only on the eigenspace (the
+orthonormalized projection of a fixed seeded Gaussian draw).  Every
+result is then independent of the basis Z, of the factorization and of
+the BLAS thread count, up to round-off.
 
 The operator applications ``apply_frac_power`` and ``apply_semigroup`` act
 on coordinate vectors in the Z basis (``hodge.coords`` / ``hodge.lift``
@@ -71,27 +90,77 @@ class StokesSpectrum:
 
 
 def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpectrum:
-    """Eigendecompose the reduced operator Z^T L Z.
+    """Eigendecompose the reduced operator Z^T L Z from the parity blocks.
 
-    Raises ``SpectrumError`` if an eigenvalue is not strictly positive
-    beyond round-off, which would signal broken adjointness upstream.
+    With Z = [Z_e | Z_o] split by block parity,
+
+        Z^T L Z = (6/h^2) I - (1/h^2) [[0, C], [C^T, 0]],   C = -h^2 Z_e^T L Z_o,
+
+    so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
+    with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
+    modes [u; 0] or [0; v] from the unpaired singular vectors.  Raises
+    ``SpectrumError`` if L breaks that structure, or if an eigenvalue is not
+    strictly positive beyond round-off, which would signal broken
+    adjointness upstream.
     """
     if delta < 0.0:
         raise ValueError(f"shift delta must be nonnegative, got {delta}")
-    z = hodge.basis
-    reduced = z.T @ (hodge.ops.laplacian @ z)
-    reduced = 0.5 * (reduced + reduced.T)
-    eigenvalues, modes = np.linalg.eigh(reduced)
-    if eigenvalues.size == 0:
+    m, m_e = hodge.dim, hodge.n_even
+    if m == 0:
         raise SpectrumError("divergence-free subspace is trivial")
+    h2 = hodge.mask.spacing ** 2
+    lap = hodge.ops.laplacian
+    _check_block_structure(hodge, lap, 6.0 / h2)
+    z = {b.klass: hodge.basis[b.rows, b.span] for b in hodge.blocks}
+    c = np.zeros((m_e, m - m_e))
+    for be in hodge.blocks:
+        for bo in hodge.blocks:
+            if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
+                cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
+                coupling = lap[be.rows][:, bo.rows] @ z[bo.klass]
+                c[be.span, cols] = -h2 * (z[be.klass].T @ coupling)
+    u_mat, sigma, vt = np.linalg.svd(c, full_matrices=True)
+    p = sigma.size
+    eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
     tol = 1e-12 * max(abs(eigenvalues[-1]), 1.0)
     if eigenvalues[0] <= tol:
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    fields = z @ modes
+    # column j of the unsorted modes goes to position where[j]
+    where = np.empty(m, dtype=np.int64)
+    where[order] = np.arange(m)
+    lo, mid, hi = where[:p], where[p:m - p], where[m - p:]
+    r = 0.5 ** 0.5
+    modes = np.zeros((m, m))
+    modes[:m_e, lo] = r * u_mat[:, :p]
+    modes[m_e:, lo] = r * vt[:p].T
+    modes[:m_e, hi] = r * u_mat[:, :p]
+    modes[m_e:, hi] = -r * vt[:p].T
+    modes[:m_e, mid[:m_e - p]] = u_mat[:, p:]
+    modes[m_e:, mid[m_e - p:]] = vt[p:].T
+    fields = np.empty((hodge.basis.shape[0], m))
+    for b in hodge.blocks:
+        fields[b.rows] = z[b.klass] @ modes[b.span]
     _canonical_clusters(eigenvalues, modes, fields)
     return StokesSpectrum(hodge, eigenvalues, modes, fields, float(delta))
+
+
+def _check_block_structure(hodge: HodgeDecomposition, lap, diagonal: float):
+    """Raise ``SpectrumError`` unless L has the constant ``diagonal`` and every
+    off-diagonal entry joins parity blocks whose classes differ in one bit."""
+    if not np.all(lap.diagonal() == diagonal):
+        raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
+    block = np.empty(lap.shape[0], dtype=np.int64)
+    for b in hodge.blocks:
+        block[b.rows] = b.klass
+    entries = lap.tocoo()
+    off = (entries.row != entries.col) & (entries.data != 0.0)
+    flipped = block[entries.row[off]] ^ block[entries.col[off]]
+    if not np.all((flipped == 1) | (flipped == 2) | (flipped == 4)):
+        raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
 
 
 def _canonical_clusters(eigenvalues: np.ndarray, modes: np.ndarray, fields: np.ndarray):

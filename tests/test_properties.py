@@ -6,16 +6,19 @@ fixed derivation of its examples and no example database, so the suite
 stays deterministic.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from mildflow import (
     DomainMask,
     ScalarField,
+    SpectrumError,
     TimeGrid,
     alpha_from_coords,
     assemble_stokes,
@@ -28,7 +31,8 @@ from mildflow import (
     load_mask,
     phi,
 )
-from conftest import random_vector_field
+from mildflow.hodge import RANK_TOLERANCE, velocity_classes
+from conftest import dense_reference_spectrum, mask_path, random_vector_field
 
 # Hypothesis caches the literals of the local source files in its storage
 # directory while it collects this module; keep that cache out of the checkout.
@@ -106,3 +110,76 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     left = phi(spectrum, hodge, combine_trajectories(a, u, b, w), v)
     right = combine_trajectories(a, uv, b, wv)
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
+
+
+def _dense_reference_hodge(ops):
+    """Basis, rank and potentials from one full SVD of the dense gradient."""
+    u_mat, svals, vt = np.linalg.svd(ops.gradient.toarray(), full_matrices=True)
+    rank = int(np.count_nonzero(svals > RANK_TOLERANCE * svals[0])) if svals.size else 0
+
+    def potentials(flat):
+        return vt[:rank].T @ ((u_mat[:, :rank].T @ flat) / svals[:rank, None])
+
+    return u_mat[:, rank:], rank, potentials
+
+
+def _assert_matches_dense_reference(mask, seed):
+    ops = build_operators(mask)
+    hodge = build_hodge(ops)
+    basis, rank, potentials = _dense_reference_hodge(ops)
+    assert (hodge.grad_rank, hodge.dim) == (rank, basis.shape[1])
+    projector = hodge.basis @ hodge.basis.T
+    assert np.abs(projector - basis @ basis.T).max() <= 1e-12
+    flat = np.random.default_rng(seed).standard_normal((3 * mask.n_cells, 3))
+    reference = potentials(flat)
+    assert np.abs(hodge.potentials(flat) - reference).max() <= 1e-12 * max(
+        np.abs(reference).max(), 1.0)
+
+    spectrum = assemble_stokes(hodge)
+    lam = dense_reference_spectrum(hodge, basis).eigenvalues
+    assert np.abs(spectrum.eigenvalues - lam).max() <= 1e-12 * lam[-1]
+    return hodge
+
+
+@PROPERTY_SETTINGS
+@given(masks(), seeds)
+def test_parity_blocks_match_dense_reference(mask, seed):
+    _assert_matches_dense_reference(mask, seed)
+
+
+def _two_pieces():
+    occupied = np.zeros((5, 2, 2), dtype=bool)
+    occupied[:2] = occupied[3:] = True
+    return DomainMask((5, 2, 2), 0.2, occupied)
+
+
+@pytest.mark.parametrize("name", ["single", "box2", "lshape_3x3x1", "two_pieces"])
+def test_parity_blocks_match_dense_reference_on_shipped_masks(name):
+    mask = _two_pieces() if name == "two_pieces" else load_mask(mask_path(name))
+    hodge = _assert_matches_dense_reference(mask, seed=0)
+    if name == "single":
+        # the one cell reaches only odd blocks, so C is 0 x 3
+        assert (hodge.n_even, hodge.dim) == (0, 3)
+
+
+def test_gradient_entry_outside_blocks_raises():
+    ops = build_operators(load_mask(mask_path("box2")))
+    gradient = ops.gradient.tolil()
+    gradient[0, 0] = 1.0  # u_x at cell 0 belongs to block 4, pressure cell 0 to block 0
+    with pytest.raises(SpectrumError):
+        build_hodge(dataclasses.replace(ops, gradient=gradient.tocsr()))
+
+
+@pytest.mark.parametrize("defect", ["diagonal", "same_parity"])
+def test_laplacian_outside_block_structure_raises(defect):
+    ops = build_operators(load_mask(mask_path("box2")))
+    hodge = build_hodge(ops)
+    laplacian = ops.laplacian.tolil()
+    if defect == "diagonal":
+        laplacian[0, 0] *= 1.5
+    else:
+        rows = np.flatnonzero(velocity_classes(ops.mask) == velocity_classes(ops.mask)[0])
+        laplacian[rows[0], rows[1]] = laplacian[rows[1], rows[0]] = -1.0
+    broken = dataclasses.replace(hodge, ops=dataclasses.replace(ops, laplacian=laplacian.tocsr()))
+    with pytest.raises(SpectrumError):
+        assemble_stokes(broken)
