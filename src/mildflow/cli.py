@@ -47,7 +47,7 @@ from .errors import (
     PicardDivergenceError,
     SpectrumError,
 )
-from .hodge import build_hodge
+from .hodge import build_hodge, parity_classes
 from .mild import (
     PicardConfig,
     TimeGrid,
@@ -303,6 +303,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "dim": spectrum.dim,
         "lambda_min": float(spectrum.eigenvalues[0]),
         "lambda_max": float(spectrum.eigenvalues[-1]),
+        "margins": {**hodge.margins, **spectrum.margins},
     }
 
     try:
@@ -473,6 +474,9 @@ def _cmd_mask_info(args) -> int:
     print(f"dims: {nx} x {ny} x {nz}")
     print(f"spacing: {mask.spacing}")
     print(f"occupied cells: {mask.n_cells} of {nx * ny * nz}")
+    counts = np.bincount(parity_classes(mask), minlength=8)
+    print("cells per parity class (4 x odd + 2 y odd + z odd): "
+          + " ".join(f"{k}:{c}" for k, c in enumerate(counts)))
     return EXIT_OK
 
 

@@ -91,6 +91,10 @@ class HodgeDecomposition:
     grad_rank : numerical rank r of the gradient; m = 3n - r.
     blocks : the 8 parity blocks in column order, even popcount first.
     n_even : number of columns of Z in even blocks.
+    margins : how close the rank cut and the divergence check came to their
+        thresholds: the largest dropped and the smallest kept singular value
+        over the largest (None where there is none), and the divergence
+        defect of Z with its tolerance.
     """
 
     ops: DiscreteOperators
@@ -98,6 +102,7 @@ class HodgeDecomposition:
     grad_rank: int
     blocks: tuple
     n_even: int
+    margins: dict
 
     @property
     def mask(self):
@@ -159,7 +164,8 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
         dense = ops.gradient[rows][:, cells].toarray()
         factors.append((klass, cells, rows, *np.linalg.svd(dense, full_matrices=True)))
     svals = np.concatenate([f[4] for f in factors])
-    cut = rank_tol * svals.max() if svals.size else 0.0
+    top = svals.max(initial=0.0)
+    cut = rank_tol * top
     ranks = [int(np.count_nonzero(f[4] > cut)) for f in factors]
     rank = sum(ranks)
     n3 = 3 * mask.n_cells
@@ -168,19 +174,29 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
     for (klass, cells, rows, u_mat, s, vt), r in zip(factors, ranks):
         span = slice(start, start + rows.size - r)
         basis[rows, span] = u_mat[:, r:]
-        blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, :r], s[:r], vt[:r]))
+        blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, :r].copy(), s[:r], vt[:r]))
         start = span.stop
     if start + rank != n3:
         raise SpectrumError(
             f"rank bookkeeping broken: dim H = {start}, rank = {rank}, 3n = {n3}"
         )
     # ker(divergence) must contain the basis exactly up to round-off.
-    defect = np.abs(ops.divergence @ basis).max() if basis.size else 0.0
-    scale = svals.max() if svals.size else 1.0
-    if defect > 1e-10 * max(scale, 1.0):
+    defect = float(np.abs(ops.divergence @ basis).max()) if basis.size else 0.0
+    defect_tol = 1e-10 * max(top, 1.0)
+    if defect > defect_tol:
         raise SpectrumError(f"basis is not divergence-free: defect {defect:.3e}")
+    kept, rel = svals > cut, svals / top if top > 0.0 else svals
+    margins = {
+        "rank_tolerance": rank_tol,
+        # the gradient has n singular values; those no block computes are exact zeros
+        "max_dropped_singular_rel":
+            float(rel[~kept].max(initial=0.0)) if rank < mask.n_cells else None,
+        "min_kept_singular_rel": float(rel[kept].min()) if rank else None,
+        "divergence_defect": defect,
+        "divergence_tolerance": defect_tol,
+    }
     n_even = sum(b.span.stop - b.span.start for b in blocks if b.even)
-    return HodgeDecomposition(ops, basis, rank, tuple(blocks), n_even)
+    return HodgeDecomposition(ops, basis, rank, tuple(blocks), n_even, margins)
 
 
 def decompose(hodge: HodgeDecomposition, u: VectorField):

@@ -52,7 +52,8 @@ and projects with Y^T.  Phi sees only the piecewise-linear interpolants
 of the node samples, so on each grid interval f is an exact quadratic in
 the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i),
 and f' = B(u', v) + B(u, v') likewise; those are computed once per Phi
-call, one kernel call per operand pair.
+call, one kernel call for f and one for f', which sums the raw
+advections of its two operand pairs before its one projection.
 """
 
 from __future__ import annotations
@@ -302,17 +303,21 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
 
 
 def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
-                  scale: float = 1.0) -> np.ndarray:
+                  scale: float = 1.0, more=()) -> np.ndarray:
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
 
     ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
     sample per column, and Y = ``spectrum.fields``; the result holds the
     Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
     bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
-    every discrete gradient.
+    every discrete gradient.  ``more`` holds further operand pairs (a, b)
+    of the same shape whose raw terms are summed in before the one
+    projection, so the result is the sum of their forcings.
     """
     ops = spectrum.hodge.ops
     raw = advect_flat(ops, xa, xb) + advect_flat(ops, xb, xa)
+    for a, b in more:
+        raw += advect_flat(ops, a, b) + advect_flat(ops, b, a)
     return -0.5 * scale * (spectrum.fields.T @ raw)
 
 
@@ -322,16 +327,17 @@ def _node_pair_forcings(spectrum: StokesSpectrum, operand_pairs, scale: float):
 
     Returns the rows ``diag[i] = B(a_i, b_i)``, shape (N+1, m), and
     ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m), from one
-    kernel call per operand pair on the 3N+1 node pairs.  Between nodes a
+    kernel call on the 3N+1 node pairs of every operand pair (the raw
+    advections are summed, then projected once).  Between nodes a
     and b are linear, so on [t_i, t_{i+1}] at weight w the bilinear B is
     the exact quadratic
 
         (1-w)^2 diag[i] + w(1-w) cross[i] + w^2 diag[i+1].
     """
     k = operand_pairs[0][0].shape[1]
-    f = sum(modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
-                          np.hstack([b, b[:, 1:], b[:, :-1]]), scale)
-            for a, b in operand_pairs).T
+    pairs = [(np.hstack([a, a[:, :-1], a[:, 1:]]), np.hstack([b, b[:, 1:], b[:, :-1]]))
+             for a, b in operand_pairs]
+    f = modal_forcing(spectrum, *pairs[0], scale, more=pairs[1:]).T
     return f[:k], f[k:2 * k - 1] + f[2 * k - 1:]
 
 

@@ -41,7 +41,7 @@ also makes negative powers legal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class StokesSpectrum:
     ``eigenvalues`` are ascending and strictly positive; ``modes`` holds
     the orthonormal eigenvectors (in Z coordinates) as columns and
     ``fields`` the same eigenvectors as ambient fields, the (3n, m)
-    matrix Y = Z Q with orthonormal columns.
+    matrix Y = Z Q with orthonormal columns.  ``margins`` records how close
+    the clustering and the positivity check came to their thresholds.
     """
 
     hodge: HodgeDecomposition
@@ -72,6 +73,7 @@ class StokesSpectrum:
     modes: np.ndarray
     fields: np.ndarray
     delta: float = 0.0
+    margins: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -144,8 +146,15 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
     fields = np.empty((hodge.basis.shape[0], m))
     for b in hodge.blocks:
         fields[b.rows] = z[b.klass] @ modes[b.span]
-    _canonical_clusters(eigenvalues, modes, fields)
-    return StokesSpectrum(hodge, eigenvalues, modes, fields, float(delta))
+    gaps = _canonical_clusters(eigenvalues, modes, fields)
+    merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
+    margins = {
+        "cluster_tolerance": CLUSTER_TOLERANCE,
+        "max_merged_gap_rel": float(merged.max()) if merged.size else None,
+        "min_split_gap_rel": float(split.min()) if split.size else None,
+        "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
+    }
+    return StokesSpectrum(hodge, eigenvalues, modes, fields, float(delta), margins)
 
 
 def _check_block_structure(hodge: HodgeDecomposition, lap, diagonal: float):
@@ -172,7 +181,7 @@ def _canonical_clusters(eigenvalues: np.ndarray, modes: np.ndarray, fields: np.n
     columns of one seeded Gaussian draw; Y_C q = P_C R_C r^{-1} depends on
     the cluster's subspace only.  Single eigenvectors get the sign of
     g^T y, g the first column of the draw.  ``modes`` and ``fields`` are
-    rotated together, in place.
+    rotated together, in place.  Returns the relative gaps.
     """
     gaps = np.diff(eigenvalues) / eigenvalues[-1]
     starts = np.flatnonzero(np.concatenate([[True], gaps > CLUSTER_TOLERANCE]))
@@ -189,6 +198,7 @@ def _canonical_clusters(eigenvalues: np.ndarray, modes: np.ndarray, fields: np.n
         q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
         fields[:, cols] = fields[:, cols] @ q
         modes[:, cols] = modes[:, cols] @ q
+    return gaps
 
 
 def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndarray:

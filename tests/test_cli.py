@@ -1,8 +1,10 @@
 """Experiment runner: config handling, pipeline staging, emitted files."""
 
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -160,6 +162,14 @@ class TestMaskInfo:
         assert "6 x 6 x 3" in out
         assert "81" in out
 
+    def test_mask_info_parity_classes(self, lmask, capsys):
+        assert main(["mask-info", mask_path("lmask_6x6x3")]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[-1]
+        odd = lmask.cells % 2
+        counts = [int(np.sum((4 * odd[:, 0] + 2 * odd[:, 1] + odd[:, 2]) == k)) for k in range(8)]
+        assert line.endswith(" ".join(f"{k}:{c}" for k, c in enumerate(counts)))
+        assert sum(counts) == lmask.n_cells
+
     def test_missing_mask(self, tmp_path, capsys):
         assert main(["mask-info", str(tmp_path / "none.mask")]) == EXIT_MASK
 
@@ -203,6 +213,39 @@ class TestRunPipeline:
         )
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
         assert read_summary(out)["status"] == "ok"
+
+    def test_random_initial_data_is_projected_gaussian(self, tmp_path, box4_hodge,
+                                                       box4_spectrum):
+        # kind: random is P g, g ~ N(0, I_3n), scaled to the amplitude, so it
+        # does not depend on the basis of the divergence-free subspace
+        from mildflow.cli import _build_initial_data
+
+        cfg = config_from_dict(base_config(
+            tmp_path, initial_data={"kind": "random", "amplitude": 0.5, "seed": 9}))
+        mask = box4_hodge.mask
+        g = np.random.default_rng(9).standard_normal(3 * mask.n_cells)
+        pg = box4_hodge.basis @ (box4_hodge.basis.T @ g)
+        expected = 0.5 * pg / (np.linalg.norm(pg) * mask.cell_volume ** 0.5)
+        rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((box4_hodge.dim,) * 2))
+        rotated = dataclasses.replace(box4_hodge, basis=box4_hodge.basis @ rotation)
+        for hodge in (box4_hodge, rotated):
+            u0 = _build_initial_data(cfg, box4_spectrum, hodge)
+            assert np.abs(u0.flat - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_spectrum_margins(self, tmp_path, box4_hodge, box4_spectrum):
+        out = tmp_path / "out"
+        cfg = base_config(out, nonlinearity_scale=0.0, oracle={"dts": [0.02]})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        margins = read_summary(out)["spectrum"]["margins"]
+        assert margins == pytest.approx({**box4_hodge.margins, **box4_spectrum.margins},
+                                        rel=1e-6)
+        # box4's gradient has full rank; the box's spectrum is degenerate
+        assert margins["max_dropped_singular_rel"] is None
+        assert margins["min_kept_singular_rel"] > margins["rank_tolerance"]
+        assert margins["max_merged_gap_rel"] <= margins["cluster_tolerance"]
+        assert margins["min_split_gap_rel"] > margins["cluster_tolerance"]
+        assert margins["lambda_min_over_positivity_tol"] > 1.0
+        assert margins["divergence_defect"] <= margins["divergence_tolerance"]
 
     def test_file_initial_data(self, tmp_path, box4_hodge, box4_spectrum):
         import numpy as np

@@ -144,3 +144,19 @@ def test_potential_is_minimum_norm(box4_ops, box4_hodge):
     dense = box4_ops.gradient.toarray()
     lstsq_p, *_ = np.linalg.lstsq(dense, u.flat - box4_hodge.project(u).flat, rcond=None)
     assert np.allclose(p.values, lstsq_p, rtol=1e-9, atol=1e-11)
+
+
+def test_rank_margins_on_a_rank_deficient_gradient():
+    # the 3 x 3 x 1 L-shape's gradient loses one rank; the margins show the
+    # dropped and kept singular values on either side of the cut
+    from mildflow import build_hodge
+
+    ops = build_operators(load_mask(mask_path("lshape_3x3x1")))
+    hodge = build_hodge(ops)
+    margins = hodge.margins
+    assert hodge.grad_rank < ops.mask.n_cells
+    svals = np.linalg.svd(ops.gradient.toarray(), compute_uv=False)
+    kept = svals[:hodge.grad_rank]
+    assert margins["max_dropped_singular_rel"] <= margins["rank_tolerance"]
+    assert margins["min_kept_singular_rel"] == pytest.approx(kept[-1] / svals[0], rel=1e-12)
+    assert margins["divergence_defect"] <= margins["divergence_tolerance"]

@@ -284,8 +284,8 @@ class TestPhi:
 
     @pytest.mark.parametrize("order", [2, 8])
     def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
-        # node-pair forcings: three kernel calls (value, u'v, uv') of two
-        # advections each, on 3N + 1 node pairs, whatever the quadrature
+        # node-pair forcings: six advections (value; u'v and uv'), each on
+        # 3N + 1 node pairs, whatever the quadrature
         import mildflow.mild as mild_mod
 
         columns = []
@@ -302,6 +302,36 @@ class TestPhi:
         u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
         phi(box4_spectrum, box4_hodge, u, u)
         assert columns == [3 * segments + 1] * 6
+
+    def test_derivative_forcing_is_projected_once(self, box4_spectrum, box4_hodge, grid,
+                                                  monkeypatch):
+        # f' = B(u', v) + B(u, v') sums its raw advections before its one
+        # projection: two projections per Phi, and the same Phi to round-off
+        # as projecting each operand pair on its own
+        import mildflow.mild as mild_mod
+
+        rng = np.random.default_rng(17)
+        u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
+                for _ in range(2))
+        real_forcing = mild_mod.modal_forcing
+        calls = []
+
+        def counting_forcing(*args, **kwargs):
+            calls.append(args)
+            return real_forcing(*args, **kwargs)
+
+        monkeypatch.setattr(mild_mod, "modal_forcing", counting_forcing)
+        summed = phi(box4_spectrum, box4_hodge, u, v)
+        assert len(calls) == 2
+
+        def separate_projections(spectrum, xa, xb, scale=1.0, more=()):
+            return sum(real_forcing(spectrum, a, b, scale) for a, b in [(xa, xb), *more])
+
+        monkeypatch.setattr(mild_mod, "modal_forcing", separate_projections)
+        reference = phi(box4_spectrum, box4_hodge, u, v)
+        for got, want in ((summed.samples, reference.samples),
+                          (summed.derivative_samples, reference.derivative_samples)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("hodge_fixture", ["box4_hodge", "lmask_hodge"])
     def test_exact_integration_matches_quadrature(self, hodge_fixture, request):
