@@ -107,46 +107,25 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
     """
     if delta < 0.0:
         raise ValueError(f"shift delta must be nonnegative, got {delta}")
-    m, m_e = hodge.dim, hodge.n_even
-    if m == 0:
+    if hodge.dim == 0:
         raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
-    lap = hodge.ops.laplacian
-    _check_block_structure(hodge, lap, 6.0 / h2)
-    z = {b.klass: hodge.basis[b.rows, b.span] for b in hodge.blocks}
-    c = np.zeros((m_e, m - m_e))
-    for be in hodge.blocks:
-        for bo in hodge.blocks:
-            if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
-                cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
-                coupling = lap[be.rows][:, bo.rows] @ z[bo.klass]
-                c[be.span, cols] = -h2 * (z[be.klass].T @ coupling)
-    u_mat, sigma, vt = np.linalg.svd(c, full_matrices=True)
-    p = sigma.size
-    eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
+    _check_block_structure(hodge, 6.0 / h2)
+    eigenvalues, vectors = _coupled_eigenpairs(_coupling(hodge, h2), h2)
     tol = 1e-12 * max(abs(eigenvalues[-1]), 1.0)
     if eigenvalues[0] <= tol:
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    # column j of the unsorted modes goes to position where[j]
-    where = np.empty(m, dtype=np.int64)
-    where[order] = np.arange(m)
-    lo, mid, hi = where[:p], where[p:m - p], where[m - p:]
-    r = 0.5 ** 0.5
-    modes = np.zeros((m, m))
-    modes[:m_e, lo] = r * u_mat[:, :p]
-    modes[m_e:, lo] = r * vt[:p].T
-    modes[:m_e, hi] = r * u_mat[:, :p]
-    modes[m_e:, hi] = -r * vt[:p].T
-    modes[:m_e, mid[:m_e - p]] = u_mat[:, p:]
-    modes[m_e:, mid[m_e - p:]] = vt[p:].T
-    fields = np.empty((hodge.basis.shape[0], m))
+    z = hodge.basis
+    gaps, starts, sizes, draw = _clusters(eigenvalues, z.shape[0])
+    draw_coords = np.empty((hodge.dim, draw.shape[1]))
     for b in hodge.blocks:
-        fields[b.rows] = z[b.klass] @ modes[b.span]
-    gaps = _canonical_clusters(eigenvalues, modes, fields)
+        draw_coords[b.span] = z[b.rows, b.span].T @ draw[b.rows]
+    _canonical_clusters(starts, sizes, vectors, draw_coords)
+    fields = np.empty((z.shape[0], hodge.dim))
+    for b in hodge.blocks:
+        fields[b.rows] = z[b.rows, b.span] @ vectors[:, b.span].T
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
     margins = {
         "cluster_tolerance": CLUSTER_TOLERANCE,
@@ -154,12 +133,13 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
         "min_split_gap_rel": float(split.min()) if split.size else None,
         "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
     }
-    return StokesSpectrum(hodge, eigenvalues, modes, fields, float(delta), margins)
+    return StokesSpectrum(hodge, eigenvalues, vectors.T, fields, float(delta), margins)
 
 
-def _check_block_structure(hodge: HodgeDecomposition, lap, diagonal: float):
+def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
     """Raise ``SpectrumError`` unless L has the constant ``diagonal`` and every
     off-diagonal entry joins parity blocks whose classes differ in one bit."""
+    lap = hodge.ops.laplacian
     if not np.all(lap.diagonal() == diagonal):
         raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
     block = np.empty(lap.shape[0], dtype=np.int64)
@@ -172,33 +152,74 @@ def _check_block_structure(hodge: HodgeDecomposition, lap, diagonal: float):
         raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
 
 
-def _canonical_clusters(eigenvalues: np.ndarray, modes: np.ndarray, fields: np.ndarray):
-    """Rotate the eigenvectors of each cluster to a basis fixed by its eigenspace.
+def _coupling(hodge: HodgeDecomposition, h2: float) -> np.ndarray:
+    """C = -h^2 Z_e^T L Z_o, from the 12 block pairs whose classes differ in one bit."""
+    lap, z, m_e = hodge.ops.laplacian, hodge.basis, hodge.n_even
+    c = np.zeros((m_e, hodge.dim - m_e))
+    for be in hodge.blocks:
+        for bo in hodge.blocks:
+            if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
+                coupled = lap[be.rows][:, bo.rows] @ z[bo.rows, bo.span]
+                cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
+                c[be.span, cols] = -h2 * (z[be.rows, be.span].T @ coupled)
+    return c
 
-    Ascending eigenvalues whose relative gap is at most ``CLUSTER_TOLERANCE``
-    form one cluster C.  Its columns become Y_C q, q the Q factor (with a
-    positive diagonal in R) of Y_C^T R_C, where R_C holds the first |C|
-    columns of one seeded Gaussian draw; Y_C q = P_C R_C r^{-1} depends on
-    the cluster's subspace only.  Single eigenvectors get the sign of
-    g^T y, g the first column of the draw.  ``modes`` and ``fields`` are
-    rotated together, in place.  Returns the relative gaps.
-    """
+
+def _coupled_eigenpairs(c: np.ndarray, h2: float):
+    """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2, and its
+    orthonormal eigenvectors as the rows of an (m, m) array."""
+    (m_e, m_o), m = c.shape, sum(c.shape)
+    u_mat, sigma, vt = np.linalg.svd(c, full_matrices=True)
+    p = sigma.size
+    eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
+    order = np.argsort(eigenvalues, kind="stable")
+    # eigenvector j of the unsorted list goes to row where[j]
+    where = np.empty(m, dtype=np.int64)
+    where[order] = np.arange(m)
+    lo, mid, hi = where[:p], where[p:m - p], where[m - p:]
+    u_mat[:, :p] *= 0.5 ** 0.5
+    vt[:p] *= 0.5 ** 0.5
+    vectors = np.zeros((m, m))
+    vectors[lo, :m_e] = vectors[hi, :m_e] = u_mat[:, :p].T
+    vectors[lo, m_e:] = vt[:p]
+    vectors[hi, m_e:] = -vt[:p]
+    vectors[mid[:m_e - p], :m_e] = u_mat[:, p:].T
+    vectors[mid[m_e - p:], m_e:] = vt[p:]
+    return eigenvalues[order], vectors
+
+
+def _clusters(eigenvalues: np.ndarray, n3: int):
+    """Relative gaps of the ascending eigenvalues, the first index and size
+    of each cluster (gaps at most ``CLUSTER_TOLERANCE``), and the seeded
+    Gaussian draw R, (n3, largest cluster size), that fixes their bases."""
     gaps = np.diff(eigenvalues) / eigenvalues[-1]
     starts = np.flatnonzero(np.concatenate([[True], gaps > CLUSTER_TOLERANCE]))
     sizes = np.diff(np.append(starts, eigenvalues.size))
-    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((fields.shape[0], sizes.max()))
-    single = np.zeros(eigenvalues.size, dtype=bool)
+    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((n3, sizes.max()))
+    return gaps, starts, sizes, draw
+
+
+def _canonical_clusters(starts, sizes, vectors: np.ndarray, draw_coords: np.ndarray):
+    """Rotate the eigenvectors of each cluster to a basis fixed by its eigenspace.
+
+    ``vectors`` holds the eigenvectors in Z coordinates as rows (Q^T) and
+    ``draw_coords`` = Z^T R for the draw R of ``_clusters``.  A cluster's
+    eigenfields Y_C = Z Q_C become Y_C q, q the Q factor (with a positive
+    diagonal in R) of Y_C^T R_C = Q_C^T Z^T R_C, R_C the first |C| columns
+    of R; Y_C q = P_C R_C r^{-1} depends on the cluster's subspace only.
+    Single eigenvectors get the sign of g^T y, g the first column of R.
+    The rows are rotated in place, all clusters of one size in one batch.
+    """
+    single = np.zeros(vectors.shape[0], dtype=bool)
     single[starts[sizes == 1]] = True
-    flip = np.where(single & (draw[:, 0] @ fields < 0.0), -1.0, 1.0)
-    fields *= flip
-    modes *= flip
-    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
-        cols = slice(start, start + size)
-        q, r = np.linalg.qr(fields[:, cols].T @ draw[:, :size])
-        q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        fields[:, cols] = fields[:, cols] @ q
-        modes[:, cols] = modes[:, cols] @ q
-    return gaps
+    vectors *= np.where(single & (vectors @ draw_coords[:, 0] < 0.0), -1.0, 1.0)[:, None]
+    for size in np.unique(sizes[sizes > 1]):
+        first = starts[sizes == size]
+        rows = (first[:, None] + np.arange(size)).ravel()
+        stacked = vectors[rows].reshape(first.size, size, -1)
+        q, r = np.linalg.qr(stacked @ draw_coords[:, :size])
+        q *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+        vectors[rows] = (q.transpose(0, 2, 1) @ stacked).reshape(rows.size, -1)
 
 
 def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndarray:

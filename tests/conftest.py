@@ -12,7 +12,7 @@ from mildflow import (
     build_operators,
     load_mask,
 )
-from mildflow.stokes import _canonical_clusters
+from mildflow.stokes import _canonical_clusters, _clusters
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,6 +68,8 @@ def dense_reference_spectrum(hodge, basis) -> StokesSpectrum:
     """
     reduced = basis.T @ (hodge.ops.laplacian @ basis)
     eigenvalues, modes = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    fields = basis @ modes
-    _canonical_clusters(eigenvalues, modes, fields)
-    return StokesSpectrum(dataclasses.replace(hodge, basis=basis), eigenvalues, modes, fields)
+    _, starts, sizes, draw = _clusters(eigenvalues, basis.shape[0])
+    vectors = np.ascontiguousarray(modes.T)
+    _canonical_clusters(starts, sizes, vectors, basis.T @ draw)
+    return StokesSpectrum(dataclasses.replace(hodge, basis=basis), eigenvalues, vectors.T,
+                          basis @ vectors.T)
