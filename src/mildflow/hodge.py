@@ -90,7 +90,6 @@ class HodgeDecomposition:
     basis : (3n, m) matrix Z with orthonormal columns spanning ker(divergence).
     grad_rank : numerical rank r of the gradient; m = 3n - r.
     blocks : the 8 parity blocks in column order, even popcount first.
-    n_even : number of columns of Z in even blocks.
     margins : how close the rank cut and the divergence check came to their
         thresholds: the largest dropped and the smallest kept singular value
         over the largest (None where there is none), and the divergence
@@ -101,7 +100,6 @@ class HodgeDecomposition:
     basis: np.ndarray
     grad_rank: int
     blocks: tuple
-    n_even: int
     margins: dict
 
     @property
@@ -111,6 +109,11 @@ class HodgeDecomposition:
     @property
     def dim(self) -> int:
         return int(self.basis.shape[1])
+
+    @property
+    def n_even(self) -> int:
+        """Number of columns of Z in even blocks, which come first."""
+        return sum(b.span.stop - b.span.start for b in self.blocks if b.even)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -195,8 +198,7 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
         "divergence_defect": defect,
         "divergence_tolerance": defect_tol,
     }
-    n_even = sum(b.span.stop - b.span.start for b in blocks if b.even)
-    return HodgeDecomposition(ops, basis, rank, tuple(blocks), n_even, margins)
+    return HodgeDecomposition(ops, basis, rank, tuple(blocks), margins)
 
 
 def decompose(hodge: HodgeDecomposition, u: VectorField):
