@@ -111,19 +111,28 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
         raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
     _check_block_structure(hodge, 6.0 / h2)
-    eigenvalues, vectors = _coupled_eigenpairs(_coupling(hodge, h2), h2)
+    z, m_e = hodge.basis, hodge.n_even
+    fields = np.empty((z.shape[0], hodge.dim))
+    # C is formed in the storage of the fields, which the block loop below
+    # overwrites whole.  The SVD factors (about m^2 / 2 doubles) stay
+    # referenced until that loop has run: freed before it, they would sit
+    # free at the top of the process heap while the fields are written, and
+    # whether malloc hands that memory back to the system first depends on
+    # the mask, so peak memory would swing by their size from mask to mask.
+    c = fields.reshape(-1)[:m_e * (hodge.dim - m_e)].reshape(m_e, hodge.dim - m_e)
+    _coupling(hodge, h2, c)
+    factors = np.linalg.svd(c, full_matrices=True)
+    eigenvalues, vectors = _coupled_eigenpairs(*factors, h2)
     tol = 1e-12 * max(abs(eigenvalues[-1]), 1.0)
     if eigenvalues[0] <= tol:
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    z = hodge.basis
     gaps, starts, sizes, draw = _clusters(eigenvalues, z.shape[0])
     draw_coords = np.empty((hodge.dim, draw.shape[1]))
     for b in hodge.blocks:
         draw_coords[b.span] = z[b.rows, b.span].T @ draw[b.rows]
     _canonical_clusters(starts, sizes, vectors, draw_coords)
-    fields = np.empty((z.shape[0], hodge.dim))
     for b in hodge.blocks:
         fields[b.rows] = z[b.rows, b.span] @ vectors[:, b.span].T
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
@@ -152,25 +161,25 @@ def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
         raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
 
 
-def _coupling(hodge: HodgeDecomposition, h2: float) -> np.ndarray:
-    """C = -h^2 Z_e^T L Z_o, from the 12 block pairs whose classes differ in one bit."""
+def _coupling(hodge: HodgeDecomposition, h2: float, c: np.ndarray):
+    """Write C = -h^2 Z_e^T L Z_o into the (m_e, m_o) array ``c``, from the
+    12 block pairs whose classes differ in one bit."""
     lap, z, m_e = hodge.ops.laplacian, hodge.basis, hodge.n_even
-    c = np.zeros((m_e, hodge.dim - m_e))
+    c[:] = 0.0
     for be in hodge.blocks:
         for bo in hodge.blocks:
             if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
                 coupled = lap[be.rows][:, bo.rows] @ z[bo.rows, bo.span]
                 cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
                 c[be.span, cols] = -h2 * (z[be.rows, be.span].T @ coupled)
-    return c
 
 
-def _coupled_eigenpairs(c: np.ndarray, h2: float):
+def _coupled_eigenpairs(u_mat: np.ndarray, sigma: np.ndarray, vt: np.ndarray, h2: float):
     """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2, and its
-    orthonormal eigenvectors as the rows of an (m, m) array."""
-    (m_e, m_o), m = c.shape, sum(c.shape)
-    u_mat, sigma, vt = np.linalg.svd(c, full_matrices=True)
-    p = sigma.size
+    orthonormal eigenvectors as the rows of an (m, m) array, from the full
+    SVD C = U diag(sigma) V^T.  Scales and negates U and V^T in place."""
+    m_e, m_o, p = u_mat.shape[0], vt.shape[0], sigma.size
+    m = m_e + m_o
     eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
     order = np.argsort(eigenvalues, kind="stable")
     # eigenvector j of the unsorted list goes to row where[j]
@@ -182,7 +191,8 @@ def _coupled_eigenpairs(c: np.ndarray, h2: float):
     vectors = np.zeros((m, m))
     vectors[lo, :m_e] = vectors[hi, :m_e] = u_mat[:, :p].T
     vectors[lo, m_e:] = vt[:p]
-    vectors[hi, m_e:] = -vt[:p]
+    np.negative(vt[:p], out=vt[:p])
+    vectors[hi, m_e:] = vt[:p]
     vectors[mid[:m_e - p], :m_e] = u_mat[:, p:].T
     vectors[mid[m_e - p:], m_e:] = vt[p:]
     return eigenvalues[order], vectors
