@@ -4,7 +4,7 @@ The pipeline: a boolean voxel mask defines the domain; centered-difference
 operators with exact adjointness give a discrete Hodge decomposition; the
 Dirichlet Laplacian compressed to the divergence-free subspace is the
 Stokes operator, whose dense eigendecomposition powers an exact functional
-calculus (fractional powers, shifts, semigroup).  Mild solutions are
+calculus (fractional powers, semigroup).  Mild solutions are
 constructed by a Picard iteration on the semigroup convolution of the
 projected convective forcing (one kernel, ``modal_forcing``, evaluated on
 pairs of grid-node samples), guarded by the smallness condition
@@ -45,7 +45,7 @@ from .errors import (
     PicardDivergenceError,
     SpectrumError,
 )
-from .hodge import HodgeDecomposition, build_hodge, decompose
+from .hodge import HodgeDecomposition, build_hodge
 from .mild import (
     ETNorms,
     IterationLog,
@@ -76,10 +76,8 @@ from .stokes import (
     smoothing_envelope,
 )
 from .verify import (
-    PressureRecovery,
     StrongCheckReport,
     energy_audit,
     imex_oracle,
-    recover_pressure,
     strong_residual,
 )

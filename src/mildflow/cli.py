@@ -266,7 +266,10 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
 def run_experiment(config: ExperimentConfig) -> int:
     """Run the pipeline; write summary/norms/iterations files; return exit code."""
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {out_dir}: {exc}") from exc
     summary = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -440,12 +443,10 @@ def _write_iterations_csv(path: Path, log):
 
 def _cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
+        code = run_experiment(load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        code = run_experiment(config)
     except MildflowError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 1

@@ -64,8 +64,12 @@ class DomainMask:
         nx, ny, nz = self.dims
         if min(nx, ny, nz) < 1:
             raise MaskHeaderError(f"grid extents must be >= 1, got {self.dims}")
-        if not self.spacing > 0.0:
-            raise MaskHeaderError(f"grid spacing must be positive, got {self.spacing}")
+        # h^3 weights every inner product and 1/h^2 the Laplacian: both must be usable
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            h = np.float64(self.spacing)
+            usable = h > 0.0 and 0.0 < h ** 3 < np.inf and 0.0 < 1.0 / h ** 2 < np.inf
+        if not usable:
+            raise MaskHeaderError(f"grid spacing needs finite positive h^3 and 1/h^2, got {h}")
         occ = np.asarray(self.occupancy, dtype=bool)
         if occ.shape != (nx, ny, nz):
             raise MaskDimensionError(
@@ -200,8 +204,6 @@ def load_mask(source) -> DomainMask:
         raise MaskHeaderError(f"unparsable dimension line {lines[1]!r}") from exc
     if min(nx, ny, nz) < 1:
         raise MaskHeaderError(f"grid extents must be >= 1, got ({nx}, {ny}, {nz})")
-    if not h > 0.0:
-        raise MaskHeaderError(f"grid spacing must be positive, got {h}")
 
     body = lines[2:]
     expected = nz * ny + (nz - 1)  # ny lines per block, one blank between blocks
@@ -247,17 +249,19 @@ def format_mask(mask: DomainMask) -> str:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("ascii")
     if isinstance(source, str) and "\n" not in source and not source.startswith(MASK_MAGIC):
         with open(source, "rb") as fh:
-            return fh.read().decode("ascii")
+            source = fh.read()
+    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, str):
         return source
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("ascii") if isinstance(data, bytes) else data
-    raise TypeError(f"cannot read a mask from {type(source)!r}")
+    if not isinstance(source, bytes):
+        raise TypeError(f"cannot read a mask from {type(source)!r}")
+    try:
+        return source.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MaskCharacterError(f"non-ASCII byte at offset {exc.start} of the mask") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +284,6 @@ class DiscreteOperators:
     gradient: sp.csr_matrix
     divergence: sp.csr_matrix
     laplacian: sp.csr_matrix
-    scalar_laplacian: sp.csr_matrix
 
     def gradient_of(self, p: ScalarField) -> VectorField:
         if not p.mask.same_as(self.mask):
@@ -334,9 +337,7 @@ def build_operators(mask: DomainMask) -> DiscreteOperators:
     gradient = sp.vstack(grad_blocks, format="csr")
     divergence = (-gradient.T).tocsr()
     laplacian = sp.block_diag([scalar_lap] * 3, format="csr")
-    return DiscreteOperators(
-        mask, tuple(grad_blocks), gradient, divergence, laplacian, scalar_lap
-    )
+    return DiscreteOperators(mask, tuple(grad_blocks), gradient, divergence, laplacian)
 
 
 def _neighbor_pairs(occ, idx, shift):

@@ -23,8 +23,8 @@ blocks, and writes each block's kernel into its own span of Z's columns,
 blocks of even popcount(k) first.  Those blocks and spans are the one
 description of the parity layout; ``stokes`` reads them from here.
 
-The same factors provide the minimum-norm potential: for any w,
-``potential(w)`` is the least-squares solution p of  grad p = (I - P) w
+The same factors provide the minimum-norm potentials: for each column w,
+``potentials`` gives the least-squares solution p of  grad p = (I - P) w
 orthogonal to ker(gradient), block by block, which makes pressure
 recovery canonical.
 """
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DiscreteOperators, DomainMask, ScalarField, VectorField
-from .errors import FieldMismatchError, SpectrumError
+from .domain import DiscreteOperators, DomainMask, VectorField
+from .errors import SpectrumError
 
 #: Relative singular value threshold below which the gradient is rank-deficient.
 RANK_TOLERANCE = 1e-10
@@ -132,22 +132,17 @@ class HodgeDecomposition:
     # -- potentials ----------------------------------------------------------
 
     def potentials(self, flat: np.ndarray) -> np.ndarray:
-        """``potential`` of each column of a (3n, k) array, as an (n, k) array."""
+        """Minimum-norm p with grad p = (I - P) w per column w of a (3n, k) array: (n, k)."""
         out = np.zeros((self.mask.n_cells, flat.shape[1]))
         for b in self.blocks:
             out[b.cells] = b.vt_r.T @ ((b.u_r.T @ flat[b.rows]) / b.s_r[:, None])
         return out
 
-    def potential(self, w) -> ScalarField:
-        """Minimum-norm least-squares solution p of  grad p = (I - P) w."""
-        flat = w.flat if isinstance(w, VectorField) else np.asarray(w, dtype=float)
-        return ScalarField(self.mask, self.potentials(flat[:, None])[:, 0])
 
-
-def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> HodgeDecomposition:
+def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     """Factor the gradient block by block and assemble the divergence-free basis.
 
-    Singular values below ``rank_tol`` times the largest over all blocks
+    Singular values below ``RANK_TOLERANCE`` times the largest over all blocks
     are treated as zero, which fixes the discrete kernel reproducibly.
     Raises ``SpectrumError`` if the gradient couples a pressure cell to a
     velocity entry outside its parity block.
@@ -168,7 +163,7 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
         factors.append((klass, cells, rows, *np.linalg.svd(dense, full_matrices=True)))
     svals = np.concatenate([f[4] for f in factors])
     top = svals.max(initial=0.0)
-    cut = rank_tol * top
+    cut = RANK_TOLERANCE * top
     ranks = [int(np.count_nonzero(f[4] > cut)) for f in factors]
     rank = sum(ranks)
     n3 = 3 * mask.n_cells
@@ -183,14 +178,15 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
         raise SpectrumError(
             f"rank bookkeeping broken: dim H = {start}, rank = {rank}, 3n = {n3}"
         )
-    # ker(divergence) must contain the basis exactly up to round-off.
-    defect = float(np.abs(ops.divergence @ basis).max()) if basis.size else 0.0
+    # ker(divergence) must contain Z up to round-off; one block's columns at a time
+    defect = max(float(np.abs(ops.divergence[:, b.rows] @ basis[b.rows, b.span]).max(initial=0.0))
+                 for b in blocks)
     defect_tol = 1e-10 * max(top, 1.0)
     if defect > defect_tol:
         raise SpectrumError(f"basis is not divergence-free: defect {defect:.3e}")
     kept, rel = svals > cut, svals / top if top > 0.0 else svals
     margins = {
-        "rank_tolerance": rank_tol,
+        "rank_tolerance": RANK_TOLERANCE,
         # the gradient has n singular values; those no block computes are exact zeros
         "max_dropped_singular_rel":
             float(rel[~kept].max(initial=0.0)) if rank < mask.n_cells else None,
@@ -200,16 +196,3 @@ def build_hodge(ops: DiscreteOperators, rank_tol: float = RANK_TOLERANCE) -> Hod
     }
     return HodgeDecomposition(ops, basis, rank, tuple(blocks), margins)
 
-
-def decompose(hodge: HodgeDecomposition, u: VectorField):
-    """Split u = u_H + u_G with u_G = grad p, p the canonical potential.
-
-    Returns ``(u_H, u_G, p)``; the two parts are orthogonal and
-    ``divergence(u_H) = 0`` to round-off.
-    """
-    if not u.mask.same_as(hodge.mask):
-        raise FieldMismatchError("field on a different mask")
-    u_h = hodge.project(u)
-    u_g = VectorField(hodge.mask, u.values - u_h.values)
-    p = hodge.potential(u)
-    return u_h, u_g, p

@@ -629,11 +629,13 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
     stops as soon as that residual is at most ``tol`` (or after
     ``max_iterations`` Phi calls) and returns that v; its residual is
     ``log.fixed_point_residual``, the last entry of ``log.distances``, and
-    its norms are the last entry of ``log.iterate_norms``.
+    its norms are the last entry of ``log.iterate_norms``.  u0 is projected
+    into the divergence-free subspace silently: ``alpha_trajectory`` is the
+    one place that warns about a gradient part.
     """
     grid = config.grid
     log = IterationLog()
-    alpha = alpha_trajectory(spectrum, u0, grid)
+    alpha = _orbit(spectrum, spectrum.fields.T @ u0.flat, grid)
     log.alpha_norms = et_norm(spectrum, alpha)
     v = alpha if config.start == "alpha" else zero_trajectory(spectrum, grid)
     log.iterate_norms.append(et_norm(spectrum, v))

@@ -4,8 +4,8 @@ The operator is the vector Dirichlet Laplacian compressed to the
 divergence-free subspace: in the orthonormal basis Z it is the symmetric
 positive definite matrix  S = Z^T L Z.  An eigendecomposition
 S = Q diag(lambda) Q^T turns every function of the operator into a
-spectral multiplier, so fractional powers, shifts and the semigroup are
-exact up to round-off:
+spectral multiplier, so fractional powers and the semigroup are exact up
+to round-off:
 
     f(S) c = Q (f(lambda) * (Q^T c)).
 
@@ -33,9 +33,8 @@ on coordinate vectors in the Z basis (``hodge.coords`` / ``hodge.lift``
 convert to and from ambient fields).  Trajectories live in modal
 coordinates Q^T c instead; the ambient eigenfields Y = Z Q lift them
 (``fields @ a``) and project onto them (``fields.T @ u``) in one product.
-The shift ``delta`` supports the shifted calculus (delta + S)^s; it is
-optional here because the discrete spectrum is strictly positive, which
-also makes negative powers legal.
+The discrete spectrum is strictly positive, which makes negative powers
+legal.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ CLUSTER_SEED = 0
 
 @dataclass(eq=False)
 class StokesSpectrum:
-    """Eigenpairs of the reduced operator Z^T L Z plus the shift delta.
+    """Eigenpairs of the reduced operator Z^T L Z.
 
     ``eigenvalues`` are ascending and strictly positive; ``modes`` holds
     the orthonormal eigenvectors (in Z coordinates) as columns and
@@ -72,7 +71,6 @@ class StokesSpectrum:
     eigenvalues: np.ndarray
     modes: np.ndarray
     fields: np.ndarray
-    delta: float = 0.0
     margins: dict = field(default_factory=dict)
 
     @property
@@ -91,7 +89,7 @@ class StokesSpectrum:
         return VectorField.from_flat(self.hodge.mask, flat)
 
 
-def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpectrum:
+def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     """Eigendecompose the reduced operator Z^T L Z from the parity blocks.
 
     With Z = [Z_e | Z_o] split by block parity,
@@ -105,8 +103,6 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
     strictly positive beyond round-off, which would signal broken
     adjointness upstream.
     """
-    if delta < 0.0:
-        raise ValueError(f"shift delta must be nonnegative, got {delta}")
     if hodge.dim == 0:
         raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
@@ -142,7 +138,7 @@ def assemble_stokes(hodge: HodgeDecomposition, delta: float = 0.0) -> StokesSpec
         "min_split_gap_rel": float(split.min()) if split.size else None,
         "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
     }
-    return StokesSpectrum(hodge, eigenvalues, vectors.T, fields, float(delta), margins)
+    return StokesSpectrum(hodge, eigenvalues, vectors.T, fields, margins)
 
 
 def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
@@ -232,17 +228,6 @@ def _canonical_clusters(starts, sizes, vectors: np.ndarray, draw_coords: np.ndar
         vectors[rows] = (q.transpose(0, 2, 1) @ stacked).reshape(rows.size, -1)
 
 
-def _power_factors(spectrum: StokesSpectrum, s: float, shifted: bool) -> np.ndarray:
-    base = spectrum.eigenvalues + spectrum.delta if shifted else spectrum.eigenvalues
-    if s != 0.0:
-        worst = max(abs(s * math.log(base[0])), abs(s * math.log(base[-1])))
-        if worst > _EXP_LIMIT:
-            raise OverflowError(
-                f"power {s} of eigenvalues in [{base[0]:.3e}, {base[-1]:.3e}] overflows"
-            )
-    return base ** s
-
-
 def _multiplier(spectrum: StokesSpectrum, factors: np.ndarray):
     """Operator ``c -> Q (factors * (Q^T c))`` on Z coordinates."""
     modes = spectrum.modes
@@ -254,14 +239,17 @@ def _multiplier(spectrum: StokesSpectrum, factors: np.ndarray):
     return apply
 
 
-def apply_frac_power(spectrum: StokesSpectrum, s: float, shifted: bool = False):
-    """Operator ``c -> (delta? + A)^s c`` on Z coordinates.
+def apply_frac_power(spectrum: StokesSpectrum, s: float):
+    """Operator ``c -> A^s c`` on Z coordinates.
 
     The returned callable accepts a coordinate vector (or a stack of them
     in the last axes) of fields already in the divergence-free subspace;
     project first if in doubt.
     """
-    return _multiplier(spectrum, _power_factors(spectrum, s, shifted))
+    lam = spectrum.eigenvalues
+    if s != 0.0 and max(abs(s * math.log(lam[0])), abs(s * math.log(lam[-1]))) > _EXP_LIMIT:
+        raise OverflowError(f"power {s} of eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}] overflows")
+    return _multiplier(spectrum, lam ** s)
 
 
 def apply_semigroup(spectrum: StokesSpectrum, t: float):

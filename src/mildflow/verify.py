@@ -30,6 +30,9 @@ from .hodge import HodgeDecomposition
 from .mild import MildTrajectory, TimeGrid
 from .stokes import StokesSpectrum
 
+#: Norm growth over the initial norm at which ``imex_oracle`` gives up.
+GROWTH_LIMIT = 1e3
+
 
 @dataclass(eq=False)
 class StrongCheckReport:
@@ -57,42 +60,20 @@ class StrongCheckReport:
         return float(self.residual_rels.max())
 
 
-@dataclass(eq=False)
-class PressureRecovery:
-    """Minimum-norm potential p with grad p = -(gradient part of w).
-
-    ``gradient_residual`` is the least-squares defect within the gradient
-    subspace; ``h_component`` is the magnitude of the divergence-free part
-    of w, which the potential cannot represent.
-    """
-
-    potential: ScalarField
-    gradient_residual: float
-    h_component: float
-
-
-def _recover_pressures(hodge: HodgeDecomposition, ops: DiscreteOperators,
-                       w_flat: np.ndarray):
-    """``recover_pressure`` on the columns of a (3n, k) array.
+def _recover_pressures(hodge: HodgeDecomposition, w_flat: np.ndarray):
+    """Minimum-norm least-squares solutions p of grad p = -w, one per column
+    w of a (3n, k) array.
 
     Returns the potentials, the mismatch grad p + w (what the gradient
-    cannot explain), the gradient residuals and the H components.
+    cannot explain), the gradient residuals (the defect within the gradient
+    subspace) and the H components (the part of w no potential represents).
     """
     p = -hodge.potentials(w_flat)
-    mismatch = ops.gradient @ p + w_flat
+    mismatch = hodge.ops.gradient @ p + w_flat
     mismatch_h = hodge.basis @ (hodge.basis.T @ mismatch)
-    vol = ops.mask.cell_volume ** 0.5
+    vol = hodge.mask.cell_volume ** 0.5
     return (p, mismatch, vol * np.linalg.norm(mismatch - mismatch_h, axis=0),
             vol * np.linalg.norm(mismatch_h, axis=0))
-
-
-def recover_pressure(hodge: HodgeDecomposition, ops: DiscreteOperators,
-                     w: VectorField) -> PressureRecovery:
-    """Solve grad p = -w in the least-squares sense with the canonical p."""
-    p, _, gradient_residual, h_component = _recover_pressures(hodge, ops, w.flat[:, None])
-    return PressureRecovery(
-        ScalarField(ops.mask, p[:, 0]), float(gradient_residual[0]), float(h_component[0])
-    )
 
 
 def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
@@ -114,7 +95,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     denom = vol * (np.linalg.norm(du, axis=0) + np.linalg.norm(lap_u, axis=0))
     denom = np.maximum(denom, np.finfo(float).tiny)
     residual_num = vol * np.linalg.norm(fields.T @ w, axis=0)  # direct projection route
-    potentials, mismatch, _, h_components = _recover_pressures(hodge, ops, w)
+    potentials, mismatch, _, h_components = _recover_pressures(hodge, w)
     # the eigenfields are orthonormal: the field error is the modal error
     init_err = vol * float(np.linalg.norm(traj.samples[0] - fields.T @ u0.flat))
     return StrongCheckReport(
@@ -133,8 +114,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
 
 
 def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorField,
-                grid: TimeGrid, dt: float, scale: float = 1.0,
-                growth_limit: float = 1e3) -> MildTrajectory:
+                grid: TimeGrid, dt: float, scale: float = 1.0) -> MildTrajectory:
     """Independent semi-implicit stepper sampled on the given grid.
 
     Stepping happens in eigencoordinates with the exact integrating
@@ -142,7 +122,7 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     convection handled explicitly (exponential-Euler weights), first
     order in dt.  Steps are split so the march lands exactly on every
     grid node; otherwise the O(dt^2) placement error would mask the
-    stepping order being measured.  Norm growth beyond ``growth_limit``
+    stepping order being measured.  Norm growth beyond ``GROWTH_LIMIT``
     times the initial norm raises ``OracleInstabilityError``.
     """
     if dt <= 0.0:
@@ -178,9 +158,9 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
         if next_node < node_pos.size and n + 1 == node_pos[next_node]:
             node_modal[next_node] = a
             next_node += 1
-        if np.linalg.norm(a) > growth_limit * norm0:
+        if np.linalg.norm(a) > GROWTH_LIMIT * norm0:
             raise OracleInstabilityError(
-                f"oracle norm grew beyond {growth_limit:.0e} x initial at t={times[n + 1]:.3g}"
+                f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial at t={times[n + 1]:.3g}"
             )
 
     states = node_modal[1:]

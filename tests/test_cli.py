@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,29 @@ class TestMaskInfo:
     def test_missing_mask(self, tmp_path, capsys):
         assert main(["mask-info", str(tmp_path / "none.mask")]) == EXIT_MASK
 
+    @pytest.mark.parametrize("command", ["run", "mask-info"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"mask v1\n2 2 1 1.0\n1\xc3\xa9\n11\n",
+            # h^3 weights every inner product and 1/h^2 the Laplacian
+            b"mask v1\n2 2 1 inf\n11\n11\n",
+            b"mask v1\n2 2 1 1e200\n11\n11\n",  # h^3 overflows
+            b"mask v1\n2 2 1 1e-200\n11\n11\n",  # 1/h^2 overflows
+            b"mask v1\n2 2 1 1e-110\n11\n11\n",  # h^3 underflows to 0
+        ],
+        ids=["non_ascii", "spacing_inf", "spacing_1e200", "spacing_1e-200", "spacing_1e-110"],
+    )
+    def test_bad_mask_file_is_mask_error(self, tmp_path, capsys, command, text):
+        mask = tmp_path / "bad.mask"
+        mask.write_bytes(text)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_config(out, mask=str(mask)))
+        assert main([command, config if command == "run" else str(mask)]) == EXIT_MASK
+        assert "Traceback" not in capsys.readouterr().err
+        if command == "run":
+            assert read_summary(out)["failure"]["stage"] == "mask"
+
 
 class TestRunPipeline:
     def test_zero_initial_data(self, tmp_path):
@@ -303,6 +327,26 @@ class TestRunPipeline:
         norms_b = (tmp_path / "b" / "norms.csv").read_text()
         assert norms_a == norms_b
 
+    def test_output_dir_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_projection_warning_once_per_run(self, tmp_path, box4_ops, box4_spectrum):
+        rng = np.random.default_rng(0)
+        gradient = box4_ops.gradient @ rng.standard_normal(box4_ops.mask.n_cells)
+        values = 0.03 * box4_spectrum.eigenfield(1).values + 0.01 * gradient.reshape(3, -1)
+        npy = tmp_path / "u0.npy"
+        np.save(npy, values)
+        out = tmp_path / "out"
+        cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert read_summary(out)["gate"]["passed_initially"] is True
+        assert sum("gradient component" in str(w.message) for w in caught) == 1
+
     def test_missing_mask_exit_code(self, tmp_path):
         cfg = base_config(tmp_path / "out", mask=str(tmp_path / "nope.mask"))
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_MASK
@@ -400,3 +444,11 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "oracle"
         # everything computed before the oracle is still in the summary
         assert summary["picard"]["converged"] is True
+
+
+def test_readme_library_example_runs(monkeypatch):
+    text = README.read_text()
+    block = text[text.index("## Library example"):]
+    block = block[block.index("```python\n") + len("```python\n"):]
+    monkeypatch.chdir(README.parent)  # the example reads tests/data/box4.mask
+    exec(compile(block[:block.index("```")], str(README), "exec"), {})

@@ -92,7 +92,7 @@ class TestOperators:
         body = "\n\n".join("1" for _ in range(n))
         mask = load_mask(f"mask v1\n1 1 {n} 1.0\n{body}\n")
         ops = build_operators(mask)
-        dense = ops.scalar_laplacian.toarray()
+        dense = ops.laplacian[:n, :n].toarray()
         eigs = np.sort(np.linalg.eigvalsh(dense))
         k = np.arange(1, n + 1)
         expected = np.sort(4.0 + 2.0 * (1.0 - np.cos(k * np.pi / (n + 1))))

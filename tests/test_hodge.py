@@ -1,14 +1,16 @@
 """Orthogonal splitting into divergence-free fields and gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mildflow import (
-    FieldMismatchError,
     ScalarField,
+    SpectrumError,
     VectorField,
+    build_hodge,
     build_operators,
-    decompose,
     field_dot,
     field_norm,
     load_mask,
@@ -60,17 +62,25 @@ def test_projector_symmetric_idempotent(box4_hodge):
         assert abs(field_dot(pu, residual)) <= 1e-12 * max(field_dot(u, u), 1.0)
 
 
+def split(hodge, u):
+    """u = u_H + u_G with u_H = P u and u_G = u - u_H, and the canonical
+    potential p of u_G."""
+    u_h = hodge.project(u)
+    u_g = VectorField(hodge.mask, u.values - u_h.values)
+    return u_h, u_g, ScalarField(hodge.mask, hodge.potentials(u.flat[:, None])[:, 0])
+
+
 class TestDecompose:
     def test_zero_field(self, box4_hodge):
         u = VectorField.zeros(box4_hodge.mask)
-        u_h, u_g, p = decompose(box4_hodge, u)
+        u_h, u_g, p = split(box4_hodge, u)
         assert not u_h.values.any() and not u_g.values.any() and not p.values.any()
 
     def test_pure_gradient_input(self, box4_ops, box4_hodge):
         rng = np.random.default_rng(3)
         p0 = ScalarField(box4_ops.mask, random_scalar_values(box4_ops.mask, rng))
         g = box4_ops.gradient_of(p0)
-        u_h, u_g, p = decompose(box4_hodge, g)
+        u_h, u_g, p = split(box4_hodge, g)
         assert field_norm(u_h) <= 1e-10 * field_norm(g)
         recon = box4_ops.gradient_of(p)
         assert np.linalg.norm(recon.values - g.values) <= 1e-10 * np.linalg.norm(g.values)
@@ -79,15 +89,10 @@ class TestDecompose:
         rng = np.random.default_rng(4)
         for _ in range(10):
             u = random_vector_field(box4_hodge.mask, rng)
-            u_h, u_g, _ = decompose(box4_hodge, u)
+            u_h, u_g, _ = split(box4_hodge, u)
             total = field_dot(u, u)
             parts = field_dot(u_h, u_h) + field_dot(u_g, u_g)
             assert abs(total - parts) <= 1e-12 * total
-
-    def test_mask_mismatch(self, box4_hodge):
-        other = load_mask(mask_path("box2"))
-        with pytest.raises(FieldMismatchError):
-            decompose(box4_hodge, VectorField.zeros(other))
 
 
 class TestKernelCharacterization:
@@ -109,8 +114,8 @@ class TestKernelCharacterization:
             box4_ops.mask, u.values - box4_hodge.project(u).values
         )
         assert np.linalg.norm(box4_hodge.coords(w)) <= 1e-10 * np.linalg.norm(w.values)
-        potential = box4_hodge.potential(w)
-        recon = box4_ops.gradient_of(potential)
+        p = box4_hodge.potentials(w.flat[:, None])[:, 0]
+        recon = box4_ops.gradient_of(ScalarField(box4_ops.mask, p))
         assert np.linalg.norm(recon.values - w.values) <= 1e-10 * np.linalg.norm(w.values)
 
     def test_works_on_irregular_mask(self, lmask_hodge):
@@ -118,13 +123,14 @@ class TestKernelCharacterization:
         rng = np.random.default_rng(7)
         u = random_vector_field(ops.mask, rng)
         w = VectorField(ops.mask, u.values - lmask_hodge.project(u).values)
-        recon = ops.gradient_of(lmask_hodge.potential(w))
+        p = lmask_hodge.potentials(w.flat[:, None])[:, 0]
+        recon = ops.gradient_of(ScalarField(ops.mask, p))
         assert np.linalg.norm(recon.values - w.values) <= 1e-10 * np.linalg.norm(w.values)
 
 
 def test_degenerate_2d_mask_pipeline(box4_spectrum):
     # nz = 1 masks are legal and run through the whole linear machinery
-    from mildflow import TimeGrid, alpha_trajectory, assemble_stokes, build_hodge, et_norm
+    from mildflow import TimeGrid, alpha_trajectory, assemble_stokes, et_norm
 
     mask = load_mask(mask_path("lshape_3x3x1"))
     hodge = build_hodge(build_operators(mask))
@@ -140,17 +146,15 @@ def test_potential_is_minimum_norm(box4_ops, box4_hodge):
     # the canonical potential has no component in ker(gradient)
     rng = np.random.default_rng(8)
     u = random_vector_field(box4_ops.mask, rng)
-    p = box4_hodge.potential(u)
+    p = box4_hodge.potentials(u.flat[:, None])[:, 0]
     dense = box4_ops.gradient.toarray()
     lstsq_p, *_ = np.linalg.lstsq(dense, u.flat - box4_hodge.project(u).flat, rcond=None)
-    assert np.allclose(p.values, lstsq_p, rtol=1e-9, atol=1e-11)
+    assert np.allclose(p, lstsq_p, rtol=1e-9, atol=1e-11)
 
 
 def test_rank_margins_on_a_rank_deficient_gradient():
     # the 3 x 3 x 1 L-shape's gradient loses one rank; the margins show the
     # dropped and kept singular values on either side of the cut
-    from mildflow import build_hodge
-
     ops = build_operators(load_mask(mask_path("lshape_3x3x1")))
     hodge = build_hodge(ops)
     margins = hodge.margins
@@ -160,3 +164,11 @@ def test_rank_margins_on_a_rank_deficient_gradient():
     assert margins["max_dropped_singular_rel"] <= margins["rank_tolerance"]
     assert margins["min_kept_singular_rel"] == pytest.approx(kept[-1] / svals[0], rel=1e-12)
     assert margins["divergence_defect"] <= margins["divergence_tolerance"]
+
+
+def test_divergence_defect_raises(box4_ops):
+    # a divergence that is no longer -gradient^T leaves the basis outside its kernel
+    divergence = box4_ops.divergence.copy()
+    divergence.data *= 1.0 + 1e-6 * np.random.default_rng(9).standard_normal(divergence.nnz)
+    with pytest.raises(SpectrumError, match="not divergence-free"):
+        build_hodge(dataclasses.replace(box4_ops, divergence=divergence))
