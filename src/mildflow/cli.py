@@ -315,7 +315,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         return fail("initial_data", exc, EXIT_CONFIG)
 
     grid = TimeGrid.graded(config.horizon, config.segments, config.quad_order)
-    phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
+    try:
+        phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
+    except SpectrumError as exc:
+        return fail("spectrum", exc, EXIT_SPECTRUM)
     # the iteration runs with scale * Phi, so the gate must guard that norm;
     # a zero norm (scale 0, or a domain without convective coupling) is the
     # linear mode, which contracts unconditionally

@@ -19,9 +19,14 @@ at k^1, so after a permutation the 3n x n gradient is block diagonal in
 8 blocks G_k of about 3n/8 x n/8, and H is the direct sum of the kernels
 of the G_k^T.  ``build_hodge`` runs one SVD per block, cuts every block's
 rank at ``RANK_TOLERANCE`` times the largest singular value over all
-blocks, and writes each block's kernel into its own span of Z's columns,
-blocks of even popcount(k) first.  Those blocks and spans are the one
-description of the parity layout; ``stokes`` reads them from here.
+blocks, and keeps each block's kernel Z_k on its ``ParityBlock``, blocks
+of even popcount(k) first.  Z is never formed: it is the block-diagonal
+matrix of the Z_k, with Z_k's rows at the entries of a flat field the
+block reaches and its columns at the block's span of the coordinates, so
+``coords``, ``lift`` and ``project`` apply it one block at a time, and
+``basis`` builds the dense (3n, m) array on demand only.  Those blocks
+and spans are the one description of the parity layout; ``stokes`` reads
+them from here.
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -62,15 +67,17 @@ class ParityBlock:
     """One diagonal block G_k of the permuted gradient, with its SVD factors.
 
     ``cells`` are the pressure cells of class k, ``rows`` the entries of a
-    flat field that class reaches, and ``span`` the columns of Z that hold
-    the block's kernel (Z vanishes off ``rows`` in those columns).  The
-    factors are the kept part of the block's SVD.
+    flat field that class reaches, ``span`` the columns of Z that hold the
+    block's kernel and ``kernel`` that kernel Z_k, (len(rows), span size):
+    Z equals Z_k on (rows, span) and vanishes elsewhere in those columns.
+    The factors are the kept part of the block's SVD.
     """
 
     klass: int
     cells: np.ndarray
     rows: np.ndarray
     span: slice
+    kernel: np.ndarray
     u_r: np.ndarray
     s_r: np.ndarray
     vt_r: np.ndarray
@@ -87,9 +94,9 @@ class HodgeDecomposition:
     Attributes
     ----------
     ops : the operators the decomposition was built from.
-    basis : (3n, m) matrix Z with orthonormal columns spanning ker(divergence).
     grad_rank : numerical rank r of the gradient; m = 3n - r.
-    blocks : the 8 parity blocks in column order, even popcount first.
+    blocks : the 8 parity blocks in column order, even popcount first; their
+        kernels are the blocks of the orthonormal basis Z of ker(divergence).
     margins : how close the rank cut and the divergence check came to their
         thresholds: the largest dropped and the smallest kept singular value
         over the largest (None where there is none), and the divergence
@@ -97,7 +104,6 @@ class HodgeDecomposition:
     """
 
     ops: DiscreteOperators
-    basis: np.ndarray
     grad_rank: int
     blocks: tuple
     margins: dict
@@ -108,23 +114,43 @@ class HodgeDecomposition:
 
     @property
     def dim(self) -> int:
-        return int(self.basis.shape[1])
+        return self.blocks[-1].span.stop
 
     @property
     def n_even(self) -> int:
         """Number of columns of Z in even blocks, which come first."""
         return sum(b.span.stop - b.span.start for b in self.blocks if b.even)
 
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense (3n, m) matrix Z, built on each read; nothing in the
+        pipeline reads it."""
+        z = np.zeros((3 * self.mask.n_cells, self.dim))
+        for b in self.blocks:
+            z[b.rows, b.span] = b.kernel
+        return z
+
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, u) -> np.ndarray:
-        """Coordinates of (the H-part of) a field in the Z basis."""
+        """Coordinates Z^T u of (the H-part of) a field, or of each column of a (3n, k) array."""
         flat = u.flat if isinstance(u, VectorField) else np.asarray(u, dtype=float)
-        return self.basis.T @ flat
+        out = np.empty((self.dim,) + flat.shape[1:])
+        for b in self.blocks:
+            out[b.span] = b.kernel.T @ flat[b.rows]
+        return out
+
+    def lift_flat(self, coords: np.ndarray) -> np.ndarray:
+        """Flat field Z @ coords, of shape (3n,) or (3n, k) for (m,) or (m, k) coordinates."""
+        coords = np.asarray(coords, dtype=float)
+        out = np.empty((3 * self.mask.n_cells,) + coords.shape[1:])
+        for b in self.blocks:  # every entry of a flat field is in one block
+            out[b.rows] = b.kernel @ coords[b.span]
+        return out
 
     def lift(self, coords: np.ndarray) -> VectorField:
         """Vector field Z @ coords."""
-        return VectorField.from_flat(self.mask, self.basis @ np.asarray(coords, float))
+        return VectorField.from_flat(self.mask, self.lift_flat(coords))
 
     def project(self, u: VectorField) -> VectorField:
         return self.lift(self.coords(u))
@@ -167,19 +193,19 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     ranks = [int(np.count_nonzero(f[4] > cut)) for f in factors]
     rank = sum(ranks)
     n3 = 3 * mask.n_cells
-    basis = np.zeros((n3, n3 - rank))
     blocks, start = [], 0
     for (klass, cells, rows, u_mat, s, vt), r in zip(factors, ranks):
         span = slice(start, start + rows.size - r)
-        basis[rows, span] = u_mat[:, r:]
-        blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, :r].copy(), s[:r], vt[:r]))
+        # the kernel and the kept factor share the block's U between them
+        blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, r:], u_mat[:, :r],
+                                  s[:r], vt[:r]))
         start = span.stop
     if start + rank != n3:
         raise SpectrumError(
             f"rank bookkeeping broken: dim H = {start}, rank = {rank}, 3n = {n3}"
         )
-    # ker(divergence) must contain Z up to round-off; one block's columns at a time
-    defect = max(float(np.abs(ops.divergence[:, b.rows] @ basis[b.rows, b.span]).max(initial=0.0))
+    # ker(divergence) must contain Z up to round-off
+    defect = max(float(np.abs(ops.divergence[:, b.rows] @ b.kernel).max(initial=0.0))
                  for b in blocks)
     defect_tol = 1e-10 * max(top, 1.0)
     if defect > defect_tol:
@@ -194,5 +220,5 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
         "divergence_defect": defect,
         "divergence_tolerance": defect_tol,
     }
-    return HodgeDecomposition(ops, basis, rank, tuple(blocks), margins)
+    return HodgeDecomposition(ops, rank, tuple(blocks), margins)
 

@@ -43,17 +43,19 @@ Time grids are graded toward zero (t_j = T (j/N)^2) so the weighted sups
 resolve the blow-up of the norm weights at t -> 0.
 
 Trajectories are stored in Stokes-modal coordinates: a sample a holds the
-field Y a with Y = ``spectrum.fields`` the ambient eigenfields, so every
-operator of the calculus is a per-mode multiplier on the samples.
+field Y a, Y the ambient eigenfields, so every operator of the calculus is
+a per-mode multiplier on the samples.  Y is kept in half form (see
+``stokes``): ``spectrum.lift`` gives Y a and ``spectrum.project`` Y^T x,
+for one sample or a batch of columns.
 
 The forcing f = B(u, v) = -1/2 P ((u . grad) v + (v . grad) u) has one
 kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
-and projects with Y^T.  Phi sees only the piecewise-linear interpolants
-of the node samples, so on each grid interval f is an exact quadratic in
-the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and B(u_{i+1}, v_i),
-and f' = B(u', v) + B(u, v') likewise; those are computed once per Phi
-call, one kernel call for f and one for f', which sums the raw
-advections of its two operand pairs before its one projection.
+and projects with ``spectrum.project``.  Phi sees only the piecewise-linear
+interpolants of the node samples, so on each grid interval f is an exact
+quadratic in the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and
+B(u_{i+1}, v_i), and f' = B(u', v) + B(u, v') likewise; those are computed
+once per Phi call, one kernel call for f and one for f', which sums the
+raw advections of its two operand pairs before its one projection.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 
 from .convection import advect_flat
 from .domain import VectorField
-from .errors import GateUnreachableError, PicardDivergenceError
+from .errors import GateUnreachableError, PicardDivergenceError, SpectrumError
 from .hodge import HodgeDecomposition
 from .stokes import StokesSpectrum
 
@@ -129,7 +131,7 @@ class MildTrajectory:
 
     ``samples[j]`` holds u(t_j); ``derivative_samples[j-1]`` holds
     u'(t_j) for the positive nodes t_1 .. t_N.  The ambient field of a
-    sample a is ``spectrum.fields @ a``.
+    sample a is ``spectrum.lift(a)``.
     """
 
     grid: TimeGrid
@@ -210,10 +212,10 @@ def alpha_trajectory(spectrum: StokesSpectrum, u0: VectorField, grid: TimeGrid) 
     The initial field is projected into the divergence-free subspace; a
     warning is emitted if that changes it by more than 1e-12 relative.
     """
-    modal0 = spectrum.fields.T @ u0.flat
+    modal0 = spectrum.project(u0.flat)
     scale = np.linalg.norm(u0.flat)
     if scale > 0.0:
-        defect = np.linalg.norm(u0.flat - spectrum.fields @ modal0) / scale
+        defect = np.linalg.norm(u0.flat - spectrum.lift(modal0)) / scale
         if defect > _PROJECTION_WARN_TOL:
             warnings.warn(
                 f"initial field had a gradient component ({defect:.2e} relative); projected",
@@ -307,7 +309,7 @@ def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
 
     ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
-    sample per column, and Y = ``spectrum.fields``; the result holds the
+    sample per column, and Y the eigenfields; the result holds the
     Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
     bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
     every discrete gradient.  ``more`` holds further operand pairs (a, b)
@@ -318,7 +320,7 @@ def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
     raw = advect_flat(ops, xa, xb) + advect_flat(ops, xb, xa)
     for a, b in more:
         raw += advect_flat(ops, a, b) + advect_flat(ops, b, a)
-    return -0.5 * scale * (spectrum.fields.T @ raw)
+    return -0.5 * scale * spectrum.project(raw)
 
 
 def _node_pair_forcings(spectrum: StokesSpectrum, operand_pairs, scale: float):
@@ -423,7 +425,7 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
     # enters integrals damped by the time weights)
     rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
             for t in (u, v)]
-    xu, xdu, xv, xdv = np.hsplit(spectrum.fields @ np.vstack(rows).T, 4)
+    xu, xdu, xv, xdv = np.hsplit(spectrum.lift(np.vstack(rows).T), 4)
     f = _node_pair_forcings(spectrum, [(xu, xv)], scale)
     df = _node_pair_forcings(spectrum, [(xdu, xv), (xu, xdv)], scale)
 
@@ -473,7 +475,8 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
     the draws cycle through spectral profiles (randomly damped broadband,
     single modes, sparse mode pairs) so both spread and concentrated data
     are probed.  Deterministic given the seed; the running maximum is
-    monotone in ``trials``.
+    monotone in ``trials``.  Raises ``SpectrumError`` if a trial's ratio is
+    not finite (the spectrum's scale overflows the norms).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -503,7 +506,10 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
         u, v = pair
         image = phi(spectrum, hodge, u, v)
         denom = et_norm(spectrum, u).total * et_norm(spectrum, v).total
-        best = max(best, et_norm(spectrum, image).total / denom)
+        ratio = et_norm(spectrum, image).total / denom
+        if not np.isfinite(ratio):
+            raise SpectrumError(f"||Phi|| probe trial {trial} gave the non-finite ratio {ratio}")
+        best = max(best, ratio)
     return best
 
 
@@ -550,7 +556,7 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
     Raises ``GateUnreachableError`` with the attempt log if the schedule
     never passes.
     """
-    modal0 = spectrum.fields.T @ u0.flat
+    modal0 = spectrum.project(u0.flat)
     alpha_plain = _orbit(spectrum, modal0, grid_template)
     if smallness_gate(et_norm(spectrum, alpha_plain), phi_norm):
         return ShrinkResult(u0, grid_template.horizon, grid_template, 0.0, [])
@@ -581,7 +587,7 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
         if best is None or attempt.alpha_eps_total < best.alpha_eps_total:
             best = attempt
         if attempt.passed:
-            u0_eps = VectorField.from_flat(u0.mask, spectrum.fields @ modal_eps)
+            u0_eps = VectorField.from_flat(u0.mask, spectrum.lift(modal_eps))
             return ShrinkResult(u0_eps, horizon, grid_k, eps, attempts)
     raise GateUnreachableError(
         f"smallness gate unreachable after {len(attempts)} attempts "
@@ -635,7 +641,7 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
     """
     grid = config.grid
     log = IterationLog()
-    alpha = _orbit(spectrum, spectrum.fields.T @ u0.flat, grid)
+    alpha = _orbit(spectrum, spectrum.project(u0.flat), grid)
     log.alpha_norms = et_norm(spectrum, alpha)
     v = alpha if config.start == "alpha" else zero_trajectory(spectrum, grid)
     log.iterate_norms.append(et_norm(spectrum, v))

@@ -28,11 +28,23 @@ orthonormalized projection of a fixed seeded Gaussian draw).  Every
 result is then independent of the basis Z, of the factorization and of
 the BLAS thread count, up to round-off.
 
-The operator applications ``apply_frac_power`` and ``apply_semigroup`` act
-on coordinate vectors in the Z basis (``hodge.coords`` / ``hodge.lift``
-convert to and from ambient fields).  Trajectories live in modal
-coordinates Q^T c instead; the ambient eigenfields Y = Z Q lift them
-(``fields @ a``) and project onto them (``fields.T @ u``) in one product.
+Half form.  The ambient eigenfields Y = Z Q are never formed.  Z_e and
+Z_o reach disjoint entries of a flat field (the even and the odd blocks'
+rows), so with the half eigenfields E = Z_e U and O = Z_o V,
+
+    Y = P blockdiag(E, O) R,
+
+P placing E's rows at the even blocks' entries and O's at the odd ones,
+and R the sparse orthogonal m x m matrix that pairs the singular vectors
+(+-1/sqrt(2)), keeps the unpaired ones and carries each cluster's
+canonical rotation on its few nonzero rows.  E and O hold half the bytes
+of Y.  Trajectories live in modal coordinates Q^T c; ``lift`` (Y a) and
+``project`` (Y^T x) convert between them and ambient flat fields, column
+by column, with two dense products and one sparse one.  ``fields`` and
+``modes`` build the dense Y and Q on demand, and nothing in the pipeline
+reads them.  The operator applications ``apply_frac_power`` and
+``apply_semigroup`` act on coordinate vectors in the Z basis
+(``hodge.coords`` / ``hodge.lift`` convert to and from ambient fields).
 The discrete spectrum is strictly positive, which makes negative powers
 legal.
 """
@@ -43,6 +55,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import VectorField
 from .errors import SpectrumError
@@ -58,35 +71,83 @@ CLUSTER_SEED = 0
 
 @dataclass(eq=False)
 class StokesSpectrum:
-    """Eigenpairs of the reduced operator Z^T L Z.
+    """Eigenpairs of the reduced operator Z^T L Z in half form.
 
-    ``eigenvalues`` are ascending and strictly positive; ``modes`` holds
-    the orthonormal eigenvectors (in Z coordinates) as columns and
-    ``fields`` the same eigenvectors as ambient fields, the (3n, m)
-    matrix Y = Z Q with orthonormal columns.  ``margins`` records how close
-    the clustering and the positivity check came to their thresholds.
+    ``eigenvalues`` are ascending and strictly positive.  The orthonormal
+    eigenfields are Y = P blockdiag(E, O) R with E = ``even`` (the even
+    blocks' rows by m_e), O = ``odd`` and R = ``mixing`` (CSR, orthogonal);
+    ``lift`` and ``project`` apply Y and Y^T.  ``fields`` (Y) and ``modes``
+    (Q = Z^T Y, the eigenvectors in Z coordinates) are built on each read.
+    ``margins`` records how close the clustering and the positivity check
+    came to their thresholds.
     """
 
     hodge: HodgeDecomposition
     eigenvalues: np.ndarray
-    modes: np.ndarray
-    fields: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    mixing: sp.csr_array
     margins: dict = field(default_factory=dict)
+    mixing_t: sp.csr_array = field(init=False, repr=False)
+    rows_even: np.ndarray = field(init=False, repr=False)
+    rows_odd: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mixing_t = self.mixing.T.tocsr()
+        self.rows_even, self.rows_odd = _half_rows(self.hodge)
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
+    def lift(self, modal: np.ndarray) -> np.ndarray:
+        """Flat fields Y a of modal coordinates a, (m,) or (m, k) -> (3n,) or (3n, k)."""
+        mixed = self.mixing @ modal
+        m_e = self.even.shape[1]
+        out = np.empty((self.rows_even.size + self.rows_odd.size,) + mixed.shape[1:])
+        out[self.rows_even] = self.even @ mixed[:m_e]
+        out[self.rows_odd] = self.odd @ mixed[m_e:]
+        return out
+
+    def project(self, flat: np.ndarray) -> np.ndarray:
+        """Modal coordinates Y^T x of flat fields x, (3n,) or (3n, k) -> (m,) or (m, k)."""
+        half = np.concatenate([self.even.T @ flat[self.rows_even],
+                               self.odd.T @ flat[self.rows_odd]])
+        return self.mixing_t @ half
+
+    @property
+    def fields(self) -> np.ndarray:
+        """The dense (3n, m) eigenfields Y, built on each read."""
+        m_e = self.even.shape[1]
+        out = np.empty((self.rows_even.size + self.rows_odd.size, self.dim))
+        out[self.rows_even] = self.even @ self.mixing[:m_e]
+        out[self.rows_odd] = self.odd @ self.mixing[m_e:]
+        return out
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The dense (m, m) eigenvectors Q in Z coordinates, built on each read."""
+        return self.hodge.coords(self.fields)
+
     def to_modal(self, coords: np.ndarray) -> np.ndarray:
-        return self.modes.T @ coords
+        return self.project(self.hodge.lift_flat(coords))
 
     def from_modal(self, modal: np.ndarray) -> np.ndarray:
-        return self.modes @ modal
+        return self.hodge.coords(self.lift(modal))
 
     def eigenfield(self, k: int) -> VectorField:
         """k-th eigenmode as a vector field, normalized in the field norm."""
-        flat = self.fields[:, k] / self.hodge.mask.cell_volume ** 0.5
+        unit = np.zeros(self.dim)
+        unit[k] = 1.0
+        flat = self.lift(unit) / self.hodge.mask.cell_volume ** 0.5
         return VectorField.from_flat(self.hodge.mask, flat)
+
+
+def _half_rows(hodge: HodgeDecomposition):
+    """Entries of a flat field in the even blocks and in the odd blocks, in
+    block order: the rows of E and of O."""
+    return tuple(np.concatenate([b.rows for b in hodge.blocks if b.even == even])
+                 for even in (True, False))
 
 
 def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
@@ -98,39 +159,33 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
 
     so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
     with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
-    modes [u; 0] or [0; v] from the unpaired singular vectors.  Raises
-    ``SpectrumError`` if L breaks that structure, or if an eigenvalue is not
-    strictly positive beyond round-off, which would signal broken
-    adjointness upstream.
+    modes [u; 0] or [0; v] from the unpaired singular vectors.  They are
+    kept in half form: E = Z_e U, O = Z_o V and the sparse mixing R (see
+    the module docstring).  Raises ``SpectrumError`` if L breaks that
+    structure, or if an eigenvalue is not strictly positive beyond
+    round-off, which would signal broken adjointness upstream.
     """
     if hodge.dim == 0:
         raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
     _check_block_structure(hodge, 6.0 / h2)
-    z, m_e = hodge.basis, hodge.n_even
-    fields = np.empty((z.shape[0], hodge.dim))
-    # C is formed in the storage of the fields, which the block loop below
-    # overwrites whole.  The SVD factors (about m^2 / 2 doubles) stay
-    # referenced until that loop has run: freed before it, they would sit
-    # free at the top of the process heap while the fields are written, and
-    # whether malloc hands that memory back to the system first depends on
-    # the mask, so peak memory would swing by their size from mask to mask.
-    c = fields.reshape(-1)[:m_e * (hodge.dim - m_e)].reshape(m_e, hodge.dim - m_e)
-    _coupling(hodge, h2, c)
-    factors = np.linalg.svd(c, full_matrices=True)
-    eigenvalues, vectors = _coupled_eigenpairs(*factors, h2)
-    tol = 1e-12 * max(abs(eigenvalues[-1]), 1.0)
+    m_e = hodge.n_even
+    u_mat, sigma, vt = np.linalg.svd(_coupling(hodge, h2), full_matrices=True)
+    eigenvalues, slot_rows, slot_values = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
+    # the spectrum scales as 1/h^2, so the round-off floor is relative only
+    tol = 1e-12 * eigenvalues[-1]
     if eigenvalues[0] <= tol:
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    gaps, starts, sizes, draw = _clusters(eigenvalues, z.shape[0])
-    draw_coords = np.empty((hodge.dim, draw.shape[1]))
-    for b in hodge.blocks:
-        draw_coords[b.span] = z[b.rows, b.span].T @ draw[b.rows]
-    _canonical_clusters(starts, sizes, vectors, draw_coords)
-    for b in hodge.blocks:
-        fields[b.rows] = z[b.rows, b.span] @ vectors[:, b.span].T
+    even = np.concatenate([b.kernel @ u_mat[b.span] for b in hodge.blocks if b.even])
+    odd = np.concatenate([b.kernel @ vt[:, b.span.start - m_e:b.span.stop - m_e].T
+                          for b in hodge.blocks if not b.even])
+    del u_mat, vt
+    gaps, starts, sizes, draw = _clusters(eigenvalues, 3 * hodge.mask.n_cells)
+    rows_even, rows_odd = _half_rows(hodge)
+    draw_half = np.concatenate([even.T @ draw[rows_even], odd.T @ draw[rows_odd]])
+    mixing = _canonical_mixing(starts, sizes, slot_rows, slot_values, draw_half)
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
     margins = {
         "cluster_tolerance": CLUSTER_TOLERANCE,
@@ -138,7 +193,7 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
         "min_split_gap_rel": float(split.min()) if split.size else None,
         "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
     }
-    return StokesSpectrum(hodge, eigenvalues, vectors.T, fields, margins)
+    return StokesSpectrum(hodge, eigenvalues, even, odd, mixing, margins)
 
 
 def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
@@ -157,47 +212,45 @@ def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
         raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
 
 
-def _coupling(hodge: HodgeDecomposition, h2: float, c: np.ndarray):
-    """Write C = -h^2 Z_e^T L Z_o into the (m_e, m_o) array ``c``, from the
-    12 block pairs whose classes differ in one bit."""
-    lap, z, m_e = hodge.ops.laplacian, hodge.basis, hodge.n_even
-    c[:] = 0.0
+def _coupling(hodge: HodgeDecomposition, h2: float) -> np.ndarray:
+    """C = -h^2 Z_e^T L Z_o, (m_e, m_o), from the 12 block pairs whose
+    classes differ in one bit."""
+    lap, m_e = hodge.ops.laplacian, hodge.n_even
+    c = np.zeros((m_e, hodge.dim - m_e))
     for be in hodge.blocks:
         for bo in hodge.blocks:
             if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
-                coupled = lap[be.rows][:, bo.rows] @ z[bo.rows, bo.span]
+                coupled = lap[be.rows][:, bo.rows] @ bo.kernel
                 cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
-                c[be.span, cols] = -h2 * (z[be.rows, be.span].T @ coupled)
+                c[be.span, cols] = -h2 * (be.kernel.T @ coupled)
+    return c
 
 
-def _coupled_eigenpairs(u_mat: np.ndarray, sigma: np.ndarray, vt: np.ndarray, h2: float):
-    """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2, and its
-    orthonormal eigenvectors as the rows of an (m, m) array, from the full
-    SVD C = U diag(sigma) V^T.  Scales and negates U and V^T in place."""
-    m_e, m_o, p = u_mat.shape[0], vt.shape[0], sigma.size
-    m = m_e + m_o
+def _coupled_eigenpairs(sigma: np.ndarray, m_e: int, m_o: int, h2: float):
+    """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2 and their
+    orthonormal eigenvectors in the coordinates of blockdiag(U, V), from the
+    singular values of C (u_i is coordinate i, v_j coordinate m_e + j).
+
+    Every eigenvector has at most two nonzero coordinates: eigenvector k is
+    ``values[k, 0]`` at ``rows[k, 0]`` plus ``values[k, 1]`` at ``rows[k, 1]``
+    (an unpaired vector repeats its row with the value 0).
+    """
+    p, m = sigma.size, m_e + m_o
     eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
     order = np.argsort(eigenvalues, kind="stable")
-    # eigenvector j of the unsorted list goes to row where[j]
-    where = np.empty(m, dtype=np.int64)
-    where[order] = np.arange(m)
-    lo, mid, hi = where[:p], where[p:m - p], where[m - p:]
-    u_mat[:, :p] *= 0.5 ** 0.5
-    vt[:p] *= 0.5 ** 0.5
-    vectors = np.zeros((m, m))
-    vectors[lo, :m_e] = vectors[hi, :m_e] = u_mat[:, :p].T
-    vectors[lo, m_e:] = vt[:p]
-    np.negative(vt[:p], out=vt[:p])
-    vectors[hi, m_e:] = vt[:p]
-    vectors[mid[:m_e - p], :m_e] = u_mat[:, p:].T
-    vectors[mid[m_e - p:], m_e:] = vt[p:]
-    return eigenvalues[order], vectors
+    paired = np.column_stack([np.arange(p), m_e + np.arange(p)])
+    unpaired = np.concatenate([np.arange(p, m_e), m_e + np.arange(p, m_o)]).repeat(2)
+    rows = np.concatenate([paired, unpaired.reshape(-1, 2), paired])
+    half = 0.5 ** 0.5
+    values = np.concatenate([np.full((p, 2), half), np.tile([1.0, 0.0], (m - 2 * p, 1)),
+                             np.tile([half, -half], (p, 1))])
+    return eigenvalues[order], rows[order], values[order]
 
 
 def _clusters(eigenvalues: np.ndarray, n3: int):
     """Relative gaps of the ascending eigenvalues, the first index and size
     of each cluster (gaps at most ``CLUSTER_TOLERANCE``), and the seeded
-    Gaussian draw R, (n3, largest cluster size), that fixes their bases."""
+    Gaussian draw D, (n3, largest cluster size), that fixes their bases."""
     gaps = np.diff(eigenvalues) / eigenvalues[-1]
     starts = np.flatnonzero(np.concatenate([[True], gaps > CLUSTER_TOLERANCE]))
     sizes = np.diff(np.append(starts, eigenvalues.size))
@@ -205,36 +258,41 @@ def _clusters(eigenvalues: np.ndarray, n3: int):
     return gaps, starts, sizes, draw
 
 
-def _canonical_clusters(starts, sizes, vectors: np.ndarray, draw_coords: np.ndarray):
-    """Rotate the eigenvectors of each cluster to a basis fixed by its eigenspace.
+def _canonical_mixing(starts, sizes, rows, values, draw_half: np.ndarray) -> sp.csr_array:
+    """The mixing R (CSR): the eigenvectors of ``_coupled_eigenpairs`` as
+    columns, each cluster rotated to a basis fixed by its eigenspace.
 
-    ``vectors`` holds the eigenvectors in Z coordinates as rows (Q^T) and
-    ``draw_coords`` = Z^T R for the draw R of ``_clusters``.  A cluster's
-    eigenfields Y_C = Z Q_C become Y_C q, q the Q factor (with a positive
-    diagonal in R) of Y_C^T R_C = Q_C^T Z^T R_C, R_C the first |C| columns
-    of R; Y_C q = P_C R_C r^{-1} depends on the cluster's subspace only.
-    Single eigenvectors get the sign of g^T y, g the first column of R.
-    The rows are rotated in place, all clusters of one size in one batch.
+    ``draw_half`` = blockdiag(E, O)^T P^T D for the draw D of ``_clusters``.
+    A cluster's eigenfields Y_C become Y_C q, q the Q factor (with a
+    positive diagonal in the R factor) of Y_C^T D_C, D_C the first |C|
+    columns of D; Y_C q = P_C D_C r^{-1} depends on the cluster's subspace
+    only, and a single eigenvector gets the sign of g^T y, g the first
+    column of D.  The rotation acts on the cluster's 2 |C| nonzero rows of
+    R, all clusters of one size in one batch.
     """
-    single = np.zeros(vectors.shape[0], dtype=bool)
-    single[starts[sizes == 1]] = True
-    vectors *= np.where(single & (vectors @ draw_coords[:, 0] < 0.0), -1.0, 1.0)[:, None]
-    for size in np.unique(sizes[sizes > 1]):
-        first = starts[sizes == size]
-        rows = (first[:, None] + np.arange(size)).ravel()
-        stacked = vectors[rows].reshape(first.size, size, -1)
-        q, r = np.linalg.qr(stacked @ draw_coords[:, :size])
+    entries = []
+    for size in np.unique(sizes):
+        cols = starts[sizes == size][:, None] + np.arange(size)
+        slots = rows[cols].reshape(cols.shape[0], 2 * size)
+        block = np.zeros((cols.shape[0], 2 * size, size))
+        block[:, 0::2][:, np.arange(size), np.arange(size)] = values[cols, 0]
+        block[:, 1::2][:, np.arange(size), np.arange(size)] = values[cols, 1]
+        q, r = np.linalg.qr(block.transpose(0, 2, 1) @ draw_half[slots, :size])
         q *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-        vectors[rows] = (q.transpose(0, 2, 1) @ stacked).reshape(rows.size, -1)
+        block = block @ q
+        entries.append((np.broadcast_to(slots[:, :, None], block.shape).ravel(),
+                        np.broadcast_to(cols[:, None, :], block.shape).ravel(), block.ravel()))
+    slot_rows, slot_cols, slot_values = map(np.concatenate, zip(*entries))
+    # the repeated row of an unpaired vector holds 0 and is summed away
+    return sp.csr_array((slot_values, (slot_rows, slot_cols)), shape=(rows.shape[0],) * 2)
 
 
 def _multiplier(spectrum: StokesSpectrum, factors: np.ndarray):
     """Operator ``c -> Q (factors * (Q^T c))`` on Z coordinates."""
-    modes = spectrum.modes
 
     def apply(coords: np.ndarray) -> np.ndarray:
-        modal = modes.T @ np.asarray(coords, dtype=float)
-        return modes @ (factors * modal if modal.ndim == 1 else factors[:, None] * modal)
+        modal = spectrum.to_modal(np.asarray(coords, dtype=float))
+        return spectrum.from_modal(factors * modal if modal.ndim == 1 else factors[:, None] * modal)
 
     return apply
 

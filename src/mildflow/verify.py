@@ -70,7 +70,7 @@ def _recover_pressures(hodge: HodgeDecomposition, w_flat: np.ndarray):
     """
     p = -hodge.potentials(w_flat)
     mismatch = hodge.ops.gradient @ p + w_flat
-    mismatch_h = hodge.basis @ (hodge.basis.T @ mismatch)
+    mismatch_h = hodge.lift_flat(hodge.coords(mismatch))
     vol = hodge.mask.cell_volume ** 0.5
     return (p, mismatch, vol * np.linalg.norm(mismatch - mismatch_h, axis=0),
             vol * np.linalg.norm(mismatch_h, axis=0))
@@ -85,19 +85,18 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     solved with (0 audits the purely linear evolution).
     """
     nodes = traj.grid.nodes
-    fields = spectrum.fields
     vol = ops.mask.cell_volume ** 0.5
-    lifted = fields @ np.concatenate([traj.samples[1:], traj.derivative_samples]).T
+    lifted = spectrum.lift(np.concatenate([traj.samples[1:], traj.derivative_samples]).T)
     u, du = np.split(lifted, 2, axis=1)
     lap_u = ops.laplacian @ u
     conv = scale * advect_flat(ops, u, u)
     w = du + lap_u + conv
     denom = vol * (np.linalg.norm(du, axis=0) + np.linalg.norm(lap_u, axis=0))
     denom = np.maximum(denom, np.finfo(float).tiny)
-    residual_num = vol * np.linalg.norm(fields.T @ w, axis=0)  # direct projection route
+    residual_num = vol * np.linalg.norm(spectrum.project(w), axis=0)  # direct projection route
     potentials, mismatch, _, h_components = _recover_pressures(hodge, w)
     # the eigenfields are orthonormal: the field error is the modal error
-    init_err = vol * float(np.linalg.norm(traj.samples[0] - fields.T @ u0.flat))
+    init_err = vol * float(np.linalg.norm(traj.samples[0] - spectrum.project(u0.flat)))
     return StrongCheckReport(
         nodes[1:],
         vol * np.linalg.norm(ops.divergence @ u, axis=0),
@@ -135,17 +134,15 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             stacklevel=2,
         )
     ops = hodge.ops
-    fields = spectrum.fields
     horizon = grid.horizon
     n_whole = int(np.ceil(horizon / dt - 1e-12))
     times = np.union1d(np.minimum(dt * np.arange(n_whole + 1), horizon), grid.nodes)
 
     def forcing_modal(modal_state: np.ndarray) -> np.ndarray:
-        flat = fields @ modal_state
-        raw = advect_flat(ops, flat, flat)
-        return -scale * (fields.T @ raw)
+        flat = spectrum.lift(modal_state)
+        return -scale * spectrum.project(advect_flat(ops, flat, flat))
 
-    a = fields.T @ u0.flat
+    a = spectrum.project(u0.flat)
     norm0 = max(np.linalg.norm(a), np.finfo(float).tiny)
     node_modal = np.empty((grid.nodes.size, lam.size))
     node_modal[0] = a
@@ -177,7 +174,7 @@ def energy_audit(spectrum: StokesSpectrum, ops: DiscreteOperators,
     """
     nodes = traj.grid.nodes
     vol = ops.mask.cell_volume
-    u = spectrum.fields @ traj.samples.T
+    u = spectrum.lift(traj.samples.T)
     energies = vol * np.einsum("ij,ij->j", u, u)
     dissipation = vol * np.einsum("ij,ij->j", u, ops.laplacian @ u)
     cumulative = np.concatenate(

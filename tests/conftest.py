@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from mildflow import (
     build_operators,
     load_mask,
 )
-from mildflow.stokes import _canonical_clusters, _clusters
+from mildflow.stokes import _clusters
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,17 +58,37 @@ def random_scalar_values(mask, rng) -> np.ndarray:
     return rng.standard_normal(mask.n_cells)
 
 
-def dense_reference_spectrum(hodge, basis) -> StokesSpectrum:
-    """Stokes spectrum of ``basis^T L basis`` by a dense ``eigh``, with the
-    eigenvectors of each cluster rotated as ``assemble_stokes`` rotates them.
+class DenseSpectrum(StokesSpectrum):
+    """A spectrum held as its dense (3n, m) eigenfields Y."""
 
-    ``basis`` is any orthonormal basis of the divergence-free subspace; the
-    returned spectrum's hodge carries it.
+    def __init__(self, hodge, eigenvalues, fields):
+        self.hodge, self.eigenvalues, self.margins = hodge, eigenvalues, {}
+        self._fields = fields
+
+    @property
+    def fields(self):
+        return self._fields
+
+    def lift(self, modal):
+        return self._fields @ modal
+
+    def project(self, flat):
+        return self._fields.T @ flat
+
+
+def dense_reference_spectrum(hodge, basis) -> DenseSpectrum:
+    """Stokes spectrum of ``basis^T L basis`` by a dense ``eigh``, with the
+    eigenfields Y_C of each cluster C rotated as ``assemble_stokes`` rotates
+    them: to Y_C q, q the Q factor with a positive R diagonal of Y_C^T D_C.
+
+    ``basis`` is any orthonormal basis of the divergence-free subspace.
     """
     reduced = basis.T @ (hodge.ops.laplacian @ basis)
     eigenvalues, modes = np.linalg.eigh(0.5 * (reduced + reduced.T))
     _, starts, sizes, draw = _clusters(eigenvalues, basis.shape[0])
-    vectors = np.ascontiguousarray(modes.T)
-    _canonical_clusters(starts, sizes, vectors, basis.T @ draw)
-    return StokesSpectrum(dataclasses.replace(hodge, basis=basis), eigenvalues, vectors.T,
-                          basis @ vectors.T)
+    fields = basis @ modes
+    for start, size in zip(starts, sizes):
+        cluster = fields[:, start:start + size]
+        q, r = np.linalg.qr(cluster.T @ draw[:, :size])
+        cluster[:] = cluster @ (q * np.where(np.diag(r) < 0.0, -1.0, 1.0))
+    return DenseSpectrum(hodge, eigenvalues, fields)

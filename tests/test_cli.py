@@ -250,8 +250,13 @@ class TestRunPipeline:
         g = np.random.default_rng(9).standard_normal(3 * mask.n_cells)
         pg = box4_hodge.basis @ (box4_hodge.basis.T @ g)
         expected = 0.5 * pg / (np.linalg.norm(pg) * mask.cell_volume ** 0.5)
-        rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((box4_hodge.dim,) * 2))
-        rotated = dataclasses.replace(box4_hodge, basis=box4_hodge.basis @ rotation)
+        # another orthonormal basis: each parity block's kernel rotated
+        rng = np.random.default_rng(3)
+        rotated = dataclasses.replace(box4_hodge, blocks=tuple(
+            dataclasses.replace(b, kernel=b.kernel @ np.linalg.qr(
+                rng.standard_normal((b.kernel.shape[1],) * 2))[0])
+            for b in box4_hodge.blocks))
+        assert np.abs(rotated.basis - box4_hodge.basis).max() > 0.1
         for hodge in (box4_hodge, rotated):
             u0 = _build_initial_data(cfg, box4_spectrum, hodge)
             assert np.abs(u0.flat - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -431,6 +436,24 @@ class TestRunPipeline:
         assert summary["domain"]["cells"] == 64
         assert "spectrum" not in summary
 
+    def test_non_finite_probe_is_spectrum_error(self, tmp_path, capsys):
+        # at spacing 1e-100 a probe trial's norms overflow to a NaN ratio;
+        # the run stops there instead of passing the gate on a 0 estimate
+        mask = tmp_path / "fine.mask"
+        mask.write_text(Path(mask_path("box4")).read_text().replace("4 4 4 1.0", "4 4 4 1e-100"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", write_config(tmp_path, base_config(out, mask=str(mask)))])
+        assert code == EXIT_SPECTRUM
+        assert "Traceback" not in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["failure"]["stage"] == "spectrum"
+        assert summary["failure"]["error"] == "SpectrumError"
+        assert "non-finite" in summary["failure"]["message"]
+        # everything computed before the probe is still in the summary
+        assert summary["spectrum"]["dim"] > 0 and "phi_norm" not in summary
+
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod
 
@@ -444,6 +467,27 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "oracle"
         # everything computed before the oracle is still in the summary
         assert summary["picard"]["converged"] is True
+
+
+@pytest.mark.parametrize("mask_name", ["box4", "lmask_6x6x3"])
+def test_pipeline_never_reads_the_dense_arrays(tmp_path, monkeypatch, mask_name):
+    # the pipeline works on the parity blocks and the half eigenfields only;
+    # the dense Z, Y and Q exist for the library and the tests
+    from mildflow import HodgeDecomposition, StokesSpectrum
+
+    def forbidden(self):
+        raise AssertionError("the pipeline read a dense basis")
+
+    for cls, name in ((StokesSpectrum, "fields"), (StokesSpectrum, "modes"),
+                      (HodgeDecomposition, "basis")):
+        monkeypatch.setattr(cls, name, property(forbidden))
+    out = tmp_path / "out"
+    # the criterion-11 config
+    cfg = base_config(out, mask=mask_path(mask_name), seed=4242,
+                      shrink={"eps_schedule": [0.2, 0.4]},
+                      initial_data={"kind": "random", "amplitude": 0.03, "seed": 7})
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert read_summary(out)["status"] == "ok"
 
 
 def test_readme_library_example_runs(monkeypatch):

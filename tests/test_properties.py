@@ -112,6 +112,40 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
 
 
+@PROPERTY_SETTINGS
+@given(masks(), seeds)
+def test_half_form_matches_the_dense_arrays(mask, seed):
+    ops = build_operators(mask)
+    hodge = build_hodge(ops)
+    spectrum = assemble_stokes(hodge)
+    basis, fields = hodge.basis, spectrum.fields
+    m, lam = spectrum.dim, spectrum.eigenvalues
+    rng = np.random.default_rng(seed)
+    a, x = rng.standard_normal((m, 3)), rng.standard_normal((3 * mask.n_cells, 3))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    # the dense arrays are what they claim: Z and Y orthonormal, Y = Z Q
+    # made of eigenvectors of the reduced operator
+    close(basis.T @ basis, np.eye(m))
+    close(fields.T @ fields, np.eye(m))
+    close(basis @ spectrum.modes, fields)
+    assert np.abs(fields.T @ (ops.laplacian @ fields) - np.diag(lam)).max() <= 1e-12 * lam[-1]
+    # batched and single columns through the half form and the blocks
+    for cols in (slice(None), 0):
+        close(spectrum.lift(a[:, cols]), fields @ a[:, cols])
+        close(spectrum.project(x[:, cols]), fields.T @ x[:, cols])
+        close(hodge.coords(x[:, cols]), basis.T @ x[:, cols])
+        close(hodge.lift_flat(a[:, cols]), basis @ a[:, cols])
+    u = random_vector_field(mask, rng)
+    close(hodge.project(u).flat, basis @ (basis.T @ u.flat))
+    mixing = spectrum.mixing.toarray()
+    close(mixing.T @ mixing, np.eye(m))
+    assert np.array_equal(spectrum.mixing_t.toarray(), mixing.T)
+
+
 def _dense_reference_hodge(ops):
     """Basis, rank and potentials from one full SVD of the dense gradient."""
     u_mat, svals, vt = np.linalg.svd(ops.gradient.toarray(), full_matrices=True)

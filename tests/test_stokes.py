@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mildflow import (
+    DomainMask,
     PicardConfig,
     TimeGrid,
     VectorField,
@@ -41,6 +42,15 @@ class TestAssembly:
             z = hodge.basis @ spectrum.modes[:, k]
             rayleigh = (z @ lap @ z) / (z @ z)
             assert abs(spectrum.eigenvalues[k] - rayleigh) <= 1e-12 * rayleigh
+
+    @pytest.mark.parametrize("spacing", [1.5e6, 1e30])
+    def test_positivity_check_does_not_depend_on_scale(self, box4, box4_spectrum, spacing):
+        # the spectrum scales as 1/h^2, so at a coarse spacing every
+        # eigenvalue lies below any absolute floor and is still positive
+        mask = DomainMask(box4.dims, spacing, box4.occupancy)
+        spectrum = assemble_stokes(build_hodge(build_operators(mask)))
+        reference = box4_spectrum.eigenvalues[0] * box4.spacing ** 2
+        assert abs(spectrum.eigenvalues[0] * spacing ** 2 - reference) <= 1e-12 * reference
 
     def test_rayleigh_quotient_per_mode(self, box4_hodge, box4_spectrum):
         lap = box4_hodge.ops.laplacian
