@@ -326,6 +326,9 @@ def run_experiment(config: ExperimentConfig) -> int:
     linear_mode = phi_gate == 0.0
     alpha = alpha_trajectory(spectrum, u0, grid)
     alpha_norms = et_norm(spectrum, alpha)
+    if not math.isfinite(alpha_norms.total):
+        exc = SpectrumError(f"||alpha|| is the non-finite {alpha_norms.total}")
+        return fail("spectrum", exc, EXIT_SPECTRUM)
     gate_ok = linear_mode or smallness_gate(alpha_norms, phi_gate)
     summary["phi_norm"] = {"estimate": phi_hat, "safety_factor": config.gate_safety,
                            "gate_value": phi_gate}

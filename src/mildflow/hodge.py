@@ -23,10 +23,13 @@ blocks, and keeps each block's kernel Z_k on its ``ParityBlock``, blocks
 of even popcount(k) first.  Z is never formed: it is the block-diagonal
 matrix of the Z_k, with Z_k's rows at the entries of a flat field the
 block reaches and its columns at the block's span of the coordinates, so
-``coords``, ``lift`` and ``project`` apply it one block at a time, and
-``basis`` builds the dense (3n, m) array on demand only.  Those blocks
-and spans are the one description of the parity layout; ``stokes`` reads
-them from here.
+``coords``, ``lift_flat``, ``lift``, ``project`` and ``even_odd_block``
+(Z_e^T op Z_o, the coupling of the even to the odd blocks) apply it one
+block at a time, and ``basis`` builds the dense (3n, m) array on demand
+only.  Those blocks and spans are the one description of the parity
+layout: ``stokes`` applies Z only through these methods, and reads only
+how many columns are even (``n_even``) and, for its structure check, the
+class of each entry (``velocity_classes``).
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -146,6 +149,19 @@ class HodgeDecomposition:
         out = np.empty((3 * self.mask.n_cells,) + coords.shape[1:])
         for b in self.blocks:  # every entry of a flat field is in one block
             out[b.rows] = b.kernel @ coords[b.span]
+        return out
+
+    def even_odd_block(self, op) -> np.ndarray:
+        """Z_e^T op Z_o, (n_even, m - n_even), for a sparse (3n, 3n) op, from
+        the pairs of an even and an odd block that op couples."""
+        m_e = self.n_even
+        out = np.zeros((m_e, self.dim - m_e))
+        for be in self.blocks[:4]:  # the even blocks come first
+            for bo in self.blocks[4:]:
+                coupled = op[be.rows][:, bo.rows]
+                if coupled.nnz:
+                    out[be.span, bo.span.start - m_e:bo.span.stop - m_e] = \
+                        be.kernel.T @ (coupled @ bo.kernel)
         return out
 
     def lift(self, coords: np.ndarray) -> VectorField:

@@ -28,10 +28,11 @@ forcing in the first term; after s -> t - s there,
 
 Phi sees f and f' only as exact quadratics in time between grid nodes
 (see below), so each mode integrates them in closed form on every
-interval (exponential time differencing) with the weights
-mu_k(z) = int_0^1 e^{-z(1-w)} w^k dw, k = 0, 1, 2, taken from a Taylor
-series where z = lambda h is small; Phi has no quadrature error on its own
-interpolant, and ``grid.quad_order`` does not enter it.
+interval (exponential time differencing) with weights built from the
+moments nu_k(z) = int_0^1 e^{-z s} s^k ds, k = 0, 1, 2, about the
+interval's right end, taken from a Taylor series where z = lambda h is
+small; Phi has no quadrature error on its own interpolant, and
+``grid.quad_order`` does not enter it.
 
 ``convolve_semigroup`` is the reference path: it integrates any forcing
 with Gauss-Legendre panels after the substitution s = a + (b - a)
@@ -44,7 +45,7 @@ resolve the blow-up of the norm weights at t -> 0.
 
 Trajectories are stored in Stokes-modal coordinates: a sample a holds the
 field Y a, Y the ambient eigenfields, so every operator of the calculus is
-a per-mode multiplier on the samples.  Y is kept in half form (see
+a per-mode multiplier on the samples.  Y = Z Q is kept factored (see
 ``stokes``): ``spectrum.lift`` gives Y a and ``spectrum.project`` Y^T x,
 for one sample or a batch of columns.
 
@@ -356,36 +357,34 @@ def _interpolate(nodes: np.ndarray, diag: np.ndarray, cross: np.ndarray, s) -> n
     return diag[i] * (1.0 - w) ** 2 + cross[i] * (w * (1.0 - w)) + diag[i + 1] * w**2
 
 
-# mu_2(z) / 2 = sum_n (-z)^n / (n+3)! below _SERIES_BELOW; its 20 terms
+# nu_2(z) = sum_n (-z)^n / (n! (n + 3)) below _SERIES_BELOW; its 22 terms
 # leave a relative truncation error under 1e-21 there
 _SERIES_BELOW = 1.0
-_SERIES = 1.0 / np.cumprod(np.arange(1.0, 23.0))[2:]
+_SERIES = 1.0 / (np.cumprod(np.arange(22.0).clip(1.0)) * np.arange(3.0, 25.0))
 
 
 def _moments(z: np.ndarray) -> np.ndarray:
-    """mu_k(z) = int_0^1 e^{-z(1-w)} w^k dw for k = 0, 1, 2 and z >= 0, shape (3, *z.shape).
+    """nu_k(z) = int_0^1 e^{-z s} s^k ds for k = 0, 1, 2 and z >= 0, shape (3, *z.shape).
 
-    These are phi_1(-z), phi_2(-z) and 2 phi_3(-z).  At z >= 1 they come
-    from mu_0 = (1 - e^{-z}) / z and the upward recurrence
-    mu_k = (1 - k mu_{k-1}) / z, which cancels badly as z -> 0; below 1,
-    mu_2 comes from its Taylor series and the downward recurrence
-    mu_{k-1} = (1 - z mu_k) / k, which is stable there.
+    At z >= 1 they come from nu_0 = (1 - e^{-z}) / z and the upward
+    recurrence nu_k = (k nu_{k-1} - e^{-z}) / z, which cancels badly as
+    z -> 0; below 1, nu_2 comes from its Taylor series and the downward
+    recurrence nu_{k-1} = (z nu_k + e^{-z}) / k, which adds positive terms.
     """
     z = np.asarray(z, dtype=float)
-    mu = np.empty((3,) + z.shape)
+    nu = np.empty((3,) + z.shape)
     small = z < _SERIES_BELOW
-    zl = z[~small]
-    m0 = -np.expm1(-zl) / zl
-    m1 = (1.0 - m0) / zl
-    mu[:, ~small] = m0, m1, (1.0 - 2.0 * m1) / zl
-    zs = z[small]
-    m2 = np.full(zs.shape, _SERIES[-1])
+    zl, zs = z[~small], z[small]
+    el, es = np.exp(-zl), np.exp(-zs)
+    n0 = (1.0 - el) / zl
+    n1 = (n0 - el) / zl
+    nu[:, ~small] = n0, n1, (2.0 * n1 - el) / zl
+    n2 = np.full(zs.shape, _SERIES[-1])
     for c in _SERIES[-2::-1]:
-        m2 = c - zs * m2
-    m2 *= 2.0
-    m1 = 0.5 * (1.0 - zs * m2)
-    mu[:, small] = 1.0 - zs * m1, m1, m2
-    return mu
+        n2 = c - zs * n2
+    n1 = 0.5 * (zs * n2 + es)
+    nu[:, small] = zs * n1 + es, n1, n2
+    return nu
 
 
 def _interval_weights(lam: np.ndarray, elapsed: np.ndarray, w: np.ndarray):
@@ -395,12 +394,17 @@ def _interval_weights(lam: np.ndarray, elapsed: np.ndarray, w: np.ndarray):
 
     for the interval quadratic q = lo (1-x)^2 + mid x(1-x) + hi x^2 in the
     interval weight x; ``elapsed`` e and its weight ``w`` = e / h_i are
-    (k,).  With x = w y the integral is e int_0^1 e^{-lam e (1-y)} q(w y) dy,
-    a combination of the moments mu_k(lam e).
+    (k,).  With x = w (1 - s) the integral is e int_0^1 e^{-lam e s} q ds,
+    a combination of the moments nu_k(lam e) about the interval's right
+    end with nonnegative terms in c_lo and c_mid, which keeps every weight
+    accurate to round-off on stiff modes.
     """
-    mu0, mu1, mu2 = _moments(np.outer(elapsed, lam))
+    nu0, nu1, nu2 = _moments(np.outer(elapsed, lam))
     e, w = elapsed[:, None], w[:, None]
-    return e * (mu0 - 2.0 * w * mu1 + w**2 * mu2), e * w * (mu1 - w * mu2), e * w**2 * mu2
+    v = 1.0 - w
+    return (e * (v**2 * nu0 + 2.0 * w * v * nu1 + w**2 * nu2),
+            e * w * (v * (nu0 - nu1) + w * (nu1 - nu2)),
+            e * w**2 * (nu0 - 2.0 * nu1 + nu2))
 
 
 def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,

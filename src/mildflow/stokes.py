@@ -28,25 +28,21 @@ orthonormalized projection of a fixed seeded Gaussian draw).  Every
 result is then independent of the basis Z, of the factorization and of
 the BLAS thread count, up to round-off.
 
-Half form.  The ambient eigenfields Y = Z Q are never formed.  Z_e and
-Z_o reach disjoint entries of a flat field (the even and the odd blocks'
-rows), so with the half eigenfields E = Z_e U and O = Z_o V,
-
-    Y = P blockdiag(E, O) R,
-
-P placing E's rows at the even blocks' entries and O's at the odd ones,
-and R the sparse orthogonal m x m matrix that pairs the singular vectors
-(+-1/sqrt(2)), keeps the unpaired ones and carries each cluster's
-canonical rotation on its few nonzero rows.  E and O hold half the bytes
-of Y.  Trajectories live in modal coordinates Q^T c; ``lift`` (Y a) and
-``project`` (Y^T x) convert between them and ambient flat fields, column
-by column, with two dense products and one sparse one.  ``fields`` and
-``modes`` build the dense Y and Q on demand, and nothing in the pipeline
-reads them.  The operator applications ``apply_frac_power`` and
-``apply_semigroup`` act on coordinate vectors in the Z basis
-(``hodge.coords`` / ``hodge.lift`` convert to and from ambient fields).
-The discrete spectrum is strictly positive, which makes negative powers
-legal.
+Factored form.  Neither Z nor the eigenfields Y = Z Q is formed.  The
+eigenvectors are kept as Q = blockdiag(U, V) R, with U and V the
+singular vectors of C and R the sparse orthogonal m x m matrix that
+pairs them (+-1/sqrt(2)), keeps the unpaired ones and carries each
+cluster's canonical rotation on its few nonzero rows.  Trajectories live
+in modal coordinates Q^T c; ``from_modal`` (Q a) and ``to_modal``
+(Q^T c) convert between them and Z coordinates with one sparse product
+and the U and V products, and ``lift`` (Y a) and ``project`` (Y^T x)
+compose them with ``hodge.lift_flat`` and ``hodge.coords``, the one
+place that knows which entries of a flat field each parity block holds.
+All of them take one column or a batch.  ``fields`` and ``modes`` build
+the dense Y and Q on demand, and nothing in the pipeline reads them.
+The operator applications ``apply_frac_power`` and ``apply_semigroup``
+act on coordinate vectors in the Z basis.  The discrete spectrum is
+strictly positive, which makes negative powers legal.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import scipy.sparse as sp
 
 from .domain import VectorField
 from .errors import SpectrumError
-from .hodge import HodgeDecomposition
+from .hodge import HodgeDecomposition, velocity_classes
 
 #: exp argument beyond which a spectral multiplier would overflow
 _EXP_LIMIT = 700.0
@@ -71,69 +67,57 @@ CLUSTER_SEED = 0
 
 @dataclass(eq=False)
 class StokesSpectrum:
-    """Eigenpairs of the reduced operator Z^T L Z in half form.
+    """Eigenpairs of the reduced operator Z^T L Z in factored form.
 
     ``eigenvalues`` are ascending and strictly positive.  The orthonormal
-    eigenfields are Y = P blockdiag(E, O) R with E = ``even`` (the even
-    blocks' rows by m_e), O = ``odd`` and R = ``mixing`` (CSR, orthogonal);
-    ``lift`` and ``project`` apply Y and Y^T.  ``fields`` (Y) and ``modes``
-    (Q = Z^T Y, the eigenvectors in Z coordinates) are built on each read.
-    ``margins`` records how close the clustering and the positivity check
-    came to their thresholds.
+    eigenvectors in Z coordinates are Q = blockdiag(U, V) R with
+    U = ``u_mat`` (m_e x m_e), V = ``v_mat`` (m_o x m_o) and R = ``mixing``
+    (CSR, orthogonal); ``from_modal`` and ``to_modal`` apply Q and Q^T,
+    ``lift`` and ``project`` the eigenfields Y = Z Q and Y^T.  ``fields``
+    (Y) and ``modes`` (Q) are built on each read.  ``margins`` records how
+    close the clustering and the positivity check came to their thresholds.
     """
 
     hodge: HodgeDecomposition
     eigenvalues: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
+    u_mat: np.ndarray
+    v_mat: np.ndarray
     mixing: sp.csr_array
     margins: dict = field(default_factory=dict)
     mixing_t: sp.csr_array = field(init=False, repr=False)
-    rows_even: np.ndarray = field(init=False, repr=False)
-    rows_odd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mixing_t = self.mixing.T.tocsr()
-        self.rows_even, self.rows_odd = _half_rows(self.hodge)
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
+    def from_modal(self, modal: np.ndarray) -> np.ndarray:
+        """Z coordinates Q a of modal coordinates a, (m,) or (m, k)."""
+        return _blockdiag(self.u_mat, self.v_mat, self.mixing @ modal)
+
+    def to_modal(self, coords: np.ndarray) -> np.ndarray:
+        """Modal coordinates Q^T c of Z coordinates c, (m,) or (m, k)."""
+        return self.mixing_t @ _blockdiag(self.u_mat.T, self.v_mat.T, coords)
+
     def lift(self, modal: np.ndarray) -> np.ndarray:
         """Flat fields Y a of modal coordinates a, (m,) or (m, k) -> (3n,) or (3n, k)."""
-        mixed = self.mixing @ modal
-        m_e = self.even.shape[1]
-        out = np.empty((self.rows_even.size + self.rows_odd.size,) + mixed.shape[1:])
-        out[self.rows_even] = self.even @ mixed[:m_e]
-        out[self.rows_odd] = self.odd @ mixed[m_e:]
-        return out
+        return self.hodge.lift_flat(self.from_modal(modal))
 
     def project(self, flat: np.ndarray) -> np.ndarray:
         """Modal coordinates Y^T x of flat fields x, (3n,) or (3n, k) -> (m,) or (m, k)."""
-        half = np.concatenate([self.even.T @ flat[self.rows_even],
-                               self.odd.T @ flat[self.rows_odd]])
-        return self.mixing_t @ half
+        return self.to_modal(self.hodge.coords(flat))
 
     @property
     def fields(self) -> np.ndarray:
         """The dense (3n, m) eigenfields Y, built on each read."""
-        m_e = self.even.shape[1]
-        out = np.empty((self.rows_even.size + self.rows_odd.size, self.dim))
-        out[self.rows_even] = self.even @ self.mixing[:m_e]
-        out[self.rows_odd] = self.odd @ self.mixing[m_e:]
-        return out
+        return self.hodge.lift_flat(self.modes)
 
     @property
     def modes(self) -> np.ndarray:
         """The dense (m, m) eigenvectors Q in Z coordinates, built on each read."""
-        return self.hodge.coords(self.fields)
-
-    def to_modal(self, coords: np.ndarray) -> np.ndarray:
-        return self.project(self.hodge.lift_flat(coords))
-
-    def from_modal(self, modal: np.ndarray) -> np.ndarray:
-        return self.hodge.coords(self.lift(modal))
+        return self.from_modal(np.eye(self.dim))
 
     def eigenfield(self, k: int) -> VectorField:
         """k-th eigenmode as a vector field, normalized in the field norm."""
@@ -143,11 +127,10 @@ class StokesSpectrum:
         return VectorField.from_flat(self.hodge.mask, flat)
 
 
-def _half_rows(hodge: HodgeDecomposition):
-    """Entries of a flat field in the even blocks and in the odd blocks, in
-    block order: the rows of E and of O."""
-    return tuple(np.concatenate([b.rows for b in hodge.blocks if b.even == even])
-                 for even in (True, False))
+def _blockdiag(first: np.ndarray, second: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """blockdiag(first, second) @ x for x of shape (m,) or (m, k)."""
+    split = first.shape[1]
+    return np.concatenate([first @ x[:split], second @ x[split:]])
 
 
 def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
@@ -160,17 +143,18 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
     with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
     modes [u; 0] or [0; v] from the unpaired singular vectors.  They are
-    kept in half form: E = Z_e U, O = Z_o V and the sparse mixing R (see
-    the module docstring).  Raises ``SpectrumError`` if L breaks that
-    structure, or if an eigenvalue is not strictly positive beyond
-    round-off, which would signal broken adjointness upstream.
+    kept in factored form: U, V and the sparse mixing R (see the module
+    docstring).  Raises ``SpectrumError`` if L breaks that structure, or
+    if an eigenvalue is not strictly positive beyond round-off, which
+    would signal broken adjointness upstream.
     """
     if hodge.dim == 0:
         raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
     _check_block_structure(hodge, 6.0 / h2)
     m_e = hodge.n_even
-    u_mat, sigma, vt = np.linalg.svd(_coupling(hodge, h2), full_matrices=True)
+    u_mat, sigma, vt = np.linalg.svd(-h2 * hodge.even_odd_block(hodge.ops.laplacian),
+                                     full_matrices=True)
     eigenvalues, slot_rows, slot_values = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
     # the spectrum scales as 1/h^2, so the round-off floor is relative only
     tol = 1e-12 * eigenvalues[-1]
@@ -178,13 +162,8 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
         raise SpectrumError(
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
-    even = np.concatenate([b.kernel @ u_mat[b.span] for b in hodge.blocks if b.even])
-    odd = np.concatenate([b.kernel @ vt[:, b.span.start - m_e:b.span.stop - m_e].T
-                          for b in hodge.blocks if not b.even])
-    del u_mat, vt
     gaps, starts, sizes, draw = _clusters(eigenvalues, 3 * hodge.mask.n_cells)
-    rows_even, rows_odd = _half_rows(hodge)
-    draw_half = np.concatenate([even.T @ draw[rows_even], odd.T @ draw[rows_odd]])
+    draw_half = _blockdiag(u_mat.T, vt, hodge.coords(draw))
     mixing = _canonical_mixing(starts, sizes, slot_rows, slot_values, draw_half)
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
     margins = {
@@ -193,7 +172,7 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
         "min_split_gap_rel": float(split.min()) if split.size else None,
         "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
     }
-    return StokesSpectrum(hodge, eigenvalues, even, odd, mixing, margins)
+    return StokesSpectrum(hodge, eigenvalues, u_mat, vt.T, mixing, margins)
 
 
 def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
@@ -202,28 +181,12 @@ def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
     lap = hodge.ops.laplacian
     if not np.all(lap.diagonal() == diagonal):
         raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
-    block = np.empty(lap.shape[0], dtype=np.int64)
-    for b in hodge.blocks:
-        block[b.rows] = b.klass
+    block = velocity_classes(hodge.mask)
     entries = lap.tocoo()
     off = (entries.row != entries.col) & (entries.data != 0.0)
     flipped = block[entries.row[off]] ^ block[entries.col[off]]
     if not np.all((flipped == 1) | (flipped == 2) | (flipped == 4)):
         raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
-
-
-def _coupling(hodge: HodgeDecomposition, h2: float) -> np.ndarray:
-    """C = -h^2 Z_e^T L Z_o, (m_e, m_o), from the 12 block pairs whose
-    classes differ in one bit."""
-    lap, m_e = hodge.ops.laplacian, hodge.n_even
-    c = np.zeros((m_e, hodge.dim - m_e))
-    for be in hodge.blocks:
-        for bo in hodge.blocks:
-            if be.even and bin(be.klass ^ bo.klass).count("1") == 1:
-                coupled = lap[be.rows][:, bo.rows] @ bo.kernel
-                cols = slice(bo.span.start - m_e, bo.span.stop - m_e)
-                c[be.span, cols] = -h2 * (be.kernel.T @ coupled)
-    return c
 
 
 def _coupled_eigenpairs(sigma: np.ndarray, m_e: int, m_o: int, h2: float):
@@ -262,7 +225,7 @@ def _canonical_mixing(starts, sizes, rows, values, draw_half: np.ndarray) -> sp.
     """The mixing R (CSR): the eigenvectors of ``_coupled_eigenpairs`` as
     columns, each cluster rotated to a basis fixed by its eigenspace.
 
-    ``draw_half`` = blockdiag(E, O)^T P^T D for the draw D of ``_clusters``.
+    ``draw_half`` = blockdiag(U, V)^T Z^T D for the draw D of ``_clusters``.
     A cluster's eigenfields Y_C become Y_C q, q the Q factor (with a
     positive diagonal in the R factor) of Y_C^T D_C, D_C the first |C|
     columns of D; Y_C q = P_C D_C r^{-1} depends on the cluster's subspace

@@ -436,23 +436,40 @@ class TestRunPipeline:
         assert summary["domain"]["cells"] == 64
         assert "spectrum" not in summary
 
-    def test_non_finite_probe_is_spectrum_error(self, tmp_path, capsys):
-        # at spacing 1e-100 a probe trial's norms overflow to a NaN ratio;
-        # the run stops there instead of passing the gate on a 0 estimate
+    @staticmethod
+    def _fine_box4_spectrum_failure(tmp_path, capsys, **overrides):
+        """Run box4 at the legal spacing 1e-100, check that it fails at stage
+        spectrum, and return its summary."""
         mask = tmp_path / "fine.mask"
         mask.write_text(Path(mask_path("box4")).read_text().replace("4 4 4 1.0", "4 4 4 1e-100"))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["run", write_config(tmp_path, base_config(out, mask=str(mask)))])
+            code = main(["run", write_config(tmp_path, base_config(out, mask=str(mask),
+                                                                   **overrides))])
         assert code == EXIT_SPECTRUM
         assert "Traceback" not in capsys.readouterr().err
         summary = read_summary(out)
         assert summary["failure"]["stage"] == "spectrum"
         assert summary["failure"]["error"] == "SpectrumError"
         assert "non-finite" in summary["failure"]["message"]
-        # everything computed before the probe is still in the summary
-        assert summary["spectrum"]["dim"] > 0 and "phi_norm" not in summary
+        # everything computed before the failing stage is still in the summary
+        assert summary["domain"]["cells"] == 64 and summary["spectrum"]["dim"] > 0
+        return summary
+
+    def test_non_finite_probe_is_spectrum_error(self, tmp_path, capsys):
+        # a probe trial's norms overflow to a NaN ratio; the run stops there
+        # instead of passing the gate on a 0 estimate
+        assert "phi_norm" not in self._fine_box4_spectrum_failure(tmp_path, capsys)
+
+    def test_non_finite_alpha_is_spectrum_error(self, tmp_path, capsys):
+        # with the criterion-11 config every probe ratio is a finite 0 but
+        # ||alpha|| overflows; the run stops there instead of reporting NaN
+        # Picard distances as non-convergence
+        summary = self._fine_box4_spectrum_failure(
+            tmp_path, capsys, seed=4242, shrink={"eps_schedule": [0.2, 0.4]},
+            initial_data={"kind": "random", "amplitude": 0.03, "seed": 7})
+        assert "picard" not in summary
 
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod
@@ -471,8 +488,8 @@ class TestRunPipeline:
 
 @pytest.mark.parametrize("mask_name", ["box4", "lmask_6x6x3"])
 def test_pipeline_never_reads_the_dense_arrays(tmp_path, monkeypatch, mask_name):
-    # the pipeline works on the parity blocks and the half eigenfields only;
-    # the dense Z, Y and Q exist for the library and the tests
+    # the pipeline works on the parity blocks and the factors U, V and R
+    # only; the dense Z, Y and Q exist for the library and the tests
     from mildflow import HodgeDecomposition, StokesSpectrum
 
     def forbidden(self):

@@ -191,7 +191,7 @@ class TestConvolution:
 
 class TestMoments:
     def test_against_mpmath(self):
-        # mu_k(x) = int_0^1 e^{-x(1-w)} w^k dw at x = z w* for partial
+        # nu_k(x) = int_0^1 e^{-x s} s^k ds at x = z w* for partial
         # interval fractions w*, across the series / closed-form switch
         mpmath = pytest.importorskip("mpmath")
         from mildflow.mild import _SERIES_BELOW, _moments
@@ -202,11 +202,36 @@ class TestMoments:
         xs = np.array([z * w for z in zs for w in (1e-3, 0.3, 0.7, 1.0)])
         got = _moments(xs)
         with mpmath.workdps(30):
-            for x, mu in zip(xs, got.T):
+            for x, nu in zip(xs, got.T):
                 for k in range(3):
                     want = float(mpmath.quad(
-                        lambda y: mpmath.exp(-mpmath.mpf(x) * (1 - y)) * y**k, [0, 1]))
-                    assert abs(mu[k] - want) <= 1e-14 * want
+                        lambda s: mpmath.exp(-mpmath.mpf(x) * s) * s**k, [0, 1]))
+                    assert abs(nu[k] - want) <= 1e-14 * want
+
+    def test_interval_weights_against_mpmath(self):
+        # e int_0^1 e^{-z(1-y)} q(w y) dy for q = (1-x)^2, x(1-x), x^2 with
+        # z = lam e up to very stiff modes, from exact incomplete gammas:
+        # with s = 1 - y the basis quadratics are polynomials in s, and
+        # int_0^1 e^{-z s} s^k ds = gamma(k + 1, z) / z^(k + 1)
+        mpmath = pytest.importorskip("mpmath")
+        from mildflow.mild import _interval_weights
+
+        zs = [0.0, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e8, 1e12, 1e17]
+        elapsed = 0.5
+        with mpmath.workdps(60):
+            for w in (1e-3, 0.3, 0.7, 1.0):
+                got = _interval_weights(np.array(zs) / elapsed, np.array([elapsed]),
+                                        np.array([w]))
+                b, a = mpmath.mpf(w), 1 - mpmath.mpf(w)
+                polys = [(a * a, 2 * a * b, b * b), (b * a, b * (b - a), -b * b),
+                         (b * b, -2 * b * b, b * b)]
+                for j, z in enumerate(zs):
+                    z = mpmath.mpf(z)
+                    nu = [mpmath.gammainc(k + 1, 0, z) / z ** (k + 1) if z else
+                          mpmath.mpf(1) / (k + 1) for k in range(3)]
+                    for weight, poly in zip(got, polys):
+                        want = elapsed * sum(c * n for c, n in zip(poly, nu))
+                        assert abs(weight[0, j] - want) <= 1e-14 * want
 
 
 class TestPhi:

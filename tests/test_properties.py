@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from mildflow import (
     DomainMask,
@@ -112,13 +113,11 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
 
 
-@PROPERTY_SETTINGS
-@given(masks(), seeds)
-def test_half_form_matches_the_dense_arrays(mask, seed):
+def _assert_factored_form_matches_the_dense_arrays(mask, seed):
     ops = build_operators(mask)
     hodge = build_hodge(ops)
     spectrum = assemble_stokes(hodge)
-    basis, fields = hodge.basis, spectrum.fields
+    basis, fields, modes = hodge.basis, spectrum.fields, spectrum.modes
     m, lam = spectrum.dim, spectrum.eigenvalues
     rng = np.random.default_rng(seed)
     a, x = rng.standard_normal((m, 3)), rng.standard_normal((3 * mask.n_cells, 3))
@@ -128,22 +127,38 @@ def test_half_form_matches_the_dense_arrays(mask, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     # the dense arrays are what they claim: Z and Y orthonormal, Y = Z Q
-    # made of eigenvectors of the reduced operator
+    # made of eigenvectors of the reduced operator, Q = blockdiag(U, V) R
     close(basis.T @ basis, np.eye(m))
     close(fields.T @ fields, np.eye(m))
-    close(basis @ spectrum.modes, fields)
+    close(basis @ modes, fields)
     assert np.abs(fields.T @ (ops.laplacian @ fields) - np.diag(lam)).max() <= 1e-12 * lam[-1]
-    # batched and single columns through the half form and the blocks
+    mixing = spectrum.mixing.toarray()
+    close(block_diag(spectrum.u_mat, spectrum.v_mat) @ mixing, modes)
+    close(mixing.T @ mixing, np.eye(m))
+    assert np.array_equal(spectrum.mixing_t.toarray(), mixing.T)
+    # batched and single columns through the factors and the blocks
     for cols in (slice(None), 0):
+        close(spectrum.from_modal(a[:, cols]), modes @ a[:, cols])
+        close(spectrum.to_modal(a[:, cols]), modes.T @ a[:, cols])
         close(spectrum.lift(a[:, cols]), fields @ a[:, cols])
         close(spectrum.project(x[:, cols]), fields.T @ x[:, cols])
         close(hodge.coords(x[:, cols]), basis.T @ x[:, cols])
         close(hodge.lift_flat(a[:, cols]), basis @ a[:, cols])
     u = random_vector_field(mask, rng)
     close(hodge.project(u).flat, basis @ (basis.T @ u.flat))
-    mixing = spectrum.mixing.toarray()
-    close(mixing.T @ mixing, np.eye(m))
-    assert np.array_equal(spectrum.mixing_t.toarray(), mixing.T)
+    return spectrum
+
+
+@PROPERTY_SETTINGS
+@given(masks(), seeds)
+def test_factored_form_matches_the_dense_arrays(mask, seed):
+    _assert_factored_form_matches_the_dense_arrays(mask, seed)
+
+
+def test_factored_form_without_even_blocks():
+    # the one cell reaches only odd blocks, so U is 0 x 0
+    spectrum = _assert_factored_form_matches_the_dense_arrays(load_mask(mask_path("single")), 0)
+    assert spectrum.u_mat.shape == (0, 0) and spectrum.v_mat.shape == (3, 3)
 
 
 def _dense_reference_hodge(ops):
