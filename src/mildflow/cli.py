@@ -85,6 +85,9 @@ _CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "seed
                 "nonlinearity_scale", *_SECTION_KEYS}
 #: Most oracle steps one ``oracle.dts`` entry may take (``horizon / dt``).
 MAX_ORACLE_STEPS = 10**6
+#: Most time-grid segments N.  Phi's kernel operands hold 3n rows and 3N + 1
+#: columns: one is 1,536 x 30,001 doubles, 369 MB, on an 8^3 box at N = 10^4.
+MAX_SEGMENTS = 10**4
 
 
 @dataclass(eq=False)
@@ -199,6 +202,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("picard/phi_norm/gate settings out of range")
     if not scale >= 0.0:
         raise ConfigError("nonlinearity_scale must be non-negative")
+    if segments > MAX_SEGMENTS:
+        raise ConfigError(f"segments exceeds {MAX_SEGMENTS}")
     if any(horizon / dt > MAX_ORACLE_STEPS for dt in dts):
         raise ConfigError(f"oracle.dts: horizon / dt exceeds {MAX_ORACLE_STEPS} oracle steps")
 

@@ -223,7 +223,7 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     # ker(divergence) must contain Z up to round-off
     defect = max(float(np.abs(ops.divergence[:, b.rows] @ b.kernel).max(initial=0.0))
                  for b in blocks)
-    defect_tol = 1e-10 * max(top, 1.0)
+    defect_tol = 1e-10 * top
     if defect > defect_tol:
         raise SpectrumError(f"basis is not divergence-free: defect {defect:.3e}")
     kept, rel = svals > cut, svals / top if top > 0.0 else svals

@@ -13,26 +13,20 @@ which contracts when  ||alpha|| < 1 / (4 ||Phi||)  (the smallness gate).
 
 Phi is the semigroup convolution of the projected convective forcing,
 
-    Phi(u, v)(t) = int_0^t e^{-(t-s)A} f(s) ds.
+    Phi(u, v)(t) = int_0^t e^{-(t-s)A} f(s) ds,
 
-The trajectory derivative uses the split form
+so it solves Phi' = f - A Phi, and its derivative samples are read off
+that equation at the nodes, Phi'(t_j) = f(t_j) - A Phi(t_j), with no
+second kernel call.  The inputs' derivative samples enter only their
+norms.
 
-    Phi(u, v)(t) = int_0^{t/2} e^{-sA} f(t-s) ds
-                 + int_0^{t/2} e^{-(t-s)A} f(s) ds
-
-differentiated termwise, with the product-rule derivative f' of the
-forcing in the first term; after s -> t - s there,
-
-    Phi'(t) = e^{-tA/2} f(t/2) + int_{t/2}^t e^{-(t-s)A} f'(s) ds
-            - A int_0^{t/2} e^{-(t-s)A} f(s) ds.
-
-Phi sees f and f' only as exact quadratics in time between grid nodes
-(see below), so each mode integrates them in closed form on every
-interval (exponential time differencing) with weights built from the
-moments nu_k(z) = int_0^1 e^{-z s} s^k ds, k = 0, 1, 2, about the
-interval's right end, taken from a Taylor series where z = lambda h is
-small; Phi has no quadrature error on its own interpolant, and
-``grid.quad_order`` does not enter it.
+Phi sees f only as an exact quadratic in time between grid nodes (see
+below), so each mode integrates it in closed form on every interval
+(exponential time differencing) with weights built from the moments
+nu_k(z) = int_0^1 e^{-z s} s^k ds, k = 0, 1, 2, about the interval's
+right end, taken from a Taylor series where z = lambda h is small; Phi
+has no quadrature error on its own interpolant, and ``grid.quad_order``
+does not enter it.
 
 ``convolve_semigroup`` is the reference path: it integrates any forcing
 with Gauss-Legendre panels after the substitution s = a + (b - a)
@@ -54,9 +48,7 @@ kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
 and projects with ``spectrum.project``.  Phi sees only the piecewise-linear
 interpolants of the node samples, so on each grid interval f is an exact
 quadratic in the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and
-B(u_{i+1}, v_i), and f' = B(u', v) + B(u, v') likewise; those are computed
-once per Phi call, one kernel call for f and one for f', which sums the
-raw advections of its two operand pairs before its one projection.
+B(u_{i+1}, v_i), computed in one kernel call per Phi call.
 """
 
 from __future__ import annotations
@@ -132,7 +124,8 @@ class MildTrajectory:
 
     ``samples[j]`` holds u(t_j); ``derivative_samples[j-1]`` holds
     u'(t_j) for the positive nodes t_1 .. t_N.  The ambient field of a
-    sample a is ``spectrum.lift(a)``.
+    sample a is ``spectrum.lift(a)``.  Orbits carry -A u and Phi images
+    f - A Phi, the derivatives their equations give at the nodes.
     """
 
     grid: TimeGrid
@@ -306,55 +299,36 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
 
 
 def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
-                  scale: float = 1.0, more=()) -> np.ndarray:
+                  scale: float = 1.0) -> np.ndarray:
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
 
     ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
     sample per column, and Y the eigenfields; the result holds the
     Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
     bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
-    every discrete gradient.  ``more`` holds further operand pairs (a, b)
-    of the same shape whose raw terms are summed in before the one
-    projection, so the result is the sum of their forcings.
+    every discrete gradient.
     """
     ops = spectrum.hodge.ops
     raw = advect_flat(ops, xa, xb) + advect_flat(ops, xb, xa)
-    for a, b in more:
-        raw += advect_flat(ops, a, b) + advect_flat(ops, b, a)
     return -0.5 * scale * spectrum.project(raw)
 
 
-def _node_pair_forcings(spectrum: StokesSpectrum, operand_pairs, scale: float):
-    """Node-pair forcings of the summed B(a, b) over the lifted node sequences
-    (a, b), each (3n, N+1), in ``operand_pairs``.
+def _node_pair_forcings(spectrum: StokesSpectrum, a: np.ndarray, b: np.ndarray,
+                        scale: float):
+    """Node-pair forcings of B(a, b) over the lifted node sequences a and b,
+    each (3n, N+1).
 
     Returns the rows ``diag[i] = B(a_i, b_i)``, shape (N+1, m), and
     ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m), from one
-    kernel call on the 3N+1 node pairs of every operand pair (the raw
-    advections are summed, then projected once).  Between nodes a
-    and b are linear, so on [t_i, t_{i+1}] at weight w the bilinear B is
-    the exact quadratic
+    kernel call on the 3N+1 node pairs.  Between nodes a and b are linear,
+    so on [t_i, t_{i+1}] at weight w the bilinear B is the exact quadratic
 
         (1-w)^2 diag[i] + w(1-w) cross[i] + w^2 diag[i+1].
     """
-    k = operand_pairs[0][0].shape[1]
-    pairs = [(np.hstack([a, a[:, :-1], a[:, 1:]]), np.hstack([b, b[:, 1:], b[:, :-1]]))
-             for a, b in operand_pairs]
-    f = modal_forcing(spectrum, *pairs[0], scale, more=pairs[1:]).T
+    k = a.shape[1]
+    f = modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
+                      np.hstack([b, b[:, 1:], b[:, :-1]]), scale).T
     return f[:k], f[k:2 * k - 1] + f[2 * k - 1:]
-
-
-def _locate(nodes: np.ndarray, s: np.ndarray):
-    """Interval index i and weight w in [0, 1] of each time s, s = t_i + w h_i."""
-    i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
-    return i, np.clip((s - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
-
-
-def _interpolate(nodes: np.ndarray, diag: np.ndarray, cross: np.ndarray, s) -> np.ndarray:
-    """The node-pair quadratic of ``_node_pair_forcings`` at times s, shape (len(s), m)."""
-    i, w = _locate(nodes, np.atleast_1d(np.asarray(s, dtype=float)))
-    w = w[:, None]
-    return diag[i] * (1.0 - w) ** 2 + cross[i] * (w * (1.0 - w)) + diag[i + 1] * w**2
 
 
 # nu_2(z) = sum_n (-z)^n / (n! (n + 3)) below _SERIES_BELOW; its 22 terms
@@ -413,8 +387,10 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
 
     ``scale`` multiplies the forcing (0 turns the nonlinearity off).
     Bilinear and symmetric in (u, v) by construction.  The forcing of the
-    interpolated trajectories is integrated exactly per mode, so the
-    result does not depend on ``grid.quad_order``.
+    interpolated value samples is integrated exactly per mode, so the
+    result does not depend on ``grid.quad_order``; the derivative at each
+    positive node is f(t_j) - A Phi(t_j).  Only value samples are read,
+    and they are lifted once when ``u is v``.
     """
     if not u.grid.same_as(v.grid):
         raise ValueError("trajectories on different grids")
@@ -422,48 +398,21 @@ def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
     if scale == 0.0:
         return zero_trajectory(spectrum, grid)
     lam = spectrum.eigenvalues
-    nodes = grid.nodes
-    # node samples and node derivatives of both trajectories, lifted in one
-    # GEMM; the t_1 derivative row is repeated at t_0, so the derivative
-    # interpolants hold their t_1 value below t_1 (a region that only
-    # enters integrals damped by the time weights)
-    rows = [np.vstack([t.samples, t.derivative_samples[:1], t.derivative_samples])
-            for t in (u, v)]
-    xu, xdu, xv, xdv = np.hsplit(spectrum.lift(np.vstack(rows).T), 4)
-    f = _node_pair_forcings(spectrum, [(xu, xv)], scale)
-    df = _node_pair_forcings(spectrum, [(xdu, xv), (xu, xdv)], scale)
+    if u is v:
+        xu = xv = spectrum.lift(u.samples.T)
+    else:
+        xu, xv = np.hsplit(spectrum.lift(np.vstack([u.samples, v.samples]).T), 2)
+    diag, cross = _node_pair_forcings(spectrum, xu, xv, scale)
 
-    # node convolutions of f (the values) and of f', interval by interval
-    h = np.diff(nodes)
+    # the node convolution, interval by interval
+    h = np.diff(grid.nodes)
     step = np.exp(-np.outer(h, lam))
     c_lo, c_mid, c_hi = _interval_weights(lam, h, np.ones(h.size))
-
-    def node_convolution(diag, cross):
-        gain = c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:]
-        out = np.zeros((nodes.size, lam.size))
-        for k in range(h.size):
-            out[k + 1] = step[k] * out[k] + gain[k]
-        return out
-
-    values, dvalues = node_convolution(*f), node_convolution(*df)
-
-    # the same convolutions at the midpoints tau = t_j / 2, from the node
-    # below; with them the split-form derivative is
-    # Phi'(t) = e^{-tau A} (f(tau) - W(tau) - A V(tau)) + W(t),
-    # V and W the convolutions of f and f' (W(t) - e^{-tau A} W(tau) is
-    # the integral of f' over [tau, t])
-    half = 0.5 * nodes[1:]
-    i, w = _locate(nodes, half)
-    elapsed = half - nodes[i]
-    carry = np.exp(-np.outer(elapsed, lam))
-    p_lo, p_mid, p_hi = _interval_weights(lam, elapsed, w)
-
-    def at_half(conv, diag, cross):
-        return carry * conv[i] + p_lo * diag[i] + p_mid * cross[i] + p_hi * diag[i + 1]
-
-    deriv = dvalues[1:] + np.exp(-np.outer(half, lam)) * (
-        _interpolate(nodes, *f, half) - at_half(dvalues, *df) - lam * at_half(values, *f))
-    return MildTrajectory(grid, values, deriv)
+    gain = c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:]
+    values = np.zeros((grid.nodes.size, lam.size))
+    for k in range(h.size):
+        values[k + 1] = step[k] * values[k] + gain[k]
+    return MildTrajectory(grid, values, diag[1:] - lam * values[1:])
 
 
 # ---------------------------------------------------------------------------

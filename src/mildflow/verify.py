@@ -1,6 +1,14 @@
 """Strong-solution checks: residuals, pressure recovery, independent oracle.
 
-A converged trajectory is audited at every positive node, one column each:
+A converged trajectory is audited in one batched pass, one column per
+audited time: every positive node t_j and every interval midpoint
+s_i = (t_i + t_{i+1}) / 2.  At a node the sample and its derivative are
+read from the trajectory.  At a midpoint they follow from the mild form
+on the interval, u(s) = e^{-(s - t_i)A} u(t_i) + int_{t_i}^s e^{-(s-r)A}
+f(r) dr with f the trajectory's own node-pair forcing quadratic, and
+u'(s) = f(s) - A u(s).  The node residual of a Picard iterate thus
+measures its fixed-point distance, and the midpoint residual
+f(s) - B(u(s), u(s)) the interpolation error of the forcing.  Per column:
 
 * divergence of the lifted sample (zero up to round-off by construction),
 * the momentum residual  w = u' - Lap u + (u . grad) u  projected onto the
@@ -8,7 +16,8 @@ A converged trajectory is audited at every positive node, one column each:
 * the pressure recovered as the minimum-norm potential with
   grad pi = -(gradient part of w), plus the match residual of that
   identity,
-* the initial-value error at t_0.
+
+and once, the initial-value error at t_0.
 
 An independent semi-implicit time stepper (exact integrating factor for
 the linear part, explicit projected convection, first order in dt) serves
@@ -27,7 +36,7 @@ from .convection import advect_flat
 from .domain import DiscreteOperators, ScalarField, VectorField, vector_lp_norm
 from .errors import OracleInstabilityError
 from .hodge import HodgeDecomposition
-from .mild import MildTrajectory, TimeGrid
+from .mild import MildTrajectory, TimeGrid, _interval_weights, _node_pair_forcings
 from .stokes import StokesSpectrum
 
 #: Norm growth over the initial norm at which ``imex_oracle`` gives up.
@@ -36,8 +45,10 @@ GROWTH_LIMIT = 1e3
 
 @dataclass(eq=False)
 class StrongCheckReport:
-    """Per-node audit of the momentum equation at the positive nodes.
+    """Audit of the momentum equation, one column per audited time.
 
+    ``times`` holds the positive nodes t_1 .. t_N followed by the interval
+    midpoints, and every array and ``pressures`` follow that order.
     ``residual_rels`` comes from projecting the momentum residual
     directly; ``h_component_norms`` is the part the recovered pressure
     gradient could not represent.  ``pressure_consistency_rels`` is the
@@ -79,15 +90,26 @@ def _recover_pressures(hodge: HodgeDecomposition, w_flat: np.ndarray):
 def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
                     ops: DiscreteOperators, traj: MildTrajectory, u0: VectorField,
                     scale: float = 1.0) -> StrongCheckReport:
-    """Audit the momentum equation at every positive node of a trajectory.
+    """Audit the momentum equation at the positive nodes and the interval
+    midpoints of a trajectory.
 
     ``scale`` must match the nonlinearity scale the trajectory was
     solved with (0 audits the purely linear evolution).
     """
     nodes = traj.grid.nodes
+    lam = spectrum.eigenvalues
     vol = ops.mask.cell_volume ** 0.5
-    lifted = spectrum.lift(np.concatenate([traj.samples[1:], traj.derivative_samples]).T)
-    u, du = np.split(lifted, 2, axis=1)
+    half = 0.5 * np.diff(nodes)
+    x = spectrum.lift(traj.samples.T)
+    diag, cross = _node_pair_forcings(spectrum, x, x, scale)
+    c_lo, c_mid, c_hi = _interval_weights(lam, half, np.full(half.size, 0.5))
+    mid = (np.exp(-np.outer(half, lam)) * traj.samples[:-1]
+           + c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:])
+    dmid = 0.25 * (diag[:-1] + cross + diag[1:]) - lam * mid
+    x_mid, du = np.hsplit(spectrum.lift(np.vstack([mid, traj.derivative_samples, dmid]).T),
+                          [half.size])
+    u = np.hstack([x[:, 1:], x_mid])
+    times = np.concatenate([nodes[1:], nodes[:-1] + half])
     lap_u = ops.laplacian @ u
     conv = scale * advect_flat(ops, u, u)
     w = du + lap_u + conv
@@ -98,7 +120,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     # the eigenfields are orthonormal: the field error is the modal error
     init_err = vol * float(np.linalg.norm(traj.samples[0] - spectrum.project(u0.flat)))
     return StrongCheckReport(
-        nodes[1:],
+        times,
         vol * np.linalg.norm(ops.divergence @ u, axis=0),
         residual_num / denom,
         [ScalarField(ops.mask, p) for p in potentials.T],
@@ -106,8 +128,8 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
         vol * np.linalg.norm(mismatch, axis=0) / denom,
         h_components,
         np.abs(h_components - residual_num) / denom,
-        nodes[1:] ** 0.5 * np.array([vector_lp_norm(VectorField.from_flat(ops.mask, c), 1.5)
-                                     for c in conv.T]),
+        times ** 0.5 * np.array([vector_lp_norm(VectorField.from_flat(ops.mask, c), 1.5)
+                                 for c in conv.T]),
         init_err,
     )
 

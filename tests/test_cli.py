@@ -108,12 +108,13 @@ class TestConfigParsing:
             {"picard": {"tol": "1e-12"}},  # how YAML 1.1 reads `tol: 1e-12`
             {"oracle": {"dts": ["1e-3"]}},
             {"horizon": 1e300},  # 1e302 oracle steps at dt 0.01
+            {"segments": 10**4 + 1},  # parsed only: nothing is allocated
         ],
         ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
              "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
              "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
-             "oracle_steps_over_cap"],
+             "oracle_steps_over_cap", "segments_over_cap"],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
         out = tmp_path / "out"
@@ -131,8 +132,9 @@ class TestConfigParsing:
             ("horizon: 1e5\n", "float; write 100000.0: YAML 1.1 reads 1e5 as text"),
             ("oracle:\n  dts: [1e-3]\n", "numbers; write 0.001: YAML 1.1 reads 1e-3 as text"),
             ("oracle:\n  dts: [2.0e-7]\n", "horizon / dt exceeds 1000000 oracle steps"),
+            ("segments: 10001\n", "segments exceeds 10000"),
         ],
-        ids=["tol", "horizon", "oracle_dt", "oracle_step_cap"],
+        ids=["tol", "horizon", "oracle_dt", "oracle_step_cap", "segment_cap"],
     )
     def test_config_error_names_cause(self, tmp_path, text, message):
         cfg = base_config(tmp_path / "out")

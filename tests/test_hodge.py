@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mildflow import (
     ScalarField,
@@ -172,3 +173,36 @@ def test_divergence_defect_raises(box4_ops):
     divergence.data *= 1.0 + 1e-6 * np.random.default_rng(9).standard_normal(divergence.nnz)
     with pytest.raises(SpectrumError, match="not divergence-free"):
         build_hodge(dataclasses.replace(box4_ops, divergence=divergence))
+
+
+def test_divergence_tolerance_is_relative(box4):
+    # the gradient scales as 1/h, so a tolerance relative to its largest
+    # singular value, times h, is the same number on every grid spacing
+    from mildflow.domain import DomainMask
+
+    scaled = [build_hodge(build_operators(DomainMask(box4.dims, h, box4.occupancy))).margins
+              for h in (1.0, 1e6)]
+    assert scaled[1]["divergence_tolerance"] * 1e6 == pytest.approx(
+        scaled[0]["divergence_tolerance"], rel=1e-12)
+    for margins in scaled:
+        assert margins["divergence_defect"] <= margins["divergence_tolerance"]
+
+
+def test_rank_cut_is_global_across_parity_blocks(box4_ops, box4_hodge):
+    # one parity block's gradient scaled by 1e-12 (the divergence with it):
+    # its singular values fall below RANK_TOLERANCE times the largest over
+    # all blocks but stay far above RANK_TOLERANCE times the block's own
+    # largest, so the one global cut drops every one of them
+    from mildflow.hodge import RANK_TOLERANCE, velocity_classes
+
+    rows = velocity_classes(box4_ops.mask) == 3
+    gradient = (sp.diags(np.where(rows, 1e-12, 1.0)) @ box4_ops.gradient).tocsr()
+    ops = dataclasses.replace(box4_ops, gradient=gradient, divergence=(-gradient.T).tocsr())
+    svals = np.linalg.svd(gradient.toarray(), compute_uv=False)
+    block = np.linalg.svd(gradient[rows].toarray(), compute_uv=False)
+    kept_by_own_cut = block[block > RANK_TOLERANCE * block.max()]
+    assert kept_by_own_cut.size and kept_by_own_cut.max() < RANK_TOLERANCE * svals[0]
+    hodge = build_hodge(ops)
+    assert hodge.grad_rank == np.count_nonzero(svals > RANK_TOLERANCE * svals[0])
+    assert hodge.grad_rank == box4_hodge.grad_rank - kept_by_own_cut.size
+    assert hodge.dim == box4_hodge.dim + kept_by_own_cut.size

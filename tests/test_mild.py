@@ -269,47 +269,29 @@ class TestPhi:
 
     def test_node_pair_forcing_matches_direct_kernel(self, box4_spectrum, grid):
         # the quadratic in node-pair forcings equals the kernel evaluated on
-        # the lifted linear interpolants, derivative samples held at their
-        # t_1 value below t_1
-        from mildflow.mild import _interpolate, _node_pair_forcings
+        # the lifted linear interpolants
+        from mildflow.mild import _node_pair_forcings
 
         rng = np.random.default_rng(12)
         m = box4_spectrum.dim
         nodes = grid.nodes
-        u, v = (
-            MildTrajectory(grid, rng.standard_normal((nodes.size, m)),
-                           rng.standard_normal((nodes.size - 1, m)))
-            for _ in range(2)
-        )
+        fields = box4_spectrum.fields
+        u, v = (rng.standard_normal((nodes.size, m)) for _ in range(2))
         scale = 0.8
-
-        def node_fields(traj):
-            held = np.vstack([traj.derivative_samples[:1], traj.derivative_samples])
-            return box4_spectrum.fields @ traj.samples.T, box4_spectrum.fields @ held.T
-
-        (nu, ndu), (nv, ndv) = node_fields(u), node_fields(v)
-        value_pairs = _node_pair_forcings(box4_spectrum, [(nu, nv)], scale)
-        deriv_pairs = _node_pair_forcings(box4_spectrum, [(ndu, nv), (nu, ndv)], scale)
+        diag, cross = _node_pair_forcings(box4_spectrum, fields @ u.T, fields @ v.T, scale)
         times = np.concatenate([rng.uniform(0.0, grid.horizon, 6), nodes[[2, 7]],
                                 [0.0, 0.3 * nodes[1], grid.horizon]])
-
-        def lifted(values, knots, s):
-            return box4_spectrum.fields @ np.array([np.interp(s, knots, c) for c in values.T])
-
         for s in times:
-            xu, xv = lifted(u.samples, nodes, s), lifted(v.samples, nodes, s)
-            xdu = lifted(u.derivative_samples, nodes[1:], s)
-            xdv = lifted(v.derivative_samples, nodes[1:], s)
-            value = modal_forcing(box4_spectrum, xu, xv, scale)
-            deriv = (modal_forcing(box4_spectrum, xdu, xv, scale)
-                     + modal_forcing(box4_spectrum, xu, xdv, scale))
-            for got, want in ((_interpolate(nodes, *value_pairs, s)[0], value),
-                              (_interpolate(nodes, *deriv_pairs, s)[0], deriv)):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            i = min(np.searchsorted(nodes, s, side="right") - 1, nodes.size - 2)
+            w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
+            got = diag[i] * (1.0 - w) ** 2 + cross[i] * (w * (1.0 - w)) + diag[i + 1] * w**2
+            xu, xv = (fields @ np.array([np.interp(s, nodes, c) for c in x.T]) for x in (u, v))
+            want = modal_forcing(box4_spectrum, xu, xv, scale)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("order", [2, 8])
     def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
-        # node-pair forcings: six advections (value; u'v and uv'), each on
+        # node-pair forcings of the values only: two advections, each on
         # 3N + 1 node pairs, whatever the quadrature
         import mildflow.mild as mild_mod
 
@@ -326,45 +308,41 @@ class TestPhi:
         rng = np.random.default_rng(13)
         u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
         phi(box4_spectrum, box4_hodge, u, u)
-        assert columns == [3 * segments + 1] * 6
+        assert columns == [3 * segments + 1] * 2
 
-    def test_derivative_forcing_is_projected_once(self, box4_spectrum, box4_hodge, grid,
-                                                  monkeypatch):
-        # f' = B(u', v) + B(u, v') sums its raw advections before its one
-        # projection: two projections per Phi, and the same Phi to round-off
-        # as projecting each operand pair on its own
-        import mildflow.mild as mild_mod
-
+    def test_one_lift_and_one_projection_per_phi_call(self, box4_spectrum, box4_hodge, grid,
+                                                      monkeypatch):
+        # Phi lifts the value samples only, once for u is v, and projects its
+        # forcing once; the inputs' derivative samples do not enter it
         rng = np.random.default_rng(17)
         u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
                 for _ in range(2))
-        real_forcing = mild_mod.modal_forcing
         calls = []
+        for name in ("lift", "project"):
+            real = getattr(box4_spectrum, name)
 
-        def counting_forcing(*args, **kwargs):
-            calls.append(args)
-            return real_forcing(*args, **kwargs)
+            def counting(x, name=name, real=real):
+                calls.append((name, x.shape[1]))
+                return real(x)
 
-        monkeypatch.setattr(mild_mod, "modal_forcing", counting_forcing)
-        summed = phi(box4_spectrum, box4_hodge, u, v)
-        assert len(calls) == 2
-
-        def separate_projections(spectrum, xa, xb, scale=1.0, more=()):
-            return sum(real_forcing(spectrum, a, b, scale) for a, b in [(xa, xb), *more])
-
-        monkeypatch.setattr(mild_mod, "modal_forcing", separate_projections)
-        reference = phi(box4_spectrum, box4_hodge, u, v)
-        for got, want in ((summed.samples, reference.samples),
-                          (summed.derivative_samples, reference.derivative_samples)):
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            monkeypatch.setattr(box4_spectrum, name, counting)
+        n_nodes, pairs = grid.nodes.size, 3 * grid.segments + 1
+        image = phi(box4_spectrum, box4_hodge, u, u)
+        assert calls == [("lift", n_nodes), ("project", pairs)]
+        calls.clear()
+        phi(box4_spectrum, box4_hodge, u, v)
+        assert calls == [("lift", 2 * n_nodes), ("project", pairs)]
+        other = MildTrajectory(grid, u.samples, rng.standard_normal(u.derivative_samples.shape))
+        again = phi(box4_spectrum, box4_hodge, other, other)
+        assert np.array_equal(again.samples, image.samples)
+        assert np.array_equal(again.derivative_samples, image.derivative_samples)
 
     @pytest.mark.parametrize("hodge_fixture", ["box4_hodge", "lmask_hodge"])
     def test_exact_integration_matches_quadrature(self, hodge_fixture, request):
         # Phi integrates its piecewise-quadratic node-pair forcing exactly;
-        # the panel quadrature of the same forcing, values and split-form
-        # derivative, converges to it
+        # the panel quadrature of the same forcing converges to the values,
+        # and the derivatives are f(t_j) - A Phi(t_j) on those values
         from mildflow import assemble_stokes
-        from mildflow.mild import _convolve
 
         hodge = request.getfixturevalue(hodge_fixture)
         spectrum = assemble_stokes(hodge)
@@ -376,37 +354,48 @@ class TestPhi:
                                rng.standard_normal((nodes.size - 1, m)))
                 for _ in range(2))
         image = phi(spectrum, hodge, u, v, scale)
+        xu, xv = spectrum.fields @ u.samples.T, spectrum.fields @ v.samples.T
+        diag = modal_forcing(spectrum, xu, xv, scale)
+        cross = (modal_forcing(spectrum, xu[:, :-1], xv[:, 1:], scale)
+                 + modal_forcing(spectrum, xu[:, 1:], xv[:, :-1], scale))
 
-        def lift(traj):
-            held = np.vstack([traj.derivative_samples[:1], traj.derivative_samples])
-            return spectrum.fields @ traj.samples.T, spectrum.fields @ held.T
+        def forcing(s):
+            i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+            w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
+            return diag[:, i] * (1 - w) ** 2 + cross[:, i] * (w * (1 - w)) + diag[:, i + 1] * w**2
 
-        def quadratic(pairs):
-            diag = sum(modal_forcing(spectrum, a, b, scale) for a, b in pairs)
-            cross = sum(modal_forcing(spectrum, a[:, :-1], b[:, 1:], scale)
-                        + modal_forcing(spectrum, a[:, 1:], b[:, :-1], scale) for a, b in pairs)
-
-            def forcing(s):
-                i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
-                w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
-                return (diag[:, i] * (1 - w) ** 2 + cross[:, i] * (w * (1 - w))
-                        + diag[:, i + 1] * w**2)
-
-            return forcing
-
-        (xu, xdu), (xv, xdv) = lift(u), lift(v)
-        f = quadratic([(xu, xv)])
-        df = quadratic([(xdu, xv), (xu, xdv)])
         for order, tol in ((20, 1e-12), (12, 1e-10)):
-            values = convolve_semigroup(spectrum, grid, f, order)
-            deriv = np.array([
-                np.exp(-0.5 * t * lam) * f(np.array([0.5 * t]))[:, 0]
-                + _convolve(lam, t, 0.5 * t, t, nodes, order, df)
-                - lam * _convolve(lam, t, 0.0, 0.5 * t, nodes, order, f)
-                for t in nodes[1:]
-            ])
+            values = convolve_semigroup(spectrum, grid, forcing, order)
+            deriv = forcing(nodes[1:]).T - lam * values[1:]
             for got, want in ((image.samples, values), (image.derivative_samples, deriv)):
                 assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_derivative_matches_central_difference(self, box4_spectrum, box4_hodge, grid):
+        # on [t_i, t_{i+1}] the closed form is
+        # Phi(t_i + e) = e^{-eA} Phi(t_i) + int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} f(s) ds;
+        # its central difference across every interior node t_j, from the
+        # intervals on either side, converges to Phi'(t_j) = f(t_j) - A Phi(t_j)
+        from mildflow.mild import _interval_weights, _node_pair_forcings
+
+        rng = np.random.default_rng(19)
+        lam = box4_spectrum.eigenvalues
+        u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
+                for _ in range(2))
+        image = phi(box4_spectrum, box4_hodge, u, v)
+        diag, cross = _node_pair_forcings(box4_spectrum, box4_spectrum.lift(u.samples.T),
+                                          box4_spectrum.lift(v.samples.T), 1.0)
+        h = np.diff(grid.nodes)
+
+        def closed_form(i, elapsed):
+            weights = _interval_weights(lam, np.array([elapsed]), np.array([elapsed / h[i]]))
+            return np.exp(-lam * elapsed) * image.samples[i] + sum(
+                c[0] * f for c, f in zip(weights, (diag[i], cross[i], diag[i + 1])))
+
+        for j in range(1, grid.segments):
+            delta = 1e-6 * min(h[j - 1], h[j])
+            central = (closed_form(j, delta) - closed_form(j - 1, h[j - 1] - delta)) / (2 * delta)
+            want = image.derivative_samples[j - 1]
+            assert np.abs(central - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_independent_of_quad_order(self, box4_spectrum, box4_hodge, monkeypatch):
         # the quadrature order only sets the reference quadrature; Phi

@@ -93,15 +93,59 @@ class TestStrongResidual:
             maxima.append(report.residual_rels.max())
         assert maxima[1] < maxima[0]
 
+    def test_midpoint_residual_is_second_order(self, box4_spectrum, box4_hodge, box4_ops,
+                                               small_u0):
+        # criterion 09's setup: the node residual of a converged iterate sits
+        # at the Picard tolerance, and the midpoint residual, the forcing's
+        # interpolation error, falls by 4 per segment doubling
+        midpoint = []
+        for segments in (16, 32, 64):
+            g = TimeGrid.graded(0.5, segments, 6)
+            traj, _ = picard_solve(
+                box4_spectrum, box4_hodge, small_u0, PicardConfig(grid=g, tol=1e-12)
+            )
+            report = strong_residual(box4_spectrum, box4_hodge, box4_ops, traj, small_u0)
+            np.testing.assert_allclose(report.times[segments:], 0.5 * (g.nodes[1:] + g.nodes[:-1]))
+            assert report.residual_rels[:segments].max() <= 1e-10
+            midpoint.append(report.residual_rels[segments:].max())
+        for coarse, fine in zip(midpoint, midpoint[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
-def per_node_strong_residual(spectrum, hodge, ops, traj, scale):
-    """The strong-residual report fields, one node at a time."""
+
+def midpoint_samples(spectrum, traj, scale):
+    """u and u' at the interval midpoints from the mild form on each
+    interval: the forcing quadratic from direct kernel calls on the node
+    pairs, its convolution by panel quadrature."""
+    from mildflow.mild import _convolve
+
+    nodes, lam = traj.grid.nodes, spectrum.eigenvalues
+    x = spectrum.fields @ traj.samples.T
+    diag = modal_forcing(spectrum, x, x, scale)
+    cross = 2.0 * modal_forcing(spectrum, x[:, :-1], x[:, 1:], scale)
+
+    def forcing(s):
+        i = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2)
+        w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
+        return diag[:, i] * (1 - w) ** 2 + cross[:, i] * (w * (1 - w)) + diag[:, i + 1] * w**2
+
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    u = np.array([np.exp(-lam * (s - t)) * a + _convolve(lam, s, t, s, nodes, 20, forcing)
+                  for t, s, a in zip(nodes, mids, traj.samples)])
+    return mids, u, forcing(mids).T - lam * u
+
+
+def per_column_strong_residual(spectrum, hodge, ops, traj, scale):
+    """The strong-residual report fields, one audited time at a time: the
+    positive nodes, then the interval midpoints."""
     fields = spectrum.fields
     vol = ops.mask.cell_volume ** 0.5
+    mids, u_mid, du_mid = midpoint_samples(spectrum, traj, scale)
+    columns = [*zip(traj.grid.nodes[1:], traj.samples[1:], traj.derivative_samples),
+               *zip(mids, u_mid, du_mid)]
     rows, pressures = [], []
-    for j in range(1, traj.grid.nodes.size):
-        u = fields @ traj.samples[j]
-        du = fields @ traj.derivative_samples[j - 1]
+    for t, a, da in columns:
+        u = fields @ a
+        du = fields @ da
         lap_u = ops.laplacian @ u
         conv = scale * advect_flat(ops, u, u)
         w = du + lap_u + conv
@@ -115,11 +159,11 @@ def per_node_strong_residual(spectrum, hodge, ops, traj, scale):
             vol * np.linalg.norm(grad_full) / denom,
             h_component[0],
             abs(h_component[0] - residual) / denom,
-            traj.grid.nodes[j] ** 0.5
-            * vector_lp_norm(VectorField.from_flat(ops.mask, conv), 1.5),
+            t ** 0.5 * vector_lp_norm(VectorField.from_flat(ops.mask, conv), 1.5),
         ))
         pressures.append(p[:, 0])
-    return np.array(rows).T, np.array(pressures)
+    times = np.concatenate([traj.grid.nodes[1:], mids])
+    return times, np.array(rows).T, np.array(pressures)
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +180,16 @@ def lmask_case(lmask_hodge, grid):
 
 class TestBatchedAudit:
     @pytest.mark.parametrize("case", ["box4", "lmask"])
-    def test_strong_residual_matches_per_node_reference(self, request, case, box4_spectrum,
-                                                        box4_hodge, box4_ops, small_u0,
-                                                        small_solution):
+    def test_strong_residual_matches_per_column_reference(self, request, case, box4_spectrum,
+                                                          box4_hodge, box4_ops, small_u0,
+                                                          small_solution):
         if case == "box4":
             spectrum, hodge, ops, traj = box4_spectrum, box4_hodge, box4_ops, small_solution
         else:
             spectrum, hodge, ops, traj = request.getfixturevalue("lmask_case")
         u0 = VectorField.from_flat(ops.mask, spectrum.fields @ traj.samples[0])
         report = strong_residual(spectrum, hodge, ops, traj, u0)
-        ref, ref_pressures = per_node_strong_residual(spectrum, hodge, ops, traj, 1.0)
+        times, ref, ref_pressures = per_column_strong_residual(spectrum, hodge, ops, traj, 1.0)
         batched = (report.divergence_norms, report.residual_rels, report.gradient_match_rels,
                    report.h_component_norms, report.pressure_consistency_rels,
                    report.convective_l32)
@@ -154,27 +198,42 @@ class TestBatchedAudit:
         pressures = np.array([p.values for p in report.pressures])
         np.testing.assert_allclose(pressures, ref_pressures, rtol=0,
                                    atol=1e-12 * np.abs(ref_pressures).max())
-        np.testing.assert_array_equal(report.times, traj.grid.nodes[1:])
+        np.testing.assert_allclose(report.times, times, rtol=1e-15, atol=0)
 
     def test_advection_calls(self, monkeypatch, box4_spectrum, box4_hodge, box4_ops,
                              small_u0, small_solution, grid):
-        shapes = []
+        # the audit takes one batched advection over the nodes and the
+        # midpoints, plus the node-pair forcings' two over the 3N + 1 node
+        # pairs, and never calls phi
+        import mildflow.mild
+
+        def no_phi(*args, **kwargs):
+            raise AssertionError("strong_residual called phi")
+
+        shapes, pair_shapes = [], []
 
         def counting(ops, xu, xv):
             shapes.append(xu.shape)
             return advect_flat(ops, xu, xv)
 
+        def counting_pairs(ops, xu, xv):
+            pair_shapes.append(xu.shape)
+            return advect_flat(ops, xu, xv)
+
         monkeypatch.setattr(mildflow.verify, "advect_flat", counting)
-        columns = (3 * box4_ops.mask.n_cells, grid.segments)
+        monkeypatch.setattr(mildflow.mild, "advect_flat", counting_pairs)
+        monkeypatch.setattr(mildflow.mild, "phi", no_phi)
+        n3, n = 3 * box4_ops.mask.n_cells, grid.segments
         strong_residual(box4_spectrum, box4_hodge, box4_ops, small_solution, small_u0)
-        assert shapes == [columns]
+        assert shapes == [(n3, 2 * n)]
+        assert pair_shapes == [(n3, 3 * n + 1)] * 2
         shapes.clear()
         dt = 0.05
         imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt)
         # the oracle lands on every multiple of dt up to T = 0.5 and on every node
         steps = np.union1d(dt * np.arange(11), grid.nodes).size - 1
         assert len(shapes) == steps + 1
-        assert shapes[-1] == columns
+        assert shapes[-1] == (n3, n)
 
     def test_oracle_node_derivatives(self, box4_spectrum, box4_hodge, small_u0, grid):
         oracle = imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, 0.05)
