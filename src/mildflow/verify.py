@@ -99,6 +99,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     nodes = traj.grid.nodes
     lam = spectrum.eigenvalues
     vol = ops.mask.cell_volume ** 0.5
+    # the midpoint samples from the mild form on [t_i, s_i]
     half = 0.5 * np.diff(nodes)
     x = spectrum.lift(traj.samples.T)
     diag, cross = _node_pair_forcings(spectrum, x, x, scale)
