@@ -360,6 +360,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         }
         u0 = shrunk.u0_smooth
         grid = shrunk.grid
+        alpha = alpha_trajectory(spectrum, u0, grid)
 
     picard_cfg = PicardConfig(
         grid=grid,
@@ -383,6 +384,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     report = strong_residual(spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
     balances = energy_audit(spectrum, ops, traj)
+    floor = energy_audit(spectrum, ops, alpha)
     summary["verification"] = {
         "max_divergence": float(report.divergence_norms.max()),
         "max_residual_rel": float(report.residual_rels.max()),
@@ -390,6 +392,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "max_pressure_consistency": float(report.pressure_consistency_rels.max()),
         "initial_value_error": report.initial_value_error,
         "max_energy_balance": float(np.abs(balances).max()),
+        "energy_balance_floor": float(np.abs(floor).max()),
         "max_convective_l32_weighted": float(report.convective_l32.max()),
     }
 

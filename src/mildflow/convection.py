@@ -5,8 +5,8 @@ extension as the rest of the discretization, so the projected convective
 forcing built from them (``mildflow.mild.modal_forcing``) is orthogonal
 to every discrete gradient by construction.
 
-``advect_flat`` is the batched array core used by the time integrators
-(columns = independent samples); ``advect`` works on fields.
+``advect_flat`` is the batched array core (columns = independent
+samples) under that kernel and the strong audit; ``advect`` works on fields.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ def advect_flat(ops: DiscreteOperators, xu: np.ndarray, xv: np.ndarray) -> np.nd
     """(u . grad) v on component-blocked flat arrays, batch-aware.
 
     Accepts shape (3n,) or (3n, k); the directional derivative is
-    sum_j u_j d_j v_i per component i.
+    sum_j u_j d_j v_i per component i, all three d_j v_i from one product.
     """
     n = ops.mask.n_cells
     u = xu.reshape(3, n, -1)
     v = xv.reshape(3, n, -1)
     out = np.empty_like(v)
     for i in range(3):
-        acc = u[0] * (ops.grad_blocks[0] @ v[i])
-        acc += u[1] * (ops.grad_blocks[1] @ v[i])
-        acc += u[2] * (ops.grad_blocks[2] @ v[i])
-        out[i] = acc
+        out[i] = (u * (ops.gradient @ v[i]).reshape(3, n, -1)).sum(axis=0)
     return out.reshape(xu.shape)
 
 

@@ -273,14 +273,13 @@ def _as_text(source) -> str:
 class DiscreteOperators:
     """Sparse gradient / divergence / vector Laplacian over the enumeration.
 
-    ``grad_blocks[j]`` is the (n x n) centered difference along axis j;
-    ``gradient`` stacks the three blocks to (3n x n).  ``divergence`` is
-    ``-gradient.T`` so adjointness is exact by construction.  ``laplacian``
-    is block-diagonal with three copies of the scalar 7-point stencil.
+    ``gradient`` (3n x n) stacks the centered differences along the three
+    axes: rows j*n .. (j+1)*n - 1 of ``gradient @ p`` hold d_j p.
+    ``divergence`` is ``-gradient.T`` so adjointness is exact by construction.
+    ``laplacian`` is block-diagonal with three copies of the scalar stencil.
     """
 
     mask: DomainMask
-    grad_blocks: tuple
     gradient: sp.csr_matrix
     divergence: sp.csr_matrix
     laplacian: sp.csr_matrix
@@ -308,7 +307,7 @@ def build_operators(mask: DomainMask) -> DiscreteOperators:
     occ = mask.occupancy
     h = mask.spacing
 
-    grad_blocks = []
+    blocks = []
     lap_rows, lap_cols, lap_vals = [], [], []
     for axis, shift in enumerate(_AXIS_SHIFTS):
         rows_p, cols_p = _neighbor_pairs(occ, idx, shift)
@@ -319,8 +318,7 @@ def build_operators(mask: DomainMask) -> DiscreteOperators:
         )
         rows = np.concatenate([rows_p, cols_p])
         cols = np.concatenate([cols_p, rows_p])
-        block = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        grad_blocks.append(block)
+        blocks.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
         # 7-point Laplacian couplings for this axis (both orientations).
         lap_rows.extend([rows_p, cols_p])
         lap_cols.extend([cols_p, rows_p])
@@ -334,10 +332,10 @@ def build_operators(mask: DomainMask) -> DiscreteOperators:
         shape=(n, n),
     )
 
-    gradient = sp.vstack(grad_blocks, format="csr")
+    gradient = sp.vstack(blocks, format="csr")
     divergence = (-gradient.T).tocsr()
     laplacian = sp.block_diag([scalar_lap] * 3, format="csr")
-    return DiscreteOperators(mask, tuple(grad_blocks), gradient, divergence, laplacian)
+    return DiscreteOperators(mask, gradient, divergence, laplacian)
 
 
 def _neighbor_pairs(occ, idx, shift):

@@ -48,7 +48,7 @@ kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
 and projects with ``spectrum.project``.  Phi sees only the piecewise-linear
 interpolants of the node samples, so on each grid interval f is an exact
 quadratic in the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and
-B(u_{i+1}, v_i), computed in one kernel call per Phi call.
+B(u_{i+1}, v_i), from one kernel call per Phi call (one advection if u is v).
 """
 
 from __future__ import annotations
@@ -299,17 +299,20 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
 
 
 def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
-                  scale: float = 1.0) -> np.ndarray:
+                  scale: float = 1.0, swap=None) -> np.ndarray:
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
 
     ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
     sample per column, and Y the eigenfields; the result holds the
     Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
     bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
-    every discrete gradient.
+    every discrete gradient.  It advects once, with the same bits, where
+    (b.grad)a is known: for ``xa is xb`` it is (a.grad)b, and for a column
+    involution ``swap`` with xb = xa[:, swap] it is (a.grad)b[:, swap].
     """
     ops = spectrum.hodge.ops
-    raw = advect_flat(ops, xa, xb) + advect_flat(ops, xb, xa)
+    raw = advect_flat(ops, xa, xb)
+    raw += raw if xa is xb else raw[:, swap] if swap is not None else advect_flat(ops, xb, xa)
     return -0.5 * scale * spectrum.project(raw)
 
 
@@ -320,14 +323,17 @@ def _node_pair_forcings(spectrum: StokesSpectrum, a: np.ndarray, b: np.ndarray,
 
     Returns the rows ``diag[i] = B(a_i, b_i)``, shape (N+1, m), and
     ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m), from one
-    kernel call on the 3N+1 node pairs.  Between nodes a and b are linear,
-    so on [t_i, t_{i+1}] at weight w the bilinear B is the exact quadratic
+    kernel call on the 3N+1 node pairs (for ``a is b`` swapping the two
+    cross blocks mirrors each pair, so one advection).  Between nodes a
+    and b are linear, so on [t_i, t_{i+1}] at weight w the bilinear B is
+    the exact quadratic
 
         (1-w)^2 diag[i] + w(1-w) cross[i] + w^2 diag[i+1].
     """
     k = a.shape[1]
+    swap = np.r_[:k, 2 * k - 1:3 * k - 2, k:2 * k - 1] if a is b else None
     f = modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
-                      np.hstack([b, b[:, 1:], b[:, :-1]]), scale).T
+                      np.hstack([b, b[:, 1:], b[:, :-1]]), scale, swap).T
     return f[:k], f[k:2 * k - 1] + f[2 * k - 1:]
 
 

@@ -20,8 +20,8 @@ f(s) - B(u(s), u(s)) the interpolation error of the forcing.  Per column:
 and once, the initial-value error at t_0.
 
 An independent semi-implicit time stepper (exact integrating factor for
-the linear part, explicit projected convection, first order in dt) serves
-as a cross-check of the fixed-point solution, and a cumulative energy
+the linear part, explicit ``modal_forcing``, first order in dt) serves as
+a cross-check of the fixed-point solution, and a cumulative energy
 balance provides a coarse integral diagnostic.
 """
 
@@ -36,7 +36,7 @@ from .convection import advect_flat
 from .domain import DiscreteOperators, ScalarField, VectorField, vector_lp_norm
 from .errors import OracleInstabilityError
 from .hodge import HodgeDecomposition
-from .mild import MildTrajectory, TimeGrid, _interval_weights, _node_pair_forcings
+from .mild import MildTrajectory, TimeGrid, _interval_weights, _node_pair_forcings, modal_forcing
 from .stokes import StokesSpectrum
 
 #: Norm growth over the initial norm at which ``imex_oracle`` gives up.
@@ -65,10 +65,6 @@ class StrongCheckReport:
     pressure_consistency_rels: np.ndarray
     convective_l32: np.ndarray
     initial_value_error: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residual_rels.max())
 
 
 def _recover_pressures(hodge: HodgeDecomposition, w_flat: np.ndarray):
@@ -156,28 +152,27 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             f"(dt * lambda_max = {dt * lam[-1]:.2f})",
             stacklevel=2,
         )
-    ops = hodge.ops
     horizon = grid.horizon
     n_whole = int(np.ceil(horizon / dt - 1e-12))
     times = np.union1d(np.minimum(dt * np.arange(n_whole + 1), horizon), grid.nodes)
 
     def forcing_modal(modal_state: np.ndarray) -> np.ndarray:
         flat = spectrum.lift(modal_state)
-        return -scale * spectrum.project(advect_flat(ops, flat, flat))
+        return modal_forcing(spectrum, flat, flat, scale)
 
+    # the weights e^{-h lambda} and (1 - e^{-h lambda}) / lambda per step length h
+    lengths, which = np.unique(np.diff(times), return_inverse=True)
+    decay = np.exp(-np.outer(lengths, lam))
+    weight = (1.0 - decay) / lam
     a = spectrum.project(u0.flat)
     norm0 = max(np.linalg.norm(a), np.finfo(float).tiny)
     node_modal = np.empty((grid.nodes.size, lam.size))
     node_modal[0] = a
-    node_pos = np.searchsorted(times, grid.nodes)
-    next_node = 1
-    for n in range(times.size - 1):
-        step = times[n + 1] - times[n]
-        d = np.exp(-step * lam)
-        a = d * a + (1.0 - d) / lam * forcing_modal(a)
-        if next_node < node_pos.size and n + 1 == node_pos[next_node]:
-            node_modal[next_node] = a
-            next_node += 1
+    node_at = {int(pos): j for j, pos in enumerate(np.searchsorted(times, grid.nodes))}
+    for n, k in enumerate(which):
+        a = decay[k] * a + weight[k] * forcing_modal(a)
+        if n + 1 in node_at:
+            node_modal[node_at[n + 1]] = a
         if np.linalg.norm(a) > GROWTH_LIMIT * norm0:
             raise OracleInstabilityError(
                 f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial at t={times[n + 1]:.3g}"
@@ -192,8 +187,8 @@ def energy_audit(spectrum: StokesSpectrum, ops: DiscreteOperators,
                  traj: MildTrajectory) -> np.ndarray:
     """Cumulative balance ||u(t)||^2 + 2 int_0^t <Lap u, u> ds - ||u0||^2.
 
-    Trapezoidal in time; for the linear evolution the balance is pure
-    quadrature error.  Returns one value per grid node.
+    Trapezoidal in time; for the linear evolution, alpha, the balance is
+    pure quadrature error, its floor.  Returns one value per grid node.
     """
     nodes = traj.grid.nodes
     vol = ops.mask.cell_volume

@@ -220,6 +220,21 @@ class TestRunPipeline:
         assert summary["verification"]["max_residual_rel"] <= 1e-10
         assert summary["oracle"][0]["relative_sup_deviation"] <= 1e-10
 
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_energy_balance_floor(self, tmp_path, scale):
+        # the floor is the balance of alpha: in linear mode the solution is
+        # alpha, and the two numbers are the same
+        out = tmp_path / "out"
+        cfg = base_config(out, nonlinearity_scale=scale, oracle={"dts": [0.02]})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        verification = read_summary(out)["verification"]
+        floor = verification["energy_balance_floor"]
+        assert floor > 0.0
+        if scale == 0.0:
+            assert floor == verification["max_energy_balance"]
+        else:
+            assert floor != verification["max_energy_balance"]
+
     def test_small_data_nonlinear_golden_run(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, oracle={"dts": [0.01, 0.005]})

@@ -8,11 +8,13 @@ from mildflow import (
     ScalarField,
     VectorField,
     advect,
+    build_operators,
     field_dot,
     load_mask,
     modal_forcing,
     vector_lp_norm,
 )
+from mildflow.convection import advect_flat
 from conftest import mask_path, random_scalar_values, random_vector_field
 
 
@@ -78,6 +80,29 @@ def test_advect_matches_loop_oracle(box4_ops, box4_spectrum):
     assert np.allclose(diag.values, _loop_advect(box4_ops, u, u), rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("mask_name", ["box4", "lmask_6x6x3"])
+@pytest.mark.parametrize("columns", [None, 1, 5])
+def test_advect_flat_matches_per_axis_reference(mask_name, columns):
+    # the three derivatives of a component come from one product with the
+    # stacked gradient; three products with its per-axis row blocks, summed
+    # in axis order, give the same bits
+    ops = build_operators(load_mask(mask_path(mask_name)))
+    n = ops.mask.n_cells
+    rng = np.random.default_rng(10)
+    shape = (3 * n,) if columns is None else (3 * n, columns)
+    xu, xv = rng.standard_normal(shape), rng.standard_normal(shape)
+    axes = [ops.gradient[j * n:(j + 1) * n] for j in range(3)]
+    u, v = xu.reshape(3, n, -1), xv.reshape(3, n, -1)
+    want = np.empty_like(v)
+    for i in range(3):
+        want[i] = u[0] * (axes[0] @ v[i])
+        want[i] += u[1] * (axes[1] @ v[i])
+        want[i] += u[2] * (axes[2] @ v[i])
+    got = advect_flat(ops, xu, xv)
+    assert got.shape == shape
+    assert np.array_equal(got, want.reshape(shape))
+
+
 def test_advect_mask_mismatch(box4_ops):
     other = load_mask(mask_path("box2"))
     with pytest.raises(FieldMismatchError):
@@ -100,6 +125,17 @@ class TestForcing:
         projected = modal_forcing(box4_spectrum, u.flat, u.flat)
         direct = -box4_spectrum.fields.T @ advect(box4_ops, u, u).flat
         assert np.allclose(projected, direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("columns", [None, 1, 6])
+    def test_self_path_matches_general_path(self, box4_ops, box4_spectrum, columns):
+        # xa is xb advects once and doubles: x + x = 2x, so it gives the
+        # bits of the two advections on a copy, and of -scale Y^T (x.grad)x
+        rng = np.random.default_rng(11)
+        n3 = 3 * box4_ops.mask.n_cells
+        x = rng.standard_normal((n3,) if columns is None else (n3, columns))
+        got = modal_forcing(box4_spectrum, x, x, 0.7)
+        assert np.array_equal(got, modal_forcing(box4_spectrum, x, x.copy(), 0.7))
+        assert np.array_equal(got, -0.7 * box4_spectrum.project(advect_flat(box4_ops, x, x)))
 
     def test_zero_operand(self, box4_ops, box4_spectrum):
         rng = np.random.default_rng(2)

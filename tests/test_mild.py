@@ -289,10 +289,24 @@ class TestPhi:
             want = modal_forcing(box4_spectrum, xu, xv, scale)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("hodge_fixture", ["box4_hodge", "lmask_hodge"])
+    def test_self_pair_forcings_match_general_path(self, hodge_fixture, request, grid):
+        # a is b advects the node pairs once; the general path on a copy
+        # advects them twice and gives the same bits
+        from mildflow import assemble_stokes
+        from mildflow.mild import _node_pair_forcings
+
+        spectrum = assemble_stokes(request.getfixturevalue(hodge_fixture))
+        rng = np.random.default_rng(21)
+        a = spectrum.lift(rng.standard_normal((spectrum.dim, grid.nodes.size)))
+        for got, want in zip(_node_pair_forcings(spectrum, a, a, 0.7),
+                             _node_pair_forcings(spectrum, a, a.copy(), 0.7)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("order", [2, 8])
     def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
-        # node-pair forcings of the values only: two advections, each on
-        # 3N + 1 node pairs, whatever the quadrature
+        # node-pair forcings of the values only, whatever the quadrature:
+        # one advection on the 3N + 1 node pairs for u is v, two otherwise
         import mildflow.mild as mild_mod
 
         columns = []
@@ -306,8 +320,12 @@ class TestPhi:
         segments = 20
         grid = TimeGrid.graded(0.5, segments, order)
         rng = np.random.default_rng(13)
-        u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
+        u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
+                for _ in range(2))
         phi(box4_spectrum, box4_hodge, u, u)
+        assert columns == [3 * segments + 1]
+        columns.clear()
+        phi(box4_spectrum, box4_hodge, u, v)
         assert columns == [3 * segments + 1] * 2
 
     def test_one_lift_and_one_projection_per_phi_call(self, box4_spectrum, box4_hodge, grid,
