@@ -276,7 +276,7 @@ class DiscreteOperators:
     ``gradient`` (3n x n) stacks the centered differences along the three
     axes: rows j*n .. (j+1)*n - 1 of ``gradient @ p`` hold d_j p.
     ``divergence`` is ``-gradient.T`` so adjointness is exact by construction.
-    ``laplacian`` is block-diagonal with three copies of the scalar stencil.
+    ``laplacian`` is block-diagonal with three copies of the scalar 7-point stencil.
     """
 
     mask: DomainMask
