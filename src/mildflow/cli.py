@@ -60,7 +60,7 @@ from .mild import (
     smallness_gate,
 )
 from .stokes import assemble_stokes
-from .verify import energy_audit, imex_oracle, strong_residual
+from .verify import energy_audit, imex_oracle, oracle_times, strong_residual
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -405,7 +405,12 @@ def run_experiment(config: ExperimentConfig) -> int:
             return fail("oracle", exc, EXIT_ORACLE)
         dev = np.linalg.norm(oracle.samples - traj.samples, axis=1).max()
         ref = max(np.linalg.norm(traj.samples, axis=1).max(), np.finfo(float).tiny)
-        oracle_results.append({"dt": dt, "relative_sup_deviation": float(dev / ref)})
+        oracle_results.append({
+            "dt": dt,
+            "steps": oracle_times(grid, dt).size - 1,
+            "dt_lambda_max": float(dt * spectrum.eigenvalues[-1]),
+            "relative_sup_deviation": float(dev / ref),
+        })
     summary["oracle"] = oracle_results
 
     _write_summary(out_dir, summary)

@@ -22,7 +22,10 @@ and once, the initial-value error at t_0.
 An independent semi-implicit time stepper (exact integrating factor for
 the linear part, explicit ``modal_forcing``, first order in dt) serves as
 a cross-check of the fixed-point solution, and a cumulative energy
-balance provides a coarse integral diagnostic.
+balance provides a coarse integral diagnostic.  The stepper's recurrence
+is sequential, but it is solved a window of steps at a time by sweeps
+that force all of the window's states in one batch, so the eigenbasis
+factors are read once per sweep rather than twice per step.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ from .stokes import StokesSpectrum
 
 #: Norm growth over the initial norm at which ``imex_oracle`` gives up.
 GROWTH_LIMIT = 1e3
+#: Steps per window of ``imex_oracle``: each sweep lifts and projects all of
+#: a window's states in one batch, one read of the eigenbasis factors.
+WINDOW_STEPS = 64
+#: A window's sweeps stop once one moves no state by more than this times
+#: the window's largest |entry|.
+SWEEP_TOLERANCE = np.finfo(float).eps
 
 
 @dataclass(eq=False)
@@ -131,17 +140,39 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     )
 
 
+def oracle_times(grid: TimeGrid, dt: float) -> np.ndarray:
+    """The times ``imex_oracle`` lands on: every multiple of dt below the
+    horizon, the horizon and every grid node, ascending."""
+    n_whole = int(np.ceil(grid.horizon / dt - 1e-12))
+    return np.union1d(np.minimum(dt * np.arange(n_whole + 1), grid.horizon), grid.nodes)
+
+
 def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorField,
                 grid: TimeGrid, dt: float, scale: float = 1.0) -> MildTrajectory:
     """Independent semi-implicit stepper sampled on the given grid.
 
     Stepping happens in eigencoordinates with the exact integrating
-    factor e^{-dt lambda} for the linear part and the projected
+    factor e^{-h lambda} for the linear part and the projected
     convection handled explicitly (exponential-Euler weights), first
-    order in dt.  Steps are split so the march lands exactly on every
-    grid node; otherwise the O(dt^2) placement error would mask the
-    stepping order being measured.  Norm growth beyond ``GROWTH_LIMIT``
-    times the initial norm raises ``OracleInstabilityError``.
+    order in dt:
+
+        a_{n+1} = e^{-h_n lambda} a_n + (1 - e^{-h_n lambda}) / lambda * f(a_n).
+
+    Steps are split so the march lands exactly on every grid node (see
+    ``oracle_times``); otherwise the O(dt^2) placement error would mask
+    the stepping order being measured.
+
+    The recurrence is solved window by window, ``WINDOW_STEPS`` steps at
+    a time, from the window's first state and the linear orbit as the
+    first guess.  Each sweep forces all of the window's states as columns
+    of one ``modal_forcing`` call and reruns the elementwise recurrence
+    with those forcings.  Sweep s makes the window's first s states exact
+    (the iteration is nilpotent), so at most one sweep per step gives the
+    recurrence's own solution; the sweeps stop earlier, once one changes
+    no state by more than ``SWEEP_TOLERANCE`` times the window's largest
+    |entry|.  A state whose norm is not within ``GROWTH_LIMIT`` times the
+    initial norm ends its window there, so no sweep forces it; once it is
+    exact, it raises ``OracleInstabilityError`` at its time.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -152,34 +183,52 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             f"(dt * lambda_max = {dt * lam[-1]:.2f})",
             stacklevel=2,
         )
-    horizon = grid.horizon
-    n_whole = int(np.ceil(horizon / dt - 1e-12))
-    times = np.union1d(np.minimum(dt * np.arange(n_whole + 1), horizon), grid.nodes)
-
-    def forcing_modal(modal_state: np.ndarray) -> np.ndarray:
-        flat = spectrum.lift(modal_state)
-        return modal_forcing(spectrum, flat, flat, scale)
-
+    times = oracle_times(grid, dt)
     # the weights e^{-h lambda} and (1 - e^{-h lambda}) / lambda per step length h
     lengths, which = np.unique(np.diff(times), return_inverse=True)
     decay = np.exp(-np.outer(lengths, lam))
     weight = (1.0 - decay) / lam
-    a = spectrum.project(u0.flat)
-    norm0 = max(np.linalg.norm(a), np.finfo(float).tiny)
+    buffer = np.empty((WINDOW_STEPS + 1, lam.size))
+    buffer[0] = spectrum.project(u0.flat)
+    limit = GROWTH_LIMIT * max(np.linalg.norm(buffer[0]), np.finfo(float).tiny)
     node_modal = np.empty((grid.nodes.size, lam.size))
-    node_modal[0] = a
-    node_at = {int(pos): j for j, pos in enumerate(np.searchsorted(times, grid.nodes))}
-    for n, k in enumerate(which):
-        a = decay[k] * a + weight[k] * forcing_modal(a)
-        if n + 1 in node_at:
-            node_modal[node_at[n + 1]] = a
-        if np.linalg.norm(a) > GROWTH_LIMIT * norm0:
-            raise OracleInstabilityError(
-                f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial at t={times[n + 1]:.3g}"
-            )
+    node_modal[0] = buffer[0]
+    node_pos = np.searchsorted(times, grid.nodes)
+    start = 0
+    while start < which.size:
+        steps = which[start:start + WINDOW_STEPS]
+        a = buffer[:steps.size + 1]
+        for n, k in enumerate(steps):  # the linear orbit
+            a[n + 1] = decay[k] * a[n]
+        for sweep in range(1, WINDOW_STEPS + 1):  # ends by the cap at the latest
+            previous = a[1:].copy()
+            flat = spectrum.lift(a[:-1].T)
+            kicks = weight[steps] * modal_forcing(spectrum, flat, flat, scale).T
+            for n, k in enumerate(steps):
+                a[n + 1] = decay[k] * a[n] + kicks[n]
+            norms = np.linalg.norm(a[1:], axis=1)
+            over = np.flatnonzero(~(norms <= limit))  # NaN counts as over
+            converged = (np.abs(a[1:] - previous).max()
+                         <= SWEEP_TOLERANCE * np.abs(a).max())
+            if over.size and (over[0] < sweep or converged):
+                raise OracleInstabilityError(
+                    f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial "
+                    f"at t={times[start + over[0] + 1]:.3g}"
+                )
+            if over.size:  # not yet exact: end the window at that state
+                steps = steps[:over[0] + 1]
+                a = buffer[:steps.size + 1]
+            elif converged or sweep >= steps.size:
+                break
+        end = start + steps.size
+        here = (node_pos > start) & (node_pos <= end)
+        node_modal[here] = a[node_pos[here] - start]
+        buffer[0] = a[-1]
+        start = end
 
     states = node_modal[1:]
-    deriv_modal = -lam * states + forcing_modal(states.T).T
+    flat = spectrum.lift(states.T)
+    deriv_modal = -lam * states + modal_forcing(spectrum, flat, flat, scale).T
     return MildTrajectory(grid, node_modal, deriv_modal)
 
 

@@ -246,6 +246,11 @@ class TestRunPipeline:
         assert all(r <= bound for r in summary["picard"]["ratios"])
         assert summary["oracle"][-1]["relative_sup_deviation"] <= 1e-3
         assert summary["picard"]["converged"] is True
+        # each dt's march lands on its multiples of dt and on the 20 graded nodes
+        nodes = 0.5 * (np.arange(21) / 20) ** 2
+        for entry, dt in zip(summary["oracle"], (0.01, 0.005)):
+            assert entry["steps"] == np.union1d(dt * np.arange(round(0.5 / dt) + 1), nodes).size - 1
+            assert entry["dt_lambda_max"] == dt * summary["spectrum"]["lambda_max"]
 
     def test_random_initial_data(self, tmp_path):
         out = tmp_path / "out"

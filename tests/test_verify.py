@@ -226,12 +226,20 @@ class TestBatchedAudit:
         assert pair_shapes == [(n3, 3 * n + 1)]
         shapes.clear()
         pair_shapes.clear()
-        dt = 0.05
+        dt = 0.005
         imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt)
-        # the oracle lands on every multiple of dt up to T = 0.5 and on every node
-        steps = np.union1d(dt * np.arange(11), grid.nodes).size - 1
+        # the oracle lands on every multiple of dt up to T = 0.5 and on every
+        # node; each sweep forces one window of its steps in one call
+        steps = np.union1d(dt * np.arange(101), grid.nodes).size - 1
+        window = mildflow.verify.WINDOW_STEPS
+        assert window < steps < 2 * window
         assert shapes == []
-        assert pair_shapes == [(n3,)] * steps + [(n3, n)]
+        first = pair_shapes.count((n3, window))
+        last = pair_shapes.count((n3, steps - window))
+        assert first >= 1 and last >= 1
+        assert pair_shapes == [(n3, window)] * first + [(n3, steps - window)] * last + [(n3, n)]
+        # the small data converge in a few sweeps, far from one call per step
+        assert first + last <= 10
 
     def test_oracle_node_derivatives(self, box4_spectrum, box4_hodge, small_u0, grid):
         oracle = imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, 0.05)
@@ -279,7 +287,61 @@ class TestRecoverPressure:
         assert np.linalg.norm(grad_p - complement) <= 1e-10 * np.linalg.norm(complement)
 
 
+def sequential_oracle(spectrum, u0, grid, dt):
+    """The exponential-Euler march step by step, sampled at the grid nodes."""
+    times = np.union1d(np.minimum(dt * np.arange(round(grid.horizon / dt) + 1), grid.horizon),
+                       grid.nodes)
+    lam = spectrum.eigenvalues
+    a = spectrum.project(u0.flat)
+    states = [a]
+    for h in np.diff(times):
+        decay = np.exp(-h * lam)
+        x = spectrum.lift(a)
+        a = decay * a + (1.0 - decay) / lam * modal_forcing(spectrum, x, x)
+        states.append(a)
+    return times, np.array(states)[np.searchsorted(times, grid.nodes)]
+
+
+def criterion_10_data(spectrum, hodge, amplitude):
+    modal = np.zeros(spectrum.dim)
+    modal[0], modal[3], modal[7] = 1.0, 0.6, -0.4
+    return hodge.lift(amplitude * spectrum.from_modal(modal / np.linalg.norm(modal)))
+
+
 class TestOracle:
+    @pytest.mark.parametrize("tolerance", [None, 0.0], ids=["stop_rule", "to_cap"])
+    @pytest.mark.parametrize("case", ["box4", "lmask"])
+    def test_matches_sequential_loop(self, monkeypatch, request, case, tolerance,
+                                     box4_spectrum, box4_hodge):
+        # 143 steps of 29 distinct lengths: windows end at step 64 on a node,
+        # at step 128 between nodes and at the horizon
+        if case == "box4":
+            spectrum, hodge = box4_spectrum, box4_hodge
+        else:
+            spectrum, hodge = request.getfixturevalue("lmask_case")[:2]
+        if tolerance is not None:  # every window sweeps until no bit moves
+            monkeypatch.setattr(mildflow.verify, "SWEEP_TOLERANCE", tolerance)
+        grid, dt = TimeGrid.graded(0.5, 20, 6), 0.004
+        u0 = criterion_10_data(spectrum, hodge, 3.0)
+        times, want = sequential_oracle(spectrum, u0, grid, dt)
+        window = mildflow.verify.WINDOW_STEPS
+        assert times.size - 1 > 2 * window
+        assert np.unique(np.diff(times)).size > 2
+        on_node = np.isin(times[window::window], grid.nodes)
+        assert on_node.any() and not on_node.all()
+        got = imex_oracle(spectrum, hodge, u0, grid, dt).samples
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_blow_up_raises_at_the_sequential_step(self, box4_spectrum, box4_hodge):
+        # criterion 10's data at amplitude 300: the sequential march passes
+        # the growth limit at t = 0.18; the sweeps that find that step meet
+        # iterates beyond the limit first, and none of them may overflow
+        u0 = criterion_10_data(box4_spectrum, box4_hodge, 300.0)
+        with pytest.raises(OracleInstabilityError,
+                           match=r"^oracle norm grew beyond 1e\+03 x initial at t=0\.18$"):
+            imex_oracle(box4_spectrum, box4_hodge, u0, TimeGrid.graded(0.5, 32, 6), 0.01)
+
     def test_linear_mode_exact(self, box4_spectrum, box4_hodge, small_u0, grid):
         oracle = imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, 0.05, scale=0.0)
         alpha = alpha_trajectory(box4_spectrum, small_u0, grid)
@@ -314,6 +376,13 @@ class TestOracle:
         )
         with pytest.raises(OracleInstabilityError):
             imex_oracle(box4_spectrum, box4_hodge, huge, grid, 0.05)
+
+    def test_non_finite_state_raises(self, box4_spectrum, box4_hodge, small_u0, grid):
+        # a NaN norm is not above the limit, but it is not within it either
+        u0 = VectorField.from_flat(box4_hodge.mask, small_u0.flat.copy())
+        u0.flat[0] = np.nan
+        with pytest.raises(OracleInstabilityError, match=f"at t={grid.nodes[1]:.3g}$"):
+            imex_oracle(box4_spectrum, box4_hodge, u0, grid, 0.05)
 
     def test_coarse_step_warns(self, box4_spectrum, box4_hodge, small_u0, grid):
         with pytest.warns(UserWarning, match="coarse"):
