@@ -141,10 +141,14 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
 
 
 def oracle_times(grid: TimeGrid, dt: float) -> np.ndarray:
-    """The times ``imex_oracle`` lands on: every multiple of dt below the
-    horizon, the horizon and every grid node, ascending."""
+    """The times ``imex_oracle`` lands on, ascending: every grid node and
+    every multiple of dt below the horizon more than 1e-9 dt from a node
+    (a closer one differs from that node by round-off)."""
     n_whole = int(np.ceil(grid.horizon / dt - 1e-12))
-    return np.union1d(np.minimum(dt * np.arange(n_whole + 1), grid.horizon), grid.nodes)
+    multiples = np.minimum(dt * np.arange(n_whole + 1), grid.horizon)
+    i = np.searchsorted(grid.nodes, multiples).clip(1, grid.nodes.size - 1)
+    gap = np.minimum(multiples - grid.nodes[i - 1], grid.nodes[i] - multiples)
+    return np.union1d(multiples[gap > 1e-9 * dt], grid.nodes)
 
 
 def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorField,

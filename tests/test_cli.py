@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -246,10 +247,13 @@ class TestRunPipeline:
         assert all(r <= bound for r in summary["picard"]["ratios"])
         assert summary["oracle"][-1]["relative_sup_deviation"] <= 1e-3
         assert summary["picard"]["converged"] is True
-        # each dt's march lands on its multiples of dt and on the 20 graded nodes
-        nodes = 0.5 * (np.arange(21) / 20) ** 2
+        # each dt's march lands on its multiples of dt and on the 20 graded
+        # nodes j^2 / 800, once where they coincide (65 and 110 steps)
+        nodes = {Fraction(j * j, 800) for j in range(21)}
         for entry, dt in zip(summary["oracle"], (0.01, 0.005)):
-            assert entry["steps"] == np.union1d(dt * np.arange(round(0.5 / dt) + 1), nodes).size - 1
+            per_unit = round(1 / dt)
+            times = nodes | {Fraction(k, per_unit) for k in range(per_unit // 2 + 1)}
+            assert entry["steps"] == len(times) - 1
             assert entry["dt_lambda_max"] == dt * summary["spectrum"]["lambda_max"]
 
     def test_random_initial_data(self, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mildflow.mild as mild_mod
 from mildflow import (
     GateUnreachableError,
     MildTrajectory,
@@ -13,10 +14,14 @@ from mildflow import (
     alpha_from_coords,
     alpha_trajectory,
     apply_semigroup,
+    assemble_stokes,
+    build_hodge,
+    build_operators,
     combine_trajectories,
     convolve_semigroup,
     estimate_phi_norm,
     et_norm,
+    load_mask,
     modal_forcing,
     phi,
     picard_solve,
@@ -24,6 +29,7 @@ from mildflow import (
     smallness_gate,
     zero_trajectory,
 )
+from conftest import mask_path
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +313,6 @@ class TestPhi:
     def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
         # node-pair forcings of the values only, whatever the quadrature:
         # one advection on the 3N + 1 node pairs for u is v, two otherwise
-        import mildflow.mild as mild_mod
-
         columns = []
         real_advect = mild_mod.advect_flat
 
@@ -418,8 +422,6 @@ class TestPhi:
     def test_independent_of_quad_order(self, box4_spectrum, box4_hodge, monkeypatch):
         # the quadrature order only sets the reference quadrature; Phi
         # never builds a panel
-        import mildflow.mild as mild_mod
-
         def no_panels(*args):
             raise AssertionError("phi used the panel quadrature")
 
@@ -456,6 +458,36 @@ class TestPhiNormEstimate:
         a = estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=3, seed=12)
         b = estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=3, seed=12)
         assert a == b
+
+    def test_reaches_the_constant_ground_mode(self, box4_spectrum, box4_hodge, grid):
+        # criterion 11's settings: the time-constant ground mode scores 8.8913e-3
+        assert estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=4242) >= 8.89e-3
+
+    def test_one_self_advection_per_trial(self, box4_spectrum, box4_hodge, grid, monkeypatch):
+        columns = []
+        real_advect = mild_mod.advect_flat
+
+        def counting_advect(ops, xu, xv):
+            columns.append(xu.shape[1])
+            return real_advect(ops, xu, xv)
+
+        monkeypatch.setattr(mild_mod, "advect_flat", counting_advect)
+        estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=4242)
+        assert columns == [3 * grid.segments + 1] * 4
+
+    @pytest.mark.parametrize("source, silent", [
+        (mask_path("lshape_3x3x1"), slice(0, 1)),
+        ("mask v1\n7 1 1 1.0\n1111111\n", slice(None)),
+    ], ids=["lshape", "chain"])
+    def test_positive_where_unit_modes_have_no_forcing(self, source, silent, grid):
+        # the silent unit modes have a zero self-forcing: the ground mode on
+        # the L-shape and all 15 modes on the chain of 7 cells
+        hodge = build_hodge(build_operators(load_mask(source)))
+        spectrum = assemble_stokes(hodge)
+        x = spectrum.lift(np.eye(spectrum.dim))
+        assert not modal_forcing(spectrum, x, x)[:, silent].any()
+        assert estimate_phi_norm(spectrum, hodge, grid, trials=1, seed=4242) == 0.0
+        assert estimate_phi_norm(spectrum, hodge, grid, trials=4, seed=4242) > 0.0
 
     def test_horizon_insensitivity(self, box4_spectrum, box4_hodge, grid):
         # the continuum operator norm does not depend on the horizon; the
@@ -526,8 +558,8 @@ class TestShrinkHorizon:
     def test_exhausted_schedule_reports_best(self, box4_spectrum, grid):
         u0 = _mode_field(box4_spectrum, 0, 1e6)
         with pytest.raises(GateUnreachableError) as info:
-            shrink_horizon(box4_spectrum, u0, 2.0, grid, [1e-6], max_halvings=4)
-        assert len(info.value.attempts) == 4
+            shrink_horizon(box4_spectrum, u0, 2.0, grid, [1e-6])
+        assert len(info.value.attempts) == mild_mod.MAX_HALVINGS
         assert info.value.best is not None
 
 
@@ -581,8 +613,6 @@ class TestPicard:
         assert hi <= 5.0 * max(lo, 1e-16)
 
     def test_one_phi_call_per_iteration(self, box4_spectrum, box4_hodge, grid, monkeypatch):
-        import mildflow.mild as mild_mod
-
         calls = []
         real_phi = mild_mod.phi
 

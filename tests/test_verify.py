@@ -22,6 +22,7 @@ from mildflow import (
 )
 from mildflow.convection import advect_flat
 from mildflow.domain import vector_lp_norm
+from mildflow.verify import oracle_times
 from conftest import random_scalar_values, random_vector_field
 
 
@@ -230,7 +231,7 @@ class TestBatchedAudit:
         imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt)
         # the oracle lands on every multiple of dt up to T = 0.5 and on every
         # node; each sweep forces one window of its steps in one call
-        steps = np.union1d(dt * np.arange(101), grid.nodes).size - 1
+        steps = oracle_times(grid, dt).size - 1
         window = mildflow.verify.WINDOW_STEPS
         assert window < steps < 2 * window
         assert shapes == []
@@ -289,8 +290,7 @@ class TestRecoverPressure:
 
 def sequential_oracle(spectrum, u0, grid, dt):
     """The exponential-Euler march step by step, sampled at the grid nodes."""
-    times = np.union1d(np.minimum(dt * np.arange(round(grid.horizon / dt) + 1), grid.horizon),
-                       grid.nodes)
+    times = oracle_times(grid, dt)
     lam = spectrum.eigenvalues
     a = spectrum.project(u0.flat)
     states = [a]
@@ -313,7 +313,7 @@ class TestOracle:
     @pytest.mark.parametrize("case", ["box4", "lmask"])
     def test_matches_sequential_loop(self, monkeypatch, request, case, tolerance,
                                      box4_spectrum, box4_hodge):
-        # 143 steps of 29 distinct lengths: windows end at step 64 on a node,
+        # 141 steps of 43 distinct lengths: windows end at step 64 on a node,
         # at step 128 between nodes and at the horizon
         if case == "box4":
             spectrum, hodge = box4_spectrum, box4_hodge
@@ -321,7 +321,7 @@ class TestOracle:
             spectrum, hodge = request.getfixturevalue("lmask_case")[:2]
         if tolerance is not None:  # every window sweeps until no bit moves
             monkeypatch.setattr(mildflow.verify, "SWEEP_TOLERANCE", tolerance)
-        grid, dt = TimeGrid.graded(0.5, 20, 6), 0.004
+        grid, dt = TimeGrid.graded(0.5, 20, 6), 0.0041
         u0 = criterion_10_data(spectrum, hodge, 3.0)
         times, want = sequential_oracle(spectrum, u0, grid, dt)
         window = mildflow.verify.WINDOW_STEPS
@@ -331,6 +331,17 @@ class TestOracle:
         assert on_node.any() and not on_node.all()
         got = imex_oracle(spectrum, hodge, u0, grid, dt).samples
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005, 0.0025])
+    def test_times_merge_round_off_into_nodes(self, dt):
+        # on criterion 11's grid, t_j = j^2 / 800, some multiples of dt are
+        # nodes up to round-off; each must be one time, not two a sliver apart
+        grid = TimeGrid.graded(0.5, 20, 6)
+        times = oracle_times(grid, dt)
+        assert np.isin(grid.nodes, times).all()
+        assert np.diff(times).min() >= 1e-9 * dt
+        multiples = dt * np.arange(round(grid.horizon / dt) + 1)
+        assert np.abs(multiples[:, None] - times).min(axis=1).max() <= 1e-9 * dt
 
     @pytest.mark.filterwarnings("error")
     def test_blow_up_raises_at_the_sequential_step(self, box4_spectrum, box4_hodge):
