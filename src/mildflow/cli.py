@@ -55,6 +55,7 @@ from .mild import (
     estimate_phi_norm,
     et_norm,
     et_terms,
+    modal_forcing,
     picard_solve,
     shrink_horizon,
     smallness_gate,
@@ -85,8 +86,8 @@ _CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "seed
                 "nonlinearity_scale", *_SECTION_KEYS}
 #: Most oracle steps one ``oracle.dts`` entry may take (``horizon / dt``).
 MAX_ORACLE_STEPS = 10**6
-#: Most time-grid segments N.  Phi's kernel operands hold 3n rows and 3N + 1
-#: columns: one is 1,536 x 30,001 doubles, 369 MB, on an 8^3 box at N = 10^4.
+#: Most time-grid segments N.  Phi's kernel operands hold 3n rows and up to
+#: N + 1 columns: one is 1,536 x 10,001 doubles, 123 MB, on an 8^3 box at N = 10^4.
 MAX_SEGMENTS = 10**4
 
 
@@ -325,8 +326,9 @@ def run_experiment(config: ExperimentConfig) -> int:
     except SpectrumError as exc:
         return fail("spectrum", exc, EXIT_SPECTRUM)
     # the iteration runs with scale * Phi, so the gate must guard that norm;
-    # a zero norm (scale 0, or a domain without convective coupling) is the
-    # linear mode, which contracts unconditionally
+    # a zero norm (scale 0, or a domain without convective coupling, where a
+    # seeded random field has a zero self-forcing) is the linear mode, which
+    # contracts unconditionally
     phi_gate = config.gate_safety * config.nonlinearity_scale * phi_hat
     linear_mode = phi_gate == 0.0
     alpha = alpha_trajectory(spectrum, u0, grid)
@@ -334,6 +336,12 @@ def run_experiment(config: ExperimentConfig) -> int:
     if not math.isfinite(alpha_norms.total):
         exc = SpectrumError(f"||alpha|| is the non-finite {alpha_norms.total}")
         return fail("spectrum", exc, EXIT_SPECTRUM)
+    if config.nonlinearity_scale > 0.0 and phi_hat == 0.0:
+        x = spectrum.lift(np.random.default_rng(config.seed).standard_normal(spectrum.dim))
+        if modal_forcing(spectrum, x, x).any():
+            exc = SpectrumError(f"the ||Phi|| probe read 0 on a domain with convective coupling; "
+                                f"raise phi_norm.trials (now {config.phi_trials})")
+            return fail("spectrum", exc, EXIT_SPECTRUM)
     gate_ok = linear_mode or smallness_gate(alpha_norms, phi_gate)
     summary["phi_norm"] = {"estimate": phi_hat, "safety_factor": config.gate_safety,
                            "gate_value": phi_gate}

@@ -48,7 +48,7 @@ kernel, ``modal_forcing``, which lifts nothing: it takes ambient fields
 and projects with ``spectrum.project``.  Phi sees only the piecewise-linear
 interpolants of the node samples, so on each grid interval f is an exact
 quadratic in the node-pair forcings B(u_i, v_i), B(u_i, v_{i+1}) and
-B(u_{i+1}, v_i), from one kernel call per Phi call (one advection if u is v).
+B(u_{i+1}, v_i), each distinct pair forced once (one cross pair if u is v).
 """
 
 from __future__ import annotations
@@ -300,42 +300,38 @@ def convolve_semigroup(spectrum: StokesSpectrum, grid: TimeGrid, forcing_modal,
 
 
 def modal_forcing(spectrum: StokesSpectrum, xa: np.ndarray, xb: np.ndarray,
-                  scale: float = 1.0, swap=None) -> np.ndarray:
+                  scale: float = 1.0) -> np.ndarray:
     """Projected convective forcing -scale/2 Y^T ((a.grad)b + (b.grad)a), column-wise.
 
     ``xa`` and ``xb`` are ambient fields of shape (3n,) or (3n, k), one
     sample per column, and Y the eigenfields; the result holds the
     Stokes-modal coordinates of the forcing, shape (m,) or (m, k).  It is
     bilinear and symmetric in (a, b), and its lift Y f is orthogonal to
-    every discrete gradient.  It advects once, with the same bits, where
-    (b.grad)a is known: for ``xa is xb`` it is (a.grad)b, and for a column
-    involution ``swap`` with xb = xa[:, swap] it is (a.grad)b[:, swap].
+    every discrete gradient.  It advects once for ``xa is xb``.
     """
     ops = spectrum.hodge.ops
     raw = advect_flat(ops, xa, xb)
-    raw += raw if xa is xb else raw[:, swap] if swap is not None else advect_flat(ops, xb, xa)
+    raw += raw if xa is xb else advect_flat(ops, xb, xa)
     return -0.5 * scale * spectrum.project(raw)
 
 
-def _node_pair_forcings(spectrum: StokesSpectrum, a: np.ndarray, b: np.ndarray,
-                        scale: float):
+def _node_pair_forcings(spectrum: StokesSpectrum, a: np.ndarray, b: np.ndarray, scale: float):
     """Node-pair forcings of B(a, b) over the lifted node sequences a and b,
     each (3n, N+1).
 
     Returns the rows ``diag[i] = B(a_i, b_i)``, shape (N+1, m), and
-    ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m), from one
-    kernel call on the 3N+1 node pairs (for ``a is b`` swapping the two
-    cross blocks mirrors each pair, so one advection).  Between nodes a
-    and b are linear, so on [t_i, t_{i+1}] at weight w the bilinear B is
-    the exact quadratic
+    ``cross[i] = B(a_i, b_{i+1}) + B(a_{i+1}, b_i)``, shape (N, m); for
+    ``a is b`` that is 2 B(a_i, a_{i+1}), so 2N + 1 columns are projected,
+    not 3N + 1.  Between nodes a and b are linear, so on [t_i, t_{i+1}] at
+    weight w the bilinear B is the exact quadratic
 
         (1-w)^2 diag[i] + w(1-w) cross[i] + w^2 diag[i+1].
     """
-    k = a.shape[1]
-    swap = np.r_[:k, 2 * k - 1:3 * k - 2, k:2 * k - 1] if a is b else None
-    f = modal_forcing(spectrum, np.hstack([a, a[:, :-1], a[:, 1:]]),
-                      np.hstack([b, b[:, 1:], b[:, :-1]]), scale, swap).T
-    return f[:k], f[k:2 * k - 1] + f[2 * k - 1:]
+    diag = modal_forcing(spectrum, a, b, scale).T
+    if a is b:
+        return diag, modal_forcing(spectrum, a[:, :-1], a[:, 1:], 2.0 * scale).T
+    return diag, (modal_forcing(spectrum, a[:, :-1], b[:, 1:], scale)
+                  + modal_forcing(spectrum, a[:, 1:], b[:, :-1], scale)).T
 
 
 # nu_2(z) = sum_n (-z)^n / (n! (n + 3)) below _SERIES_BELOW; its 22 terms
@@ -432,9 +428,10 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
     """Randomized lower bound on ||Phi|| = sup ||Phi(u,v)|| / (||u|| ||v||).
 
     Each trial scores ||Phi(u, u)|| / ||u||^2 on one time-constant
-    trajectory u(t) = a / |a| (derivative samples 0): one lift and one
-    advection on ``phi``'s self path.  On every mask tried this scored at
-    least the semigroup orbit of a, up to 5x more.  Trial 0 is the ground
+    trajectory u(t) = a / |a|, whose forcing f = B(u, u) is constant: per
+    mode Phi(u, u) has the values (1 - e^{-t lambda}) / lambda f and the
+    derivatives e^{-t lambda} f, from one single-column kernel call
+    (``phi`` is not called and ``hodge`` not read).  Trial 0 is the ground
     mode; later draws cycle through randomly damped broadband, single-mode
     and sparse-pair profiles, which degenerate masks need (on a chain of
     cells no unit mode has a self-forcing).  Deterministic given the seed,
@@ -446,6 +443,7 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
     rng = np.random.default_rng(seed)
     lam = spectrum.eigenvalues
     m = lam.size
+    t_lam = np.outer(grid.nodes, lam)
     best = 0.0
     for trial in range(trials):
         modal = np.zeros(m)
@@ -457,9 +455,11 @@ def estimate_phi_norm(spectrum: StokesSpectrum, hodge: HodgeDecomposition, grid:
             modal[rng.integers(m)] = 1.0
         else:
             modal[rng.integers(m, size=2)] = rng.standard_normal(2)
-        samples = np.tile(modal / np.linalg.norm(modal), (grid.nodes.size, 1))
-        u = MildTrajectory(grid, samples, np.zeros((grid.segments, m)))
-        image = phi(spectrum, hodge, u, u)
+        modal /= np.linalg.norm(modal)
+        x = spectrum.lift(modal)
+        f = modal_forcing(spectrum, x, x)
+        u = MildTrajectory(grid, np.tile(modal, (grid.nodes.size, 1)), np.zeros((grid.segments, m)))
+        image = MildTrajectory(grid, -np.expm1(-t_lam) / lam * f, np.exp(-t_lam[1:]) * f)
         ratio = et_norm(spectrum, image).total / et_norm(spectrum, u).total ** 2
         if not np.isfinite(ratio):
             raise SpectrumError(f"||Phi|| probe trial {trial} gave the non-finite ratio {ratio}")

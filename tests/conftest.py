@@ -50,6 +50,27 @@ def lmask_hodge(lmask):
     return build_hodge(build_operators(lmask))
 
 
+@pytest.fixture
+def column_counts(monkeypatch):
+    """``column_counts(owner, name)`` wraps ``owner.name`` for one test and
+    returns the column count of each of its calls, in call order: k for a
+    (rows, k) batch and 1 for a single field or sample, read off the first
+    array argument (``xu`` of ``advect_flat``)."""
+
+    def watch(owner, name):
+        real, columns = getattr(owner, name), []
+
+        def counting(*args, **kwargs):
+            x = next(arg for arg in args if isinstance(arg, np.ndarray))
+            columns.append(1 if x.ndim == 1 else x.shape[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return columns
+
+    return watch
+
+
 def random_vector_field(mask, rng) -> VectorField:
     return VectorField(mask, rng.standard_normal((3, mask.n_cells)))
 

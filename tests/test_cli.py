@@ -340,6 +340,18 @@ class TestRunPipeline:
         assert summary["gate"]["threshold"] is None
         assert summary["picard"]["converged"] is True
 
+    def test_zero_probe_with_coupling_is_spectrum_error(self, tmp_path):
+        # on the L-shape one probe trial, the ground mode, has a zero
+        # self-forcing, but the domain is coupled: no linear mode
+        out = tmp_path / "out"
+        cfg = base_config(out, mask=mask_path("lshape_3x3x1"), seed=4242,
+                          phi_norm={"trials": 1},
+                          initial_data={"kind": "random", "amplitude": 50.0, "seed": 7})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_SPECTRUM
+        failure = read_summary(out)["failure"]
+        assert failure["stage"] == "spectrum"
+        assert "phi_norm.trials" in failure["message"]
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_a = base_config(tmp_path / "a", oracle={"dts": [0.02]})
         cfg_b = base_config(tmp_path / "b", oracle={"dts": [0.02]})

@@ -1,5 +1,7 @@
 """Trajectory space, semigroup convolution, smallness gate, Picard iteration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from mildflow import (
     zero_trajectory,
 )
 from conftest import mask_path
+
+BOX4 = Path(mask_path("box4")).read_text()
 
 
 @pytest.fixture(scope="module")
@@ -309,51 +313,49 @@ class TestPhi:
                              _node_pair_forcings(spectrum, a, a.copy(), 0.7)):
             assert np.array_equal(got, want)
 
+    def test_self_pair_projects_each_distinct_pair_once(self, box4_spectrum, grid,
+                                                        column_counts):
+        # for a is b the cross pairs (a_i, a_{i+1}) and (a_{i+1}, a_i) are
+        # one: 2N + 1 projected columns, not 3N + 1
+        rng = np.random.default_rng(23)
+        a = box4_spectrum.lift(rng.standard_normal((box4_spectrum.dim, grid.nodes.size)))
+        projections = column_counts(box4_spectrum, "project")
+        mild_mod._node_pair_forcings(box4_spectrum, a, a, 0.7)
+        assert sum(projections) == 2 * grid.segments + 1
+
     @pytest.mark.parametrize("order", [2, 8])
-    def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, monkeypatch):
+    def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, column_counts):
         # node-pair forcings of the values only, whatever the quadrature:
-        # one advection on the 3N + 1 node pairs for u is v, two otherwise
-        columns = []
-        real_advect = mild_mod.advect_flat
-
-        def counting_advect(ops, xu, xv):
-            columns.append(xu.shape[1])
-            return real_advect(ops, xu, xv)
-
-        monkeypatch.setattr(mild_mod, "advect_flat", counting_advect)
+        # for u is v one advection of the N + 1 node samples and both orders
+        # of the N neighbour pairs (3N + 1 columns); otherwise both orders
+        # of every pair (6N + 2)
+        columns = column_counts(mild_mod, "advect_flat")
         segments = 20
         grid = TimeGrid.graded(0.5, segments, order)
         rng = np.random.default_rng(13)
         u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
                 for _ in range(2))
         phi(box4_spectrum, box4_hodge, u, u)
-        assert columns == [3 * segments + 1]
+        assert columns == [segments + 1, segments, segments]
         columns.clear()
         phi(box4_spectrum, box4_hodge, u, v)
-        assert columns == [3 * segments + 1] * 2
+        assert columns == [segments + 1] * 2 + [segments] * 4
 
-    def test_one_lift_and_one_projection_per_phi_call(self, box4_spectrum, box4_hodge, grid,
-                                                      monkeypatch):
-        # Phi lifts the value samples only, once for u is v, and projects its
-        # forcing once; the inputs' derivative samples do not enter it
+    def test_one_lift_per_phi_call(self, box4_spectrum, box4_hodge, grid, column_counts):
+        # Phi lifts the value samples only, in one call and once for u is v;
+        # the inputs' derivative samples do not enter it
         rng = np.random.default_rng(17)
         u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
                 for _ in range(2))
-        calls = []
-        for name in ("lift", "project"):
-            real = getattr(box4_spectrum, name)
-
-            def counting(x, name=name, real=real):
-                calls.append((name, x.shape[1]))
-                return real(x)
-
-            monkeypatch.setattr(box4_spectrum, name, counting)
-        n_nodes, pairs = grid.nodes.size, 3 * grid.segments + 1
+        lifts = column_counts(box4_spectrum, "lift")
+        projections = column_counts(box4_spectrum, "project")
+        n_nodes, n = grid.nodes.size, grid.segments
         image = phi(box4_spectrum, box4_hodge, u, u)
-        assert calls == [("lift", n_nodes), ("project", pairs)]
-        calls.clear()
+        assert (lifts, projections) == ([n_nodes], [n_nodes, n])
+        lifts.clear()
+        projections.clear()
         phi(box4_spectrum, box4_hodge, u, v)
-        assert calls == [("lift", 2 * n_nodes), ("project", pairs)]
+        assert (lifts, projections) == ([2 * n_nodes], [n_nodes, n, n])
         other = MildTrajectory(grid, u.samples, rng.standard_normal(u.derivative_samples.shape))
         again = phi(box4_spectrum, box4_hodge, other, other)
         assert np.array_equal(again.samples, image.samples)
@@ -463,17 +465,58 @@ class TestPhiNormEstimate:
         # criterion 11's settings: the time-constant ground mode scores 8.8913e-3
         assert estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=4242) >= 8.89e-3
 
-    def test_one_self_advection_per_trial(self, box4_spectrum, box4_hodge, grid, monkeypatch):
-        columns = []
-        real_advect = mild_mod.advect_flat
-
-        def counting_advect(ops, xu, xv):
-            columns.append(xu.shape[1])
-            return real_advect(ops, xu, xv)
-
-        monkeypatch.setattr(mild_mod, "advect_flat", counting_advect)
+    def test_one_self_advection_per_trial(self, box4_spectrum, box4_hodge, grid, column_counts):
+        # the forcing of a time-constant trajectory is one field's
+        columns = column_counts(mild_mod, "advect_flat")
         estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=4242)
-        assert columns == [3 * grid.segments + 1] * 4
+        assert columns == [1] * 4
+
+    def test_never_calls_phi(self, box4_spectrum, box4_hodge, grid, column_counts,
+                             monkeypatch):
+        # each trial forces its one constant field: one single-column
+        # lift and projection, and Phi in closed form
+        def no_phi(*args, **kwargs):
+            raise AssertionError("the probe called phi")
+
+        monkeypatch.setattr(mild_mod, "phi", no_phi)
+        lifts = column_counts(box4_spectrum, "lift")
+        projections = column_counts(box4_spectrum, "project")
+        assert estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=4242) > 0.0
+        assert lifts == projections == [1] * 4
+
+    @pytest.mark.parametrize("source, spacing", [
+        (mask_path("box4"), 1.0),
+        (mask_path("lshape_3x3x1"), 1.0),
+        ("mask v1\n7 1 1 1.0\n1111111\n", 1.0),
+        (BOX4.replace("4 4 4 1.0", "4 4 4 1e-6"), 1e-6),
+        (BOX4.replace("4 4 4 1.0", "4 4 4 1e6"), 1e6),
+    ], ids=["box4", "lshape", "chain", "box4_h1e-6", "box4_h1e6"])
+    def test_closed_form_matches_phi(self, source, spacing, grid, monkeypatch):
+        # every trial's ratio equals the one Phi gives on the tiled constant
+        # trajectory; the probe passes each trial's image, then its input,
+        # to et_norm.  The horizon scales with spacing^2, which keeps
+        # lambda t: at lambda t >> 1 Phi's derivative f - lambda Phi is
+        # round-off of f where the closed form e^{-t lambda} f is exact
+        hodge = build_hodge(build_operators(load_mask(source)))
+        spectrum = assemble_stokes(hodge)
+        grid = grid.scaled(grid.horizon * spacing**2)
+        seen = []
+
+        def recording(spectrum, traj):
+            seen.append(traj)
+            return et_norm(spectrum, traj)
+
+        monkeypatch.setattr(mild_mod, "et_norm", recording)
+        best = estimate_phi_norm(spectrum, hodge, grid, trials=7, seed=4242)
+        assert len(seen) == 14
+        ratios = []
+        for image, u in zip(seen[::2], seen[1::2]):
+            assert not u.derivative_samples.any() and (u.samples == u.samples[0]).all()
+            norm_u = et_norm(spectrum, u).total
+            ratios.append(et_norm(spectrum, image).total / norm_u**2)
+            want = et_norm(spectrum, phi(spectrum, hodge, u, u)).total / norm_u**2
+            assert ratios[-1] == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert best == max(ratios) > 0.0
 
     @pytest.mark.parametrize("source, silent", [
         (mask_path("lshape_3x3x1"), slice(0, 1)),

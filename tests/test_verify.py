@@ -201,32 +201,23 @@ class TestBatchedAudit:
                                    atol=1e-12 * np.abs(ref_pressures).max())
         np.testing.assert_allclose(report.times, times, rtol=1e-15, atol=0)
 
-    def test_advection_calls(self, monkeypatch, box4_spectrum, box4_hodge, box4_ops,
+    def test_advection_calls(self, column_counts, box4_spectrum, box4_hodge, box4_ops,
                              small_u0, small_solution, grid):
         # the audit takes one batched advection over the nodes and the
-        # midpoints, plus the self-pair node forcings' one over the 3N + 1
-        # node pairs; the oracle advects only through the kernel, once per
-        # step and once for the node derivatives
+        # midpoints, plus the self-pair node forcings': one over the N + 1
+        # nodes and both orders of the N neighbour pairs; the oracle advects
+        # only through the kernel, once per step and once for the node
+        # derivatives
         import mildflow.mild
 
-        shapes, pair_shapes = [], []
-
-        def counting(ops, xu, xv):
-            shapes.append(xu.shape)
-            return advect_flat(ops, xu, xv)
-
-        def counting_pairs(ops, xu, xv):
-            pair_shapes.append(xu.shape)
-            return advect_flat(ops, xu, xv)
-
-        monkeypatch.setattr(mildflow.verify, "advect_flat", counting)
-        monkeypatch.setattr(mildflow.mild, "advect_flat", counting_pairs)
-        n3, n = 3 * box4_ops.mask.n_cells, grid.segments
+        audit_columns = column_counts(mildflow.verify, "advect_flat")
+        kernel_columns = column_counts(mildflow.mild, "advect_flat")
+        n = grid.segments
         strong_residual(box4_spectrum, box4_hodge, box4_ops, small_solution, small_u0)
-        assert shapes == [(n3, 2 * n)]
-        assert pair_shapes == [(n3, 3 * n + 1)]
-        shapes.clear()
-        pair_shapes.clear()
+        assert audit_columns == [2 * n]
+        assert kernel_columns == [n + 1, n, n]
+        audit_columns.clear()
+        kernel_columns.clear()
         dt = 0.005
         imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt)
         # the oracle lands on every multiple of dt up to T = 0.5 and on every
@@ -234,11 +225,11 @@ class TestBatchedAudit:
         steps = oracle_times(grid, dt).size - 1
         window = mildflow.verify.WINDOW_STEPS
         assert window < steps < 2 * window
-        assert shapes == []
-        first = pair_shapes.count((n3, window))
-        last = pair_shapes.count((n3, steps - window))
+        assert audit_columns == []
+        first = kernel_columns.count(window)
+        last = kernel_columns.count(steps - window)
         assert first >= 1 and last >= 1
-        assert pair_shapes == [(n3, window)] * first + [(n3, steps - window)] * last + [(n3, n)]
+        assert kernel_columns == [window] * first + [steps - window] * last + [n]
         # the small data converge in a few sweeps, far from one call per step
         assert first + last <= 10
 
