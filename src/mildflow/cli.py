@@ -13,10 +13,8 @@ and emits three machine-readable files into the output directory:
 * ``iterations.csv``  the per-iterate fixed-point log.
 
 ``validate`` parses a config without running; ``mask-info`` inspects a
-mask file.  Exit codes: 0 ok, 2 config error, 3 mask error, 4 smallness
-gate unreachable, 5 fixed-point divergence or no convergence within
-``picard.max_iterations``, 6 oracle failure, 7 inconsistent Hodge or
-Stokes decomposition.
+mask file.  Exit codes: 0 ok, 2 config error; a failing stage exits with
+the code that ``_FAILURES`` gives its exception type.
 
 The config is YAML (keys documented in the README; any other key is a
 config error); a seed is mandatory so reruns at the same BLAS thread
@@ -70,6 +68,19 @@ EXIT_GATE = 4
 EXIT_PICARD = 5
 EXIT_ORACLE = 6
 EXIT_SPECTRUM = 7
+
+# The stage and exit code of each exception a run reports.  OSError is here
+# because ``load_mask`` is the one stage that reads a file; the outputs are
+# written outside the handler, so a failed write is never a mask error.
+_FAILURES = {
+    MaskError: ("mask", EXIT_MASK),
+    OSError: ("mask", EXIT_MASK),
+    SpectrumError: ("spectrum", EXIT_SPECTRUM),
+    ConfigError: ("initial_data", EXIT_CONFIG),
+    GateUnreachableError: ("gate", EXIT_GATE),
+    PicardDivergenceError: ("picard", EXIT_PICARD),
+    OracleInstabilityError: ("oracle", EXIT_ORACLE),
+}
 
 _FLOAT_FMT = "%.17g"
 
@@ -270,7 +281,11 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run the pipeline; write summary/norms/iterations files; return exit code."""
+    """Run the pipeline; write summary/norms/iterations files; return exit code.
+
+    A failing stage raises; ``_FAILURES`` gives its stage name and exit
+    code, and the partial ``summary.json`` keeps what earlier stages found.
+    """
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,31 +297,29 @@ def run_experiment(config: ExperimentConfig) -> int:
         "config": config.raw,
         "status": "ok",
     }
-
-    def fail(stage, exc, code):
+    try:
+        spectrum, traj, log = _run_stages(config, summary)
+    except tuple(_FAILURES) as exc:
+        stage, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
         summary["status"] = "failed"
         summary["failure"] = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
         _write_summary(out_dir, summary)
         return code
+    _write_summary(out_dir, summary)
+    _write_norms_csv(out_dir / "norms.csv", spectrum, traj)
+    _write_iterations_csv(out_dir / "iterations.csv", log)
+    return EXIT_OK
 
-    try:
-        mask = load_mask(config.mask_path)
-    except MaskError as exc:
-        return fail("mask", exc, EXIT_MASK)
-    except OSError as exc:
-        return fail("mask", exc, EXIT_MASK)
 
+def _run_stages(config: ExperimentConfig, summary: dict):
+    """The pipeline in stage order, recording into ``summary`` as it goes;
+    returns the spectrum, the solution trajectory and its iteration log."""
+    mask = load_mask(config.mask_path)
     ops = build_operators(mask)
-    summary["domain"] = {
-        "dims": list(mask.dims),
-        "spacing": mask.spacing,
-        "cells": mask.n_cells,
-    }
-    try:
-        hodge = build_hodge(ops)
-        spectrum = assemble_stokes(hodge)
-    except SpectrumError as exc:
-        return fail("spectrum", exc, EXIT_SPECTRUM)
+    summary["domain"] = {"dims": list(mask.dims), "spacing": mask.spacing,
+                         "cells": mask.n_cells}
+    hodge = build_hodge(ops)
+    spectrum = assemble_stokes(hodge)
     summary["domain"].update(hodge_dim=hodge.dim, gradient_rank=hodge.grad_rank)
     summary["spectrum"] = {
         "dim": spectrum.dim,
@@ -315,16 +328,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         "margins": {**hodge.margins, **spectrum.margins},
     }
 
-    try:
-        u0 = _build_initial_data(config, spectrum, hodge)
-    except ConfigError as exc:
-        return fail("initial_data", exc, EXIT_CONFIG)
-
+    u0 = _build_initial_data(config, spectrum, hodge)
     grid = TimeGrid.graded(config.horizon, config.segments, config.quad_order)
-    try:
-        phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
-    except SpectrumError as exc:
-        return fail("spectrum", exc, EXIT_SPECTRUM)
+    phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
     # the iteration runs with scale * Phi, so the gate must guard that norm;
     # a zero norm (scale 0, or a domain without convective coupling, where a
     # seeded random field has a zero self-forcing) is the linear mode, which
@@ -334,14 +340,12 @@ def run_experiment(config: ExperimentConfig) -> int:
     alpha = alpha_trajectory(spectrum, u0, grid)
     alpha_norms = et_norm(spectrum, alpha)
     if not math.isfinite(alpha_norms.total):
-        exc = SpectrumError(f"||alpha|| is the non-finite {alpha_norms.total}")
-        return fail("spectrum", exc, EXIT_SPECTRUM)
+        raise SpectrumError(f"||alpha|| is the non-finite {alpha_norms.total}")
     if config.nonlinearity_scale > 0.0 and phi_hat == 0.0:
         x = spectrum.lift(np.random.default_rng(config.seed).standard_normal(spectrum.dim))
         if modal_forcing(spectrum, x, x).any():
-            exc = SpectrumError(f"the ||Phi|| probe read 0 on a domain with convective coupling; "
+            raise SpectrumError(f"the ||Phi|| probe read 0 on a domain with convective coupling; "
                                 f"raise phi_norm.trials (now {config.phi_trials})")
-            return fail("spectrum", exc, EXIT_SPECTRUM)
     gate_ok = linear_mode or smallness_gate(alpha_norms, phi_gate)
     summary["phi_norm"] = {"estimate": phi_hat, "safety_factor": config.gate_safety,
                            "gate_value": phi_gate}
@@ -354,11 +358,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         try:
             shrunk = shrink_horizon(spectrum, u0, phi_gate, grid, config.eps_schedule)
         except GateUnreachableError as exc:
-            summary["gate"]["shrink"] = {
-                "passed": False,
-                "attempts": [vars(a) for a in exc.attempts],
-            }
-            return fail("gate", exc, EXIT_GATE)
+            summary["gate"]["shrink"] = {"passed": False,
+                                         "attempts": [vars(a) for a in exc.attempts]}
+            raise
         shrink_attempts = shrunk.attempts
         summary["gate"]["shrink"] = {
             "passed": True,
@@ -381,14 +383,13 @@ def run_experiment(config: ExperimentConfig) -> int:
     except PicardDivergenceError as exc:
         if exc.log is not None:
             summary["picard"] = _picard_summary(exc.log, shrink_attempts)
-        return fail("picard", exc, EXIT_PICARD)
+        raise
     summary["picard"] = _picard_summary(log, shrink_attempts)
     if not log.converged:
-        exc = PicardDivergenceError(
+        raise PicardDivergenceError(
             f"no convergence to tol {config.picard_tol:g} in {log.iterations} iterations "
             f"(last distance {log.distances[-1]:.3e})"
         )
-        return fail("picard", exc, EXIT_PICARD)
 
     report = strong_residual(spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
     balances = energy_audit(spectrum, ops, traj)
@@ -404,27 +405,18 @@ def run_experiment(config: ExperimentConfig) -> int:
         "max_convective_l32_weighted": float(report.convective_l32.max()),
     }
 
-    oracle_results = []
+    summary["oracle"] = []
     for dt in config.oracle_dts:
-        try:
-            oracle = imex_oracle(spectrum, hodge, u0, grid, dt, config.nonlinearity_scale)
-        except OracleInstabilityError as exc:
-            summary["oracle"] = oracle_results
-            return fail("oracle", exc, EXIT_ORACLE)
+        oracle = imex_oracle(spectrum, hodge, u0, grid, dt, config.nonlinearity_scale)
         dev = np.linalg.norm(oracle.samples - traj.samples, axis=1).max()
         ref = max(np.linalg.norm(traj.samples, axis=1).max(), np.finfo(float).tiny)
-        oracle_results.append({
+        summary["oracle"].append({
             "dt": dt,
             "steps": oracle_times(grid, dt).size - 1,
             "dt_lambda_max": float(dt * spectrum.eigenvalues[-1]),
             "relative_sup_deviation": float(dev / ref),
         })
-    summary["oracle"] = oracle_results
-
-    _write_summary(out_dir, summary)
-    _write_norms_csv(out_dir / "norms.csv", spectrum, traj)
-    _write_iterations_csv(out_dir / "iterations.csv", log)
-    return EXIT_OK
+    return spectrum, traj, log
 
 
 def _picard_summary(log, shrink_attempts) -> dict:
@@ -493,6 +485,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_mask_info(args) -> int:
+    # imported here only: scipy.ndimage adds about 6 MiB to a run's peak RSS
+    from scipy.ndimage import label
+
     try:
         mask = load_mask(args.mask)
     except (MaskError, OSError) as exc:
@@ -502,6 +497,8 @@ def _cmd_mask_info(args) -> int:
     print(f"dims: {nx} x {ny} x {nz}")
     print(f"spacing: {mask.spacing}")
     print(f"occupied cells: {mask.n_cells} of {nx * ny * nz}")
+    # label's default structure couples the 6 face neighbours, as the stencil does
+    print(f"face-connected components: {label(mask.occupancy)[1]}")
     counts = np.bincount(parity_classes(mask), minlength=8)
     print("cells per parity class (4 x odd + 2 y odd + z odd): "
           + " ".join(f"{k}:{c}" for k, c in enumerate(counts)))

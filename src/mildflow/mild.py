@@ -503,9 +503,10 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
     Smoothing strength and horizon are walked together: attempt k uses the
     k-th schedule entry (the last one repeating) on the horizon T / 2^k,
     so successive attempts record the decay of the smoothed orbit norm
-    along dyadic horizons.  The first passing attempt is returned; each
-    attempt also records the norm of the rest orbit e^{-tA}(u0 - u0_eps),
-    which bounds the distance to the unsmoothed problem.
+    along dyadic horizons.  The first passing attempt is returned; one whose
+    smoothed orbit is exactly 0 (stiff data smoothed away) does not pass.
+    Each attempt also records the norm of the rest orbit
+    e^{-tA}(u0 - u0_eps), which bounds the distance to the unsmoothed problem.
 
     Raises ``GateUnreachableError`` with the attempt log if none of the
     ``MAX_HALVINGS`` attempts passes.
@@ -535,7 +536,7 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
             horizon,
             norms.total,
             et_norm(spectrum, remainder).total,
-            smallness_gate(norms, phi_norm),
+            smallness_gate(norms, phi_norm) and norms.total > 0.0,
         )
         attempts.append(attempt)
         if best is None or attempt.alpha_eps_total < best.alpha_eps_total:

@@ -174,6 +174,19 @@ class TestMaskInfo:
         assert line.endswith(" ".join(f"{k}:{c}" for k, c in enumerate(counts)))
         assert sum(counts) == lmask.n_cells
 
+    @pytest.mark.parametrize("name, components", [
+        *((name, 1) for name in ("single", "box2", "box4", "lshape_3x3x1", "lmask_6x6x3")),
+        ("two_cubes", 2),
+    ])
+    def test_mask_info_components(self, tmp_path, capsys, name, components):
+        path = mask_path(name)
+        if name == "two_cubes":  # two 2^3 cubes that share only an edge
+            path = tmp_path / "two_cubes.mask"
+            block = "1100\n1100\n0011\n0011\n"
+            path.write_text(f"mask v1\n4 4 2 1.0\n{block}\n{block}")
+        assert main(["mask-info", str(path)]) == EXIT_OK
+        assert f"face-connected components: {components}\n" in capsys.readouterr().out
+
     def test_missing_mask(self, tmp_path, capsys):
         assert main(["mask-info", str(tmp_path / "none.mask")]) == EXIT_MASK
 
@@ -428,6 +441,17 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "gate"
         assert summary["gate"]["passed_initially"] is False
 
+    def test_data_smoothed_to_zero_is_gate_failure(self, tmp_path):
+        # eps = 1e3 smooths the mode to exactly 0: no attempt may pass on it
+        out = tmp_path / "out"
+        cfg = base_config(out, initial_data={"kind": "eigenmode", "mode": 0, "amplitude": 1e3},
+                          shrink={"eps_schedule": [1e3]})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_GATE
+        summary = read_summary(out)
+        assert summary["failure"]["stage"] == "gate"
+        assert summary["gate"]["shrink"]["passed"] is False
+        assert all(a["alpha_eps_total"] == 0.0 for a in summary["gate"]["shrink"]["attempts"])
+
     def test_bad_eigenmode_index_is_config_error(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, initial_data={"kind": "eigenmode", "mode": 10**6,
@@ -455,6 +479,21 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "picard"
         assert summary["picard"]["converged"] is False
         assert summary["picard"]["iterations"] == 1
+        # a failed run writes its summary and neither CSV
+        assert not (out / "norms.csv").exists() and not (out / "iterations.csv").exists()
+
+    def test_output_write_error_is_not_a_stage_failure(self, tmp_path, monkeypatch):
+        # the one handler maps OSError to stage mask; a failed write must
+        # not reach it
+        import mildflow.cli as cli_mod
+
+        def disk_full(*args, **kwargs):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli_mod, "_write_norms_csv", disk_full)
+        cfg = load_config(write_config(tmp_path, base_config(tmp_path / "out")))
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("stage", ["build_hodge", "assemble_stokes"])
     def test_spectrum_error_exit_code(self, tmp_path, monkeypatch, capsys, stage):
@@ -543,6 +582,36 @@ def test_pipeline_never_reads_the_dense_arrays(tmp_path, monkeypatch, mask_name)
                       initial_data={"kind": "random", "amplitude": 0.03, "seed": 7})
     assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
     assert read_summary(out)["status"] == "ok"
+
+
+# the names perfbench/spans.py wraps to trace a run
+TRACED_CLI_NAMES = ["load_mask", "build_operators", "build_hodge", "assemble_stokes",
+                    "estimate_phi_norm", "shrink_horizon", "picard_solve",
+                    "strong_residual", "energy_audit", "imex_oracle"]
+
+
+def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
+    # the tracer sees a stage only if the run looks its function up as a
+    # mildflow.cli global at call time
+    import mildflow.cli as cli_mod
+
+    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_CLI_NAMES:
+        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    out = tmp_path / "out"
+    # criterion 11's config at amplitude 12 takes one shrink
+    cfg = base_config(out, seed=4242, shrink={"eps_schedule": [0.2, 0.4]},
+                      initial_data={"kind": "random", "amplitude": 12.0, "seed": 7})
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert read_summary(out)["gate"]["shrink"]["passed"] is True
+    assert all(calls.values()), calls
 
 
 def test_readme_library_example_runs(monkeypatch):

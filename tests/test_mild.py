@@ -605,6 +605,15 @@ class TestShrinkHorizon:
         assert len(info.value.attempts) == mild_mod.MAX_HALVINGS
         assert info.value.best is not None
 
+    def test_data_smoothed_to_zero_does_not_pass(self, box4_spectrum, grid):
+        # e^{-eps lambda_0} underflows to 0: the zero orbit passes the gate
+        # but solves nothing
+        u0 = _mode_field(box4_spectrum, 0, 1e3)
+        with pytest.raises(GateUnreachableError) as info:
+            shrink_horizon(box4_spectrum, u0, 2.0, grid, [1e3])
+        assert all(a.alpha_eps_total == 0.0 for a in info.value.attempts)
+        assert not any(a.passed for a in info.value.attempts)
+
 
 class TestPicard:
     def test_zero_data_immediate(self, box4_spectrum, box4_hodge, grid):
