@@ -371,6 +371,10 @@ def _run_stages(config: ExperimentConfig, summary: dict):
         u0 = shrunk.u0_smooth
         grid = shrunk.grid
         alpha = alpha_trajectory(spectrum, u0, grid)
+    # lambda t_1 >> 1 means a mode decays before the first node resolves it
+    t1 = grid.nodes[1]
+    summary["grid"] = {"lambda_min_t1": float(spectrum.eigenvalues[0] * t1),
+                       "lambda_max_t1": float(spectrum.eigenvalues[-1] * t1)}
 
     picard_cfg = PicardConfig(
         grid=grid,

@@ -481,6 +481,7 @@ class ShrinkAttempt:
     alpha_eps_total: float
     remainder_total: float
     passed: bool
+    eps_lambda_min: float  # dimensionless: the smoothing of the slowest mode is e^{-this}
 
 
 @dataclass(eq=False)
@@ -522,7 +523,6 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
         raise GateUnreachableError("gate failed and the smoothing schedule is empty", attempts)
 
     lam = spectrum.eigenvalues
-    best = None
     for k in range(MAX_HALVINGS):
         eps = float(eps_schedule[min(k, len(eps_schedule) - 1)])
         horizon = grid_template.horizon / 2.0 ** k
@@ -537,18 +537,19 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
             norms.total,
             et_norm(spectrum, remainder).total,
             smallness_gate(norms, phi_norm) and norms.total > 0.0,
+            float(eps * lam[0]),
         )
         attempts.append(attempt)
-        if best is None or attempt.alpha_eps_total < best.alpha_eps_total:
-            best = attempt
         if attempt.passed:
             u0_eps = VectorField.from_flat(u0.mask, spectrum.lift(modal_eps))
             return ShrinkResult(u0_eps, horizon, grid_k, eps, attempts)
+    # an attempt smoothed to 0 is no candidate, however small its norm
+    best = min((a for a in attempts if a.alpha_eps_total > 0.0),
+               key=lambda a: a.alpha_eps_total, default=None)
+    detail = ("every attempt smoothed the data to 0" if best is None else
+              f"best smoothed norm {best.alpha_eps_total:.3e} at eps={best.eps}, T={best.horizon}")
     raise GateUnreachableError(
-        f"smallness gate unreachable after {len(attempts)} attempts "
-        f"(best smoothed norm {best.alpha_eps_total:.3e} at eps={best.eps}, T={best.horizon})",
-        attempts,
-        best,
+        f"smallness gate unreachable after {len(attempts)} attempts ({detail})", attempts, best
     )
 
 

@@ -25,7 +25,11 @@ a cross-check of the fixed-point solution, and a cumulative energy
 balance provides a coarse integral diagnostic.  The stepper's recurrence
 is sequential, but it is solved a window of steps at a time by sweeps
 that force all of the window's states in one batch, so the eigenbasis
-factors are read once per sweep rather than twice per step.
+factors are read once per sweep rather than twice per step.  The sweeps
+are a discrete Picard (waveform-relaxation) iteration (Gander & Vandewalle,
+SIAM J. Sci. Comput. 29, 2007) whose moves shrink by a measurable factor,
+so a window is accepted once its predicted next move, not a confirming
+sweep, is below round-off.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ GROWTH_LIMIT = 1e3
 #: Steps per window of ``imex_oracle``: each sweep lifts and projects all of
 #: a window's states in one batch, one read of the eigenbasis factors.
 WINDOW_STEPS = 64
-#: A window's sweeps stop once one moves no state by more than this times
-#: the window's largest |entry|.
+#: A window's sweeps stop once the predicted next move, the last move times
+#: its contraction factor q (at most 1), is at most this times the window's
+#: largest |entry|; q = 1 stops after a sweep that moved no state that far.
 SWEEP_TOLERANCE = np.finfo(float).eps
 
 
@@ -172,11 +177,19 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     of one ``modal_forcing`` call and reruns the elementwise recurrence
     with those forcings.  Sweep s makes the window's first s states exact
     (the iteration is nilpotent), so at most one sweep per step gives the
-    recurrence's own solution; the sweeps stop earlier, once one changes
-    no state by more than ``SWEEP_TOLERANCE`` times the window's largest
-    |entry|.  A state whose norm is not within ``GROWTH_LIMIT`` times the
-    initial norm ends its window there, so no sweep forces it; once it is
-    exact, it raises ``OracleInstabilityError`` at its time.
+    recurrence's own solution.  The sweeps stop earlier, once the predicted
+    next move delta_s * min(q, 1) is at most ``SWEEP_TOLERANCE`` times the
+    window's largest |entry|; delta_s is the largest state change of
+    sweep s and q the contraction factor, delta_s / delta_{s-1} from
+    sweep 2 on.  For sweep 1, q is delta_2 / delta_1 of the last window
+    that swept twice, scaled up by the growth of the relative first move
+    delta_1 / max|entry| since (a bilinear forcing contracts less at
+    larger amplitude).  The first window and zero data take q = 1, the
+    rule "stop after a sweep that moved no state beyond the tolerance",
+    so no window sweeps longer than under that rule.  A state whose norm
+    is not within ``GROWTH_LIMIT`` times the initial norm ends its window
+    there, so no sweep forces it; once it is exact, it raises
+    ``OracleInstabilityError`` at its time.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -198,6 +211,7 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     node_modal = np.empty((grid.nodes.size, lam.size))
     node_modal[0] = buffer[0]
     node_pos = np.searchsorted(times, grid.nodes)
+    carried = None  # (delta_2 / delta_1, delta_1 / top) of the last window that swept twice
     start = 0
     while start < which.size:
         steps = which[start:start + WINDOW_STEPS]
@@ -212,8 +226,18 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
                 a[n + 1] = decay[k] * a[n] + kicks[n]
             norms = np.linalg.norm(a[1:], axis=1)
             over = np.flatnonzero(~(norms <= limit))  # NaN counts as over
-            converged = (np.abs(a[1:] - previous).max()
-                         <= SWEEP_TOLERANCE * np.abs(a).max())
+            move, top = np.abs(a[1:] - previous).max(), np.abs(a).max()
+            if top == 0.0:  # zero data: nothing to predict
+                ratio = 1.0
+            elif sweep == 1:
+                first = move / top
+                ratio = 1.0 if carried is None else carried[0] * max(1.0, first / carried[1])
+            else:
+                ratio = move / last if last else 1.0
+                if sweep == 2:
+                    carried = (ratio, first)
+            last = move
+            converged = move * min(ratio, 1.0) <= SWEEP_TOLERANCE * top
             if over.size and (over[0] < sweep or converged):
                 raise OracleInstabilityError(
                     f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial "

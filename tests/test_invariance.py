@@ -180,6 +180,22 @@ def reference(request, tmp_path_factory):
     return mask, amplitude, tmp_path, summary, rows
 
 
+def test_reports_the_dimensionless_scales(reference):
+    # lambda t_1 on the grid Picard runs on, and eps lambda_min per shrink
+    # attempt; not in ``POWERS``, so the scaling tests hold them invariant
+    summary = reference[3]
+    lam_min, lam_max = summary["spectrum"]["lambda_min"], summary["spectrum"]["lambda_max"]
+    shrink = summary["gate"]["shrink"]
+    horizon = shrink["horizon"] if shrink else summary["config"]["horizon"]
+    t1 = horizon / summary["config"]["segments"] ** 2
+    assert summary["grid"]["lambda_min_t1"] == pytest.approx(lam_min * t1, rel=1e-14)
+    assert summary["grid"]["lambda_max_t1"] == pytest.approx(lam_max * t1, rel=1e-14)
+    attempts = shrink["attempts"] if shrink else []
+    assert len(attempts) == (reference[1] > 1.0)
+    for attempt in attempts:
+        assert attempt["eps_lambda_min"] == pytest.approx(attempt["eps"] * lam_min, rel=1e-14)
+
+
 @pytest.mark.parametrize("c", [4.0**-5, 0.1, 37.0, 4.0**5])
 def test_parabolic_scaling(reference, c):
     mask, amplitude, tmp_path, summary, rows = reference

@@ -605,14 +605,23 @@ class TestShrinkHorizon:
         assert len(info.value.attempts) == mild_mod.MAX_HALVINGS
         assert info.value.best is not None
 
-    def test_data_smoothed_to_zero_does_not_pass(self, box4_spectrum, grid):
+    def test_data_smoothed_to_zero_does_not_pass(self, box4_spectrum, box4_hodge, grid):
         # e^{-eps lambda_0} underflows to 0: the zero orbit passes the gate
-        # but solves nothing
+        # but solves nothing, and it is no best attempt either
         u0 = _mode_field(box4_spectrum, 0, 1e3)
-        with pytest.raises(GateUnreachableError) as info:
-            shrink_horizon(box4_spectrum, u0, 2.0, grid, [1e3])
+        phi_bound = 2.0 * estimate_phi_norm(box4_spectrum, box4_hodge, grid)
+        with pytest.raises(GateUnreachableError,
+                           match=r"attempts \(every attempt smoothed the data to 0\)$") as info:
+            shrink_horizon(box4_spectrum, u0, phi_bound, grid, [1e3])
         assert all(a.alpha_eps_total == 0.0 for a in info.value.attempts)
         assert not any(a.passed for a in info.value.attempts)
+        assert info.value.best is None
+        # one attempt keeps a nonzero orbit: it is the best, however large
+        with pytest.raises(GateUnreachableError, match=r"\(best smoothed norm [1-9]") as info:
+            shrink_horizon(box4_spectrum, u0, phi_bound, grid, [1e-3, 1e3])
+        first, *rest = info.value.attempts
+        assert first.alpha_eps_total > 0.0 and all(a.alpha_eps_total == 0.0 for a in rest)
+        assert info.value.best is first
 
 
 class TestPicard:

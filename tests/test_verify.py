@@ -323,6 +323,45 @@ class TestOracle:
         got = imex_oracle(spectrum, hodge, u0, grid, dt).samples
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_windows_stop_on_the_predicted_move(self, monkeypatch, box4_spectrum, box4_hodge,
+                                                small_u0):
+        # the small data decay over T = 10: 7 windows of 64 steps, each
+        # sweep one kernel call whose first column is the window's fixed
+        # first state; the q = 1 rule sweeps 5, 4, 3, 3, 2, 2, 2 times
+        grid, dt = TimeGrid.graded(10.0, 24, 6), 0.025
+        want = sequential_oracle(box4_spectrum, small_u0, grid, dt)[1]
+        firsts = []
+        real = mildflow.mild.advect_flat
+
+        def recording(ops, xu, xv):
+            firsts.append(xu[:, 0].copy())
+            return real(ops, xu, xv)
+
+        monkeypatch.setattr(mildflow.mild, "advect_flat", recording)
+        got = imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, dt).samples
+        sweeps = [1]
+        for before, after in zip(firsts[:-2], firsts[1:-1]):  # the last call: node derivatives
+            if np.array_equal(before, after):
+                sweeps[-1] += 1
+            else:
+                sweeps.append(1)
+        assert len(sweeps) == -(-(oracle_times(grid, dt).size - 1) // mildflow.verify.WINDOW_STEPS)
+        # nothing is carried into the first window; a decayed one needs no
+        # confirming sweep
+        assert sweeps[0] >= 2
+        assert 1 in sweeps[1:]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_growing_early_moves_match_sequential_loop(self, lmask_case):
+        # criterion 10's data on the L-mask at amplitude 100: the first moves
+        # of later windows grow, so the carried factor must scale up with them
+        spectrum, hodge = lmask_case[:2]
+        grid, dt = TimeGrid.graded(0.5, 32, 6), 0.001
+        u0 = criterion_10_data(spectrum, hodge, 100.0)
+        want = sequential_oracle(spectrum, u0, grid, dt)[1]
+        got = imex_oracle(spectrum, hodge, u0, grid, dt).samples
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("dt", [0.01, 0.005, 0.0025])
     def test_times_merge_round_off_into_nodes(self, dt):
         # on criterion 11's grid, t_j = j^2 / 800, some multiples of dt are
@@ -349,6 +388,7 @@ class TestOracle:
         alpha = alpha_trajectory(box4_spectrum, small_u0, grid)
         assert np.abs(oracle.samples - alpha.samples).max() <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_data(self, box4_spectrum, box4_hodge, grid):
         zero = VectorField.zeros(box4_hodge.mask)
         oracle = imex_oracle(box4_spectrum, box4_hodge, zero, grid, 0.01)
