@@ -82,8 +82,6 @@ _FAILURES = {
     OracleInstabilityError: ("oracle", EXIT_ORACLE),
 }
 
-_FLOAT_FMT = "%.17g"
-
 # The README's config schema: every section and the keys it may hold.
 _SECTION_KEYS = {
     "picard": {"tol", "max_iterations"},
@@ -187,6 +185,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     segments = need("segments", int)
     quad_order = optional("quad_order", int, 6)
     seed = need("seed", int)
+    if seed < 0:
+        raise ConfigError("config key 'seed' must be >= 0")
     scale = optional("nonlinearity_scale", float, 1.0)
     tol = optional("tol", float, 1e-10, "picard")
     max_it = optional("max_iterations", int, 15, "picard")
@@ -204,7 +204,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         need("amplitude", float, "initial_data")
     elif kind == "random":
         need("amplitude", float, "initial_data")
-        optional("seed", int, None, "initial_data")
+        if optional("seed", int, 0, "initial_data") < 0:
+            raise ConfigError("config key 'initial_data.seed' must be >= 0")
     elif kind == "file":
         need("path", str, "initial_data")
 
@@ -447,21 +448,19 @@ def _write_summary(out_dir: Path, summary: dict):
 
 
 def _write_norms_csv(path: Path, spectrum, traj):
-    lines = ["t,quarter_norm,weighted_half_norm,weighted_deriv_norm"]
-    for t, terms in zip(traj.grid.nodes, et_terms(spectrum, traj)):
-        lines.append(",".join(_FLOAT_FMT % x for x in (t, *terms)))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack([traj.grid.nodes, et_terms(spectrum, traj)]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="t,quarter_norm,weighted_half_norm,weighted_deriv_norm")
 
 
 def _write_iterations_csv(path: Path, log):
-    lines = ["iterate,et_total,distance,ratio"]
-    for n, norms in enumerate(log.iterate_norms):
-        ratio = log.ratios[n - 1] if 1 <= n <= len(log.ratios) else float("nan")
-        lines.append(
-            "%d,%s,%s,%s"
-            % (n, _FLOAT_FMT % norms.total, _FLOAT_FMT % log.distances[n], _FLOAT_FMT % ratio)
-        )
-    path.write_text("\n".join(lines) + "\n")
+    # the first iterate has no ratio
+    ratios = np.full(len(log.iterate_norms), np.nan)
+    ratios[1:len(log.ratios) + 1] = log.ratios
+    totals = [norms.total for norms in log.iterate_norms]
+    np.savetxt(path, np.column_stack([np.arange(ratios.size), totals, log.distances, ratios]),
+               fmt=["%d", "%.17g", "%.17g", "%.17g"], delimiter=",", comments="",
+               header="iterate,et_total,distance,ratio")
 
 
 def _cmd_run(args) -> int:

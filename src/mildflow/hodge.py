@@ -28,8 +28,9 @@ block reaches and its columns at the block's span of the coordinates, so
 block at a time, and ``basis`` builds the dense (3n, m) array on demand
 only.  Those blocks and spans are the one description of the parity
 layout: ``stokes`` applies Z only through these methods, and reads only
-how many columns are even (``n_even``) and, for its structure check, the
-class of each entry (``velocity_classes``).
+how many columns are even (``n_even``, where the fourth block's span
+ends) and, for its structure check, the class of each entry
+(``velocity_classes``).
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -85,10 +86,6 @@ class ParityBlock:
     s_r: np.ndarray
     vt_r: np.ndarray
 
-    @property
-    def even(self) -> bool:
-        return bin(self.klass).count("1") % 2 == 0
-
 
 @dataclass(eq=False)
 class HodgeDecomposition:
@@ -121,8 +118,8 @@ class HodgeDecomposition:
 
     @property
     def n_even(self) -> int:
-        """Number of columns of Z in even blocks, which come first."""
-        return sum(b.span.stop - b.span.start for b in self.blocks if b.even)
+        """Number of columns of Z in the four even blocks, which come first."""
+        return self.blocks[3].span.stop
 
     @property
     def basis(self) -> np.ndarray:
@@ -208,7 +205,6 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     cut = RANK_TOLERANCE * top
     ranks = [int(np.count_nonzero(f[4] > cut)) for f in factors]
     rank = sum(ranks)
-    n3 = 3 * mask.n_cells
     blocks, start = [], 0
     for (klass, cells, rows, u_mat, s, vt), r in zip(factors, ranks):
         span = slice(start, start + rows.size - r)
@@ -216,10 +212,6 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
         blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, r:], u_mat[:, :r],
                                   s[:r], vt[:r]))
         start = span.stop
-    if start + rank != n3:
-        raise SpectrumError(
-            f"rank bookkeeping broken: dim H = {start}, rank = {rank}, 3n = {n3}"
-        )
     # ker(divergence) must contain Z up to round-off
     defect = max(float(np.abs(ops.divergence[:, b.rows] @ b.kernel).max(initial=0.0))
                  for b in blocks)

@@ -384,8 +384,8 @@ def _interval_weights(lam: np.ndarray, elapsed: np.ndarray, w: np.ndarray):
             e * w**2 * (nu0 - 2.0 * nu1 + nu2))
 
 
-def phi(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u: MildTrajectory,
-        v: MildTrajectory, scale: float = 1.0) -> MildTrajectory:
+def phi(spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
+        scale: float = 1.0) -> MildTrajectory:
     """Bilinear convolution map Phi(u, v), values and derivatives per node.
 
     ``scale`` multiplies the forcing (0 turns the nonlinearity off).
@@ -593,7 +593,8 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
     ``log.fixed_point_residual``, the last entry of ``log.distances``, and
     its norms are the last entry of ``log.iterate_norms``.  u0 is projected
     into the divergence-free subspace silently: ``alpha_trajectory`` is the
-    one place that warns about a gradient part.
+    one place that warns about a gradient part.  ``hodge`` is not read: the
+    spectrum carries the basis.
     """
     grid = config.grid
     log = IterationLog()
@@ -605,7 +606,7 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
     prev_dist = None
     bad_streak = 0
     while True:
-        correction = phi(spectrum, hodge, v, v, scale=config.nonlinearity_scale)
+        correction = phi(spectrum, v, v, scale=config.nonlinearity_scale)
         nxt = combine_trajectories(1.0, alpha, 1.0, correction)
         dist = et_norm(spectrum, combine_trajectories(1.0, nxt, -1.0, v)).total
         log.iterations += 1

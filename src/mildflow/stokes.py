@@ -148,8 +148,6 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     if an eigenvalue is not strictly positive beyond round-off, which
     would signal broken adjointness upstream.
     """
-    if hodge.dim == 0:
-        raise SpectrumError("divergence-free subspace is trivial")
     h2 = hodge.mask.spacing ** 2
     _check_block_structure(hodge, 6.0 / h2)
     m_e = hodge.n_even

@@ -110,12 +110,16 @@ class TestConfigParsing:
             {"oracle": {"dts": ["1e-3"]}},
             {"horizon": 1e300},  # 1e302 oracle steps at dt 0.01
             {"segments": 10**4 + 1},  # parsed only: nothing is allocated
+            {"gate": {"safety_factor": 0.5}},
+            {"seed": -3},  # numpy's generators take only non-negative seeds
+            {"initial_data": {"kind": "random", "amplitude": 0.05, "seed": -1}},
         ],
         ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
              "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
              "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
-             "oracle_steps_over_cap", "segments_over_cap"],
+             "oracle_steps_over_cap", "segments_over_cap", "safety_factor_below_1",
+             "negative_seed", "negative_random_seed"],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
         out = tmp_path / "out"
@@ -134,8 +138,13 @@ class TestConfigParsing:
             ("oracle:\n  dts: [1e-3]\n", "numbers; write 0.001: YAML 1.1 reads 1e-3 as text"),
             ("oracle:\n  dts: [2.0e-7]\n", "horizon / dt exceeds 1000000 oracle steps"),
             ("segments: 10001\n", "segments exceeds 10000"),
+            ("horizon: abc\n", "'horizon' must be float$"),  # no hint for plain text
+            ("seed: -3\n", "'seed' must be >= 0"),
+            ("initial_data:\n  kind: random\n  amplitude: 0.05\n  seed: -1\n",
+             "'initial_data.seed' must be >= 0"),
         ],
-        ids=["tol", "horizon", "oracle_dt", "oracle_step_cap", "segment_cap"],
+        ids=["tol", "horizon", "oracle_dt", "oracle_step_cap", "segment_cap", "text",
+             "seed", "random_seed"],
     )
     def test_config_error_names_cause(self, tmp_path, text, message):
         cfg = base_config(tmp_path / "out")
@@ -144,6 +153,27 @@ class TestConfigParsing:
         path.write_text(yaml.safe_dump(cfg) + text)
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", [None, "- a list\n"], ids=["unreadable", "not_mapping"])
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot read" if text is None else "mapping"):
+            load_config(path)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_required_keys_only_take_the_readme_defaults(self, tmp_path):
+        required = {key: base_config(tmp_path)[key] for key in ("mask", "output_dir", "seed")}
+        cfg = config_from_dict({**required, "horizon": 1, "segments": 8,
+                                "initial_data": {"kind": "zero"}})
+        assert cfg.horizon == 1.0 and isinstance(cfg.horizon, float)
+        assert (cfg.quad_order, cfg.nonlinearity_scale, cfg.picard_tol,
+                cfg.picard_max_iterations, cfg.phi_trials, cfg.gate_safety) == \
+            (6, 1.0, 1e-10, 15, 16, 2.0)
+        assert cfg.eps_schedule == [] and cfg.oracle_dts == []
 
     def test_readme_schema_block_is_accepted(self):
         text = README.read_text()
@@ -327,14 +357,14 @@ class TestRunPipeline:
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
 
-    @pytest.mark.parametrize("values", ["wrong_size", "nan"])
+    @pytest.mark.parametrize("values", ["wrong_size", "nan", "unreadable"])
     def test_bad_file_initial_data_is_config_error(self, tmp_path, values):
         import numpy as np
 
         out = tmp_path / "out"
-        data = np.zeros((3, 63)) if values == "wrong_size" else np.full((3, 64), np.nan)
         npy = tmp_path / "u0.npy"
-        np.save(npy, data)
+        if values != "unreadable":
+            np.save(npy, np.zeros((3, 63)) if values == "wrong_size" else np.full((3, 64), np.nan))
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         summary = read_summary(out)

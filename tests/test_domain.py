@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mildflow import (
+    DomainMask,
+    FieldMismatchError,
     MaskCharacterError,
     MaskDimensionError,
     MaskEmptyError,
@@ -20,6 +22,8 @@ from mildflow import (
 from conftest import mask_path, random_scalar_values, random_vector_field
 
 FULL_BOX_2 = "mask v1\n2 2 2 1.0\n11\n11\n\n11\n11\n"
+# the same cells at another spacing: a different mask
+COARSE_BOX_2 = FULL_BOX_2.replace(" 1.0", " 2.0")
 
 
 class TestMaskParsing:
@@ -50,6 +54,8 @@ class TestMaskParsing:
             load_mask("voxels v2\n1 1 1 1.0\n1\n")
 
     def test_bad_dimension_line(self):
+        with pytest.raises(MaskHeaderError, match="missing dimension line"):
+            load_mask("mask v1\n")
         with pytest.raises(MaskHeaderError):
             load_mask("mask v1\n2 2 1.0\n11\n11\n")
         with pytest.raises(MaskHeaderError):
@@ -66,16 +72,58 @@ class TestMaskParsing:
             load_mask("mask v1\n2 2 1 1.0\n111\n11\n")  # row too long
         with pytest.raises(MaskDimensionError):
             load_mask("mask v1\n2 2 2 1.0\n11\n11\n11\n11\n")  # no blank separator
+        with pytest.raises(MaskDimensionError, match="blank line between blocks"):
+            load_mask("mask v1\n2 2 2 1.0\n11\n11\nxx\n11\n11\n")  # right line count
 
     def test_invalid_character(self):
         with pytest.raises(MaskCharacterError):
             load_mask("mask v1\n2 2 1 1.0\n1x\n11\n")
+
+    def test_unsupported_source_type(self):
+        with pytest.raises(TypeError, match="cannot read a mask"):
+            load_mask(42)
+
+    @pytest.mark.parametrize("dims, occupancy, error", [
+        ((0, 2, 2), np.ones((0, 2, 2), bool), MaskHeaderError),
+        ((2, 2, 2), np.ones((2, 2, 1), bool), MaskDimensionError),
+    ], ids=["extent_below_1", "occupancy_shape"])
+    def test_domain_mask_checks_its_arguments(self, dims, occupancy, error):
+        with pytest.raises(error):
+            DomainMask(dims, 1.0, occupancy)
 
     def test_format_roundtrip(self):
         mask = load_mask(mask_path("lmask_6x6x3"))
         again = load_mask(format_mask(mask))
         assert np.array_equal(mask.occupancy, again.occupancy)
         assert again.spacing == mask.spacing
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("values", [np.zeros(7), np.zeros((8, 1))], ids=["short", "2d"])
+    def test_scalar_field_shape(self, values):
+        with pytest.raises(FieldMismatchError):
+            ScalarField(load_mask(FULL_BOX_2), values)
+
+    @pytest.mark.parametrize("values", [np.zeros((3, 7)), np.zeros(24)], ids=["short", "flat"])
+    def test_vector_field_shape(self, values):
+        with pytest.raises(FieldMismatchError):
+            VectorField(load_mask(FULL_BOX_2), values)
+
+    def test_field_dot_across_masks(self):
+        a, b = (VectorField.zeros(load_mask(text)) for text in (FULL_BOX_2, COARSE_BOX_2))
+        with pytest.raises(FieldMismatchError):
+            field_dot(a, b)
+
+    @pytest.mark.parametrize("method, kind", [
+        ("gradient_of", ScalarField), ("divergence_of", VectorField),
+        ("laplacian_of", VectorField)])
+    def test_operators_reject_fields_on_another_mask(self, method, kind):
+        ops = build_operators(load_mask(FULL_BOX_2))
+        other = load_mask(COARSE_BOX_2)
+        field = (ScalarField(other, np.zeros(8)) if kind is ScalarField
+                 else VectorField.zeros(other))
+        with pytest.raises(FieldMismatchError, match="different mask"):
+            getattr(ops, method)(field)
 
 
 class TestOperators:

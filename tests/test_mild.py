@@ -63,6 +63,8 @@ class TestTimeGrid:
             TimeGrid(1.0, np.array([0.1, 0.5, 1.0]))
         with pytest.raises(ValueError):
             TimeGrid.graded(1.0, 8, quad_order=0)
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(2.0, np.array([0.0, 0.5, 1.0]))
 
     def test_scaled_preserves_layout(self):
         g = TimeGrid.graded(1.0, 10, 4)
@@ -70,6 +72,21 @@ class TestTimeGrid:
         assert s.horizon == 0.25
         assert np.allclose(s.nodes, g.nodes * 0.25)
         assert s.quad_order == 4
+
+
+class TestMildTrajectory:
+    @pytest.mark.parametrize("samples, derivatives, message", [
+        (20, 20, "one sample per grid node"),
+        (21, 21, "one derivative sample"),
+    ], ids=["samples", "derivatives"])
+    def test_sample_counts(self, grid, samples, derivatives, message):
+        with pytest.raises(ValueError, match=message):
+            MildTrajectory(grid, np.zeros((samples, 4)), np.zeros((derivatives, 4)))
+
+    def test_combine_rejects_two_grids(self, box4_spectrum, grid):
+        other = zero_trajectory(box4_spectrum, TimeGrid.graded(0.5, 10, 6))
+        with pytest.raises(ValueError, match="different grids"):
+            combine_trajectories(1.0, zero_trajectory(box4_spectrum, grid), 1.0, other)
 
 
 class TestAlphaTrajectory:
@@ -245,34 +262,34 @@ class TestMoments:
 
 
 class TestPhi:
-    def test_zero_operand(self, box4_spectrum, box4_hodge, grid):
+    def test_zero_operand(self, box4_spectrum, grid):
         rng = np.random.default_rng(3)
         v = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
-        image = phi(box4_spectrum, box4_hodge, zero_trajectory(box4_spectrum, grid), v)
+        image = phi(box4_spectrum, zero_trajectory(box4_spectrum, grid), v)
         assert et_norm(box4_spectrum, image).total <= 1e-14
 
-    def test_symmetry(self, box4_spectrum, box4_hodge, grid):
+    def test_symmetry(self, box4_spectrum, grid):
         rng = np.random.default_rng(4)
         u = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
         v = alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
-        uv = phi(box4_spectrum, box4_hodge, u, v)
-        vu = phi(box4_spectrum, box4_hodge, v, u)
+        uv = phi(box4_spectrum, u, v)
+        vu = phi(box4_spectrum, v, u)
         diff = et_norm(box4_spectrum, combine_trajectories(1.0, uv, -1.0, vu)).total
         assert diff <= 1e-10 * et_norm(box4_spectrum, uv).total
 
-    def test_bilinearity(self, box4_spectrum, box4_hodge, grid):
+    def test_bilinearity(self, box4_spectrum, grid):
         rng = np.random.default_rng(5)
         m = box4_spectrum.dim
         u = alpha_from_coords(box4_spectrum, rng.standard_normal(m), grid)
         w = alpha_from_coords(box4_spectrum, rng.standard_normal(m), grid)
         v = alpha_from_coords(box4_spectrum, rng.standard_normal(m), grid)
         a, b = 0.7, -1.3
-        left = phi(box4_spectrum, box4_hodge, combine_trajectories(a, u, b, w), v)
+        left = phi(box4_spectrum, combine_trajectories(a, u, b, w), v)
         right = combine_trajectories(
             a,
-            phi(box4_spectrum, box4_hodge, u, v),
+            phi(box4_spectrum, u, v),
             b,
-            phi(box4_spectrum, box4_hodge, w, v),
+            phi(box4_spectrum, w, v),
         )
         diff = et_norm(box4_spectrum, combine_trajectories(1.0, left, -1.0, right)).total
         assert diff <= 1e-10 * max(et_norm(box4_spectrum, left).total, 1e-30)
@@ -324,7 +341,7 @@ class TestPhi:
         assert sum(projections) == 2 * grid.segments + 1
 
     @pytest.mark.parametrize("order", [2, 8])
-    def test_forcing_work_per_phi_call(self, box4_spectrum, box4_hodge, order, column_counts):
+    def test_forcing_work_per_phi_call(self, box4_spectrum, order, column_counts):
         # node-pair forcings of the values only, whatever the quadrature:
         # for u is v one advection of the N + 1 node samples and both orders
         # of the N neighbour pairs (3N + 1 columns); otherwise both orders
@@ -335,13 +352,13 @@ class TestPhi:
         rng = np.random.default_rng(13)
         u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
                 for _ in range(2))
-        phi(box4_spectrum, box4_hodge, u, u)
+        phi(box4_spectrum, u, u)
         assert columns == [segments + 1, segments, segments]
         columns.clear()
-        phi(box4_spectrum, box4_hodge, u, v)
+        phi(box4_spectrum, u, v)
         assert columns == [segments + 1] * 2 + [segments] * 4
 
-    def test_one_lift_per_phi_call(self, box4_spectrum, box4_hodge, grid, column_counts):
+    def test_one_lift_per_phi_call(self, box4_spectrum, grid, column_counts):
         # Phi lifts the value samples only, in one call and once for u is v;
         # the inputs' derivative samples do not enter it
         rng = np.random.default_rng(17)
@@ -350,14 +367,14 @@ class TestPhi:
         lifts = column_counts(box4_spectrum, "lift")
         projections = column_counts(box4_spectrum, "project")
         n_nodes, n = grid.nodes.size, grid.segments
-        image = phi(box4_spectrum, box4_hodge, u, u)
+        image = phi(box4_spectrum, u, u)
         assert (lifts, projections) == ([n_nodes], [n_nodes, n])
         lifts.clear()
         projections.clear()
-        phi(box4_spectrum, box4_hodge, u, v)
+        phi(box4_spectrum, u, v)
         assert (lifts, projections) == ([2 * n_nodes], [n_nodes, n, n])
         other = MildTrajectory(grid, u.samples, rng.standard_normal(u.derivative_samples.shape))
-        again = phi(box4_spectrum, box4_hodge, other, other)
+        again = phi(box4_spectrum, other, other)
         assert np.array_equal(again.samples, image.samples)
         assert np.array_equal(again.derivative_samples, image.derivative_samples)
 
@@ -377,7 +394,7 @@ class TestPhi:
         u, v = (MildTrajectory(grid, rng.standard_normal((nodes.size, m)),
                                rng.standard_normal((nodes.size - 1, m)))
                 for _ in range(2))
-        image = phi(spectrum, hodge, u, v, scale)
+        image = phi(spectrum, u, v, scale)
         xu, xv = spectrum.fields @ u.samples.T, spectrum.fields @ v.samples.T
         diag = modal_forcing(spectrum, xu, xv, scale)
         cross = (modal_forcing(spectrum, xu[:, :-1], xv[:, 1:], scale)
@@ -394,7 +411,7 @@ class TestPhi:
             for got, want in ((image.samples, values), (image.derivative_samples, deriv)):
                 assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
-    def test_derivative_matches_central_difference(self, box4_spectrum, box4_hodge, grid):
+    def test_derivative_matches_central_difference(self, box4_spectrum, grid):
         # on [t_i, t_{i+1}] the closed form is
         # Phi(t_i + e) = e^{-eA} Phi(t_i) + int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} f(s) ds;
         # its central difference across every interior node t_j, from the
@@ -405,7 +422,7 @@ class TestPhi:
         lam = box4_spectrum.eigenvalues
         u, v = (alpha_from_coords(box4_spectrum, rng.standard_normal(box4_spectrum.dim), grid)
                 for _ in range(2))
-        image = phi(box4_spectrum, box4_hodge, u, v)
+        image = phi(box4_spectrum, u, v)
         diag, cross = _node_pair_forcings(box4_spectrum, box4_spectrum.lift(u.samples.T),
                                           box4_spectrum.lift(v.samples.T), 1.0)
         h = np.diff(grid.nodes)
@@ -421,7 +438,7 @@ class TestPhi:
             want = image.derivative_samples[j - 1]
             assert np.abs(central - want).max() <= 1e-6 * np.abs(want).max()
 
-    def test_independent_of_quad_order(self, box4_spectrum, box4_hodge, monkeypatch):
+    def test_independent_of_quad_order(self, box4_spectrum, monkeypatch):
         # the quadrature order only sets the reference quadrature; Phi
         # never builds a panel
         def no_panels(*args):
@@ -434,16 +451,15 @@ class TestPhi:
         for order in (2, 8):
             grid = TimeGrid.graded(0.5, 20, order)
             u, v = (alpha_from_coords(box4_spectrum, c, grid) for c in coords)
-            images.append(phi(box4_spectrum, box4_hodge, u, v))
+            images.append(phi(box4_spectrum, u, v))
         assert np.array_equal(images[0].samples, images[1].samples)
         assert np.array_equal(images[0].derivative_samples, images[1].derivative_samples)
 
-    def test_grid_mismatch(self, box4_spectrum, box4_hodge, grid):
+    def test_grid_mismatch(self, box4_spectrum, grid):
         other = TimeGrid.graded(0.5, 10, 6)
         with pytest.raises(ValueError):
             phi(
                 box4_spectrum,
-                box4_hodge,
                 zero_trajectory(box4_spectrum, grid),
                 zero_trajectory(box4_spectrum, other),
             )
@@ -455,6 +471,10 @@ class TestPhiNormEstimate:
         large = estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=4, seed=11)
         assert small > 0.0
         assert large >= small
+
+    def test_needs_a_trial(self, box4_spectrum, box4_hodge, grid):
+        with pytest.raises(ValueError, match="at least one trial"):
+            estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=0)
 
     def test_deterministic(self, box4_spectrum, box4_hodge, grid):
         a = estimate_phi_norm(box4_spectrum, box4_hodge, grid, trials=3, seed=12)
@@ -514,7 +534,7 @@ class TestPhiNormEstimate:
             assert not u.derivative_samples.any() and (u.samples == u.samples[0]).all()
             norm_u = et_norm(spectrum, u).total
             ratios.append(et_norm(spectrum, image).total / norm_u**2)
-            want = et_norm(spectrum, phi(spectrum, hodge, u, u)).total / norm_u**2
+            want = et_norm(spectrum, phi(spectrum, u, u)).total / norm_u**2
             assert ratios[-1] == pytest.approx(want, rel=1e-13, abs=0.0)
         assert best == max(ratios) > 0.0
 

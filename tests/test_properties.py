@@ -104,11 +104,11 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     def gap(x, y):
         return norm(combine_trajectories(1.0, x, -1.0, y))
 
-    uv = phi(spectrum, hodge, u, v)
-    assert gap(uv, phi(spectrum, hodge, v, u)) <= 1e-12 * norm(uv)
+    uv = phi(spectrum, u, v)
+    assert gap(uv, phi(spectrum, v, u)) <= 1e-12 * norm(uv)
     a, b = rng.uniform(-2.0, 2.0, 2)
-    wv = phi(spectrum, hodge, w, v)
-    left = phi(spectrum, hodge, combine_trajectories(a, u, b, w), v)
+    wv = phi(spectrum, w, v)
+    left = phi(spectrum, combine_trajectories(a, u, b, w), v)
     right = combine_trajectories(a, uv, b, wv)
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
 

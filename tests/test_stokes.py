@@ -1,11 +1,15 @@
 """Reduced operator assembly and the spectral functional calculus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mildflow import (
     DomainMask,
     PicardConfig,
+    SpectrumError,
     TimeGrid,
     VectorField,
     apply_frac_power,
@@ -51,6 +55,15 @@ class TestAssembly:
         spectrum = assemble_stokes(build_hodge(build_operators(mask)))
         reference = box4_spectrum.eigenvalues[0] * box4.spacing ** 2
         assert abs(spectrum.eigenvalues[0] * spacing ** 2 - reference) <= 1e-12 * reference
+
+    def test_positivity_check(self, box4_ops):
+        # doubled couplings keep the 6/h^2 diagonal and the parity pattern,
+        # so the structure check passes, but (6 - 2 sigma_max)/h^2 < 0
+        lap = box4_ops.laplacian
+        diagonal = sp.diags(lap.diagonal())
+        ops = dataclasses.replace(box4_ops, laplacian=(diagonal + 2.0 * (lap - diagonal)).tocsr())
+        with pytest.raises(SpectrumError, match="not positive definite"):
+            assemble_stokes(build_hodge(ops))
 
     def test_rayleigh_quotient_per_mode(self, box4_hodge, box4_spectrum):
         lap = box4_hodge.ops.laplacian
@@ -211,6 +224,10 @@ class TestSmoothingBounds:
         t_grid = np.logspace(-4, 0, 50)
         out = smoothing_bound(box4_spectrum, 0.25, t_grid)
         assert np.all(out <= smoothing_envelope(0.25))
+
+    def test_negative_exponent_rejected(self, box4_spectrum):
+        with pytest.raises(ValueError, match="nonnegative"):
+            smoothing_bound(box4_spectrum, -0.5, [0.1])
 
     def test_envelope_values(self):
         assert smoothing_envelope(0.0) == 1.0
