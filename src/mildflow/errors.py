@@ -47,9 +47,9 @@ class GateUnreachableError(MildflowError, RuntimeError):
 
 class PicardDivergenceError(MildflowError, RuntimeError):
     """Fixed-point iteration expanded for several consecutive steps, or
-    (raised by the runner) did not converge within its iteration limit."""
+    did not converge within its iteration limit; carries the iteration log."""
 
-    def __init__(self, message, log=None):
+    def __init__(self, message, log):
         super().__init__(message)
         self.log = log
 

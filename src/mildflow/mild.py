@@ -499,24 +499,20 @@ def shrink_horizon(spectrum: StokesSpectrum, u0: VectorField, phi_norm: float,
                    grid_template: TimeGrid, eps_schedule) -> ShrinkResult:
     """Search smoothed initial data and a horizon passing the smallness gate.
 
-    The raw data is smoothed to ``e^{-eps A} u0`` (always in the domain of
-    the operator) and the gate is re-evaluated for the smoothed orbit.
-    Smoothing strength and horizon are walked together: attempt k uses the
-    k-th schedule entry (the last one repeating) on the horizon T / 2^k,
-    so successive attempts record the decay of the smoothed orbit norm
-    along dyadic horizons.  The first passing attempt is returned; one whose
-    smoothed orbit is exactly 0 (stiff data smoothed away) does not pass.
-    Each attempt also records the norm of the rest orbit
+    Call it after the gate failed on ``grid_template``.  Attempt k smooths
+    the data to ``e^{-eps A} u0`` (always in the domain of the operator)
+    with the k-th schedule entry (the last one repeating) on the horizon
+    T / 2^k, so attempt 0 smooths with ``eps_schedule[0]`` on T, and
+    successive attempts record the decay of the smoothed orbit norm along
+    dyadic horizons.  The first attempt whose smoothed orbit passes the
+    gate is returned; one that is exactly 0 (stiff data smoothed away)
+    does not pass.  Each attempt also records the norm of the rest orbit
     e^{-tA}(u0 - u0_eps), which bounds the distance to the unsmoothed problem.
 
     Raises ``GateUnreachableError`` with the attempt log if none of the
     ``MAX_HALVINGS`` attempts passes.
     """
     modal0 = spectrum.project(u0.flat)
-    alpha_plain = _orbit(spectrum, modal0, grid_template)
-    if smallness_gate(et_norm(spectrum, alpha_plain), phi_norm):
-        return ShrinkResult(u0, grid_template.horizon, grid_template, 0.0, [])
-
     eps_schedule = list(eps_schedule)
     attempts: list[ShrinkAttempt] = []
     if not eps_schedule:
@@ -584,17 +580,17 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
                  config: PicardConfig):
     """Iterate v_{n+1} = alpha + Phi(v_n, v_n) until the update is small.
 
-    Returns ``(trajectory, log)``.  Divergence (three consecutive
-    expansion steps) raises ``PicardDivergenceError`` carrying the log.
-    Each Phi call measures the fixed-point residual
-    ``||v - alpha - Phi(v, v)||`` of the current iterate v, so the loop
-    stops as soon as that residual is at most ``tol`` (or after
-    ``max_iterations`` Phi calls) and returns that v; its residual is
-    ``log.fixed_point_residual``, the last entry of ``log.distances``, and
-    its norms are the last entry of ``log.iterate_norms``.  u0 is projected
-    into the divergence-free subspace silently: ``alpha_trajectory`` is the
-    one place that warns about a gradient part.  ``hodge`` is not read: the
-    spectrum carries the basis.
+    Returns ``(trajectory, log)``.  Each Phi call measures the fixed-point
+    residual ``||v - alpha - Phi(v, v)||`` of the current iterate v, so the
+    loop stops as soon as that residual is at most ``tol`` and returns that
+    v; its residual is ``log.fixed_point_residual``, the last entry of
+    ``log.distances``, and its norms are the last entry of
+    ``log.iterate_norms``.  ``PicardDivergenceError`` carries the log of
+    a run that expanded for three consecutive steps, or that made
+    ``max_iterations`` Phi calls without converging (then with its last
+    residual).  u0 is projected into the divergence-free subspace
+    silently: ``alpha_trajectory`` is the one place that warns about a
+    gradient part.  ``hodge`` is not read: the spectrum carries the basis.
     """
     grid = config.grid
     log = IterationLog()
@@ -629,4 +625,7 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
         log.iterate_norms.append(et_norm(spectrum, v))
 
     log.fixed_point_residual = dist
+    if not log.converged:
+        raise PicardDivergenceError(f"no convergence to tol {config.tol:g} in {log.iterations} "
+                                    f"iterations (last distance {dist:.3e})", log)
     return v, log

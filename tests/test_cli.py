@@ -113,13 +113,23 @@ class TestConfigParsing:
             {"gate": {"safety_factor": 0.5}},
             {"seed": -3},  # numpy's generators take only non-negative seeds
             {"initial_data": {"kind": "random", "amplitude": 0.05, "seed": -1}},
+            # t_1 = T / N^2 underflows to 0: no strictly increasing grid
+            {"horizon": 1.0e-318, "segments": 1000, "seed": 1,
+             "initial_data": {"kind": "random", "amplitude": 0.05}},
+            # keys the kind never reads
+            {"initial_data": {"kind": "zero", "amplitude": 5.0}},
+            {"initial_data": {"kind": "file", "path": "zeros.npy", "amplitude": 5.0}},
+            {"initial_data": {"kind": "eigenmode", "mode": 0, "amplitude": 0.05, "seed": 3}},
+            {"initial_data": {"kind": "random", "amplitude": 0.05, "mode": 2}},
+            {"initial_data": {"kind": "random", "amplitude": 0.05, "path": "zeros.npy"}},
         ],
         ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
              "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
              "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
              "oracle_steps_over_cap", "segments_over_cap", "safety_factor_below_1",
-             "negative_seed", "negative_random_seed"],
+             "negative_seed", "negative_random_seed", "horizon_underflow",
+             "zero_amplitude", "file_amplitude", "eigenmode_seed", "random_mode", "random_path"],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, change):
         out = tmp_path / "out"
@@ -142,9 +152,13 @@ class TestConfigParsing:
             ("seed: -3\n", "'seed' must be >= 0"),
             ("initial_data:\n  kind: random\n  amplitude: 0.05\n  seed: -1\n",
              "'initial_data.seed' must be >= 0"),
+            ("horizon: 1.0e-322\n", "horizon 1e-322 and segments 20 give no time grid: "
+                                    "nodes must start at 0 and increase strictly$"),
+            ("initial_data:\n  kind: zero\n  amplitude: 5.0\n",
+             "'initial_data.amplitude' is not read by kind 'zero'$"),
         ],
         ids=["tol", "horizon", "oracle_dt", "oracle_step_cap", "segment_cap", "text",
-             "seed", "random_seed"],
+             "seed", "random_seed", "horizon_underflow", "unread_initial_data_key"],
     )
     def test_config_error_names_cause(self, tmp_path, text, message):
         cfg = base_config(tmp_path / "out")

@@ -586,13 +586,15 @@ class TestSmallnessGate:
 
 
 class TestShrinkHorizon:
-    def test_small_data_returned_unchanged(self, box4_spectrum, grid):
+    def test_attempt_0_smooths_on_the_template_horizon(self, box4_spectrum, grid):
+        # the caller has decided the gate: small data is not returned as is
         u0 = _mode_field(box4_spectrum, 0, 1e-3)
         result = shrink_horizon(box4_spectrum, u0, 2.0, grid, [0.1, 0.2])
-        assert result.horizon == grid.horizon
-        assert result.eps == 0.0
-        assert not result.attempts
-        assert np.allclose(result.u0_smooth.values, u0.values)
+        assert [(a.eps, a.horizon) for a in result.attempts] == [(0.1, grid.horizon)]
+        assert result.eps == 0.1 and np.array_equal(result.grid.nodes, grid.nodes)
+        decay = np.exp(-0.1 * box4_spectrum.eigenvalues[0])
+        np.testing.assert_allclose(result.u0_smooth.values, decay * u0.values,
+                                   rtol=0, atol=1e-14 * np.abs(u0.values).max())
 
     def test_empty_schedule_fails(self, box4_spectrum, grid):
         u0 = _mode_field(box4_spectrum, 0, 100.0)
@@ -729,5 +731,15 @@ class TestPicard:
         with pytest.raises(PicardDivergenceError) as info:
             picard_solve(box4_spectrum, box4_hodge, u0, PicardConfig(grid=grid))
         log = info.value.log
-        assert log is not None
         assert sum(1 for r in log.ratios[-3:] if r >= 1.0) == 3
+        assert log.fixed_point_residual is None
+
+    def test_iteration_limit_raises_with_log(self, box4_spectrum, box4_hodge, grid):
+        u0 = _mode_field(box4_spectrum, 0, 0.05)
+        cfg = PicardConfig(grid=grid, tol=1e-30, max_iterations=1)
+        with pytest.raises(PicardDivergenceError,
+                           match=r"^no convergence to tol 1e-30 in 1 iterations") as info:
+            picard_solve(box4_spectrum, box4_hodge, u0, cfg)
+        log = info.value.log
+        assert log.converged is False and log.iterations == 1
+        assert log.fixed_point_residual == log.distances[-1]

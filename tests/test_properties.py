@@ -18,6 +18,7 @@ from scipy.linalg import block_diag
 
 from mildflow import (
     DomainMask,
+    MildTrajectory,
     ScalarField,
     SpectrumError,
     TimeGrid,
@@ -26,6 +27,7 @@ from mildflow import (
     build_hodge,
     build_operators,
     combine_trajectories,
+    energy_audit,
     et_norm,
     field_dot,
     format_mask,
@@ -111,6 +113,27 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     left = phi(spectrum, combine_trajectories(a, u, b, w), v)
     right = combine_trajectories(a, uv, b, wv)
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
+
+
+@PROPERTY_SETTINGS
+@given(masks(), seeds)
+def test_modal_energy_audit_matches_the_lifted_fields(mask, seed):
+    ops = build_operators(mask)
+    spectrum = assemble_stokes(build_hodge(ops))
+    grid = TimeGrid.graded(0.5, 6, 3)
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((grid.nodes.size, spectrum.dim))
+    traj = MildTrajectory(grid, samples, np.zeros((grid.segments, spectrum.dim)))
+    # the reference lifts every sample and applies the sparse Laplacian
+    u = spectrum.fields @ samples.T
+    vol = mask.cell_volume
+    energies = vol * np.einsum("ij,ij->j", u, u)
+    dissipation = vol * np.einsum("ij,ij->j", u, ops.laplacian @ u)
+    steps = np.diff(grid.nodes)
+    cumulative = np.cumsum(0.5 * steps * (dissipation[1:] + dissipation[:-1]))
+    want = energies - energies[0] + 2.0 * np.concatenate([[0.0], cumulative])
+    got = energy_audit(spectrum, traj)
+    assert np.abs(got - want).max() <= 1e-12 * energies.max()
 
 
 def _assert_factored_form_matches_the_dense_arrays(mask, seed):

@@ -432,10 +432,10 @@ class TestOracle:
 
 
 class TestEnergyAudit:
-    def test_zero_trajectory(self, box4_spectrum, box4_hodge, box4_ops, grid):
+    def test_zero_trajectory(self, box4_spectrum, grid):
         from mildflow import zero_trajectory
 
-        balances = energy_audit(box4_spectrum, box4_ops, zero_trajectory(box4_spectrum, grid))
+        balances = energy_audit(box4_spectrum, zero_trajectory(box4_spectrum, grid))
         assert not balances.any()
 
     def test_matches_per_node_reference(self, box4_spectrum, box4_ops, small_solution):
@@ -449,11 +449,10 @@ class TestEnergyAudit:
         steps = np.diff(small_solution.grid.nodes)
         cumulative = np.cumsum(0.5 * steps * (dissipation[1:] + dissipation[:-1]))
         want = energies - energies[0] + 2.0 * np.concatenate([[0.0], cumulative])
-        got = energy_audit(box4_spectrum, box4_ops, small_solution)
+        got = energy_audit(box4_spectrum, small_solution)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * energies.max())
 
-    def test_linear_single_mode_balance_is_quadrature_error(self, box4_spectrum,
-                                                            box4_hodge, box4_ops):
+    def test_linear_single_mode_balance_is_quadrature_error(self, box4_spectrum, box4_hodge):
         # dissipation exactly cancels the energy drop up to the trapezoid
         # defect, which the closed form bounds by (dt^2/12) * max |g''|
         # with g(s) = 2 lam^2 ||u0||^2 e^{-2 lam s}
@@ -462,19 +461,18 @@ class TestEnergyAudit:
         grid = TimeGrid.graded(0.5, 32, 6)
         u0 = box4_hodge.lift(amp * box4_spectrum.from_modal(np.eye(box4_spectrum.dim)[0]))
         traj = alpha_trajectory(box4_spectrum, u0, grid)
-        balances = energy_audit(box4_spectrum, box4_ops, traj)
+        balances = energy_audit(box4_spectrum, traj)
         energy0 = amp**2
         spacing = np.diff(grid.nodes).max()
         bound = spacing**2 / 12.0 * 8.0 * lam**3 * energy0 * grid.horizon * 1.1
         assert np.abs(balances).max() <= bound
 
-    def test_balance_shrinks_under_time_refinement(self, box4_spectrum, box4_hodge,
-                                                   box4_ops, small_u0):
+    def test_balance_shrinks_under_time_refinement(self, box4_spectrum, box4_hodge, small_u0):
         maxima = []
         for segments in (16, 32):
             g = TimeGrid.graded(0.5, segments, 6)
             traj, _ = picard_solve(
                 box4_spectrum, box4_hodge, small_u0, PicardConfig(grid=g, tol=1e-12)
             )
-            maxima.append(np.abs(energy_audit(box4_spectrum, box4_ops, traj)).max())
+            maxima.append(np.abs(energy_audit(box4_spectrum, traj)).max())
         assert maxima[1] < maxima[0]

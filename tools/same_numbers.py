@@ -3,10 +3,14 @@
     python tools/same_numbers.py PARENT CHANGE [--work DIR]
 
 PARENT and CHANGE are checkout directories.  Each runs ``mildflow run``
-from its own ``src/`` in a fresh subprocess on three inputs:
+from its own ``src/`` in a fresh subprocess on these inputs:
 
 * the criterion-11 config: ``tests/data/box4.mask`` with the settings of
   ``tests/test_acceptance.py::test_criterion_11_determinism``;
+* two failing variants of it: ``picard: {tol: 1.0e-30, max_iterations: 1}``
+  stops unconverged (exit 5), and an empty ``shrink.eps_schedule`` at
+  ``initial_data.amplitude: 30.0`` leaves the gate unreachable (exit 4),
+  so the partial summaries and failure messages are compared too;
 * the ``mild_box8`` benchmark workload, seeds 1-10;
 * the ``setup_rough12`` benchmark workload, seed 1.
 
@@ -58,7 +62,17 @@ CRITERION_11 = {
     "oracle": {"dts": [0.01]},
     "initial_data": {"kind": "random", "amplitude": 0.03, "seed": 7},
 }
-CASES = [("criterion_11", None)] + [("mild_box8", s) for s in range(1, 11)] + [("setup_rough12", 1)]
+# the criterion-11 config and the changes of its failing variants
+CRITERION_11_VARIANTS = {
+    "criterion_11": {},
+    "criterion_11_no_convergence": {"picard": {"tol": 1e-30, "max_iterations": 1}},
+    "criterion_11_gate_unreachable": {
+        "shrink": {"eps_schedule": []},
+        "initial_data": dict(CRITERION_11["initial_data"], amplitude=30.0),
+    },
+}
+CASES = ([(kind, None) for kind in CRITERION_11_VARIANTS]
+         + [("mild_box8", s) for s in range(1, 11)] + [("setup_rough12", 1)])
 CSV_FILES = ("norms.csv", "iterations.csv")
 REL_TOL = 1e-8
 TOL_FACTOR = 10.0
@@ -78,12 +92,13 @@ def write_inputs(checkout: Path, workloads: dict, case: tuple, directory: Path) 
     """Write the case's ``domain.mask`` and ``config.yaml``; return the config path."""
     kind, seed = case
     out = directory / "out"
-    if kind != "criterion_11":
+    if kind not in CRITERION_11_VARIANTS:
         return workloads[kind].write_inputs(directory, seed, out)
     mask = directory / "domain.mask"
     mask.write_bytes((checkout / "tests" / "data" / "box4.mask").read_bytes())
     config = directory / "config.yaml"
-    config.write_text(yaml.safe_dump(dict(CRITERION_11, mask=str(mask), output_dir=str(out))))
+    config.write_text(yaml.safe_dump(dict(CRITERION_11, **CRITERION_11_VARIANTS[kind],
+                                          mask=str(mask), output_dir=str(out))))
     return config
 
 
