@@ -20,6 +20,21 @@ and the SVD C = U diag(sigma) V^T gives the eigenvalues (6 -+ sigma)/h^2
 with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
 6/h^2.  ``assemble_stokes`` checks that structure on the sparse L.
 
+The SVD is built from the Gram matrix, at about half the LAPACK work of
+a full SVD of C.  With A = C or C^T, whichever is tall (p columns),
+``eigh`` gives A^T A = V w V^T (descending), and one complete Householder
+QR gives A V = Q R: Q is the full orthonormal factor on the long side,
+its last |m_e - m_o| columns the unpaired vectors, and R ~ diag(+-sigma).
+The strictly upper part of R is dropped.  Since R^T R = V^T A^T A V =
+diag(w) + E, with E of order eps ||C||^2 the backward error of ``eigh``,
+those entries are R_ij ~ E_ij / sigma_i: round-off in rows with large
+sigma_i, but up to eps ||C||^2 / sigma_i where sigma_i is small.  So the
+trailing block of R whose sigma lies below ``TAIL`` sigma_max is
+re-solved by its own SVD, which rotates the matching columns of Q and V,
+and leaves only entries of order eps ||C|| / ``TAIL``.  The largest
+dropped |R_ij| / sigma_max, the factorization's backward error, and the
+size of the re-solved block go to ``margins``.
+
 Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
 ``CLUSTER_TOLERANCE`` form one cluster, and each cluster's eigenvectors
@@ -63,6 +78,9 @@ _EXP_LIMIT = 700.0
 CLUSTER_TOLERANCE = 1e-9
 #: Seed of the Gaussian draw that fixes the eigenvector basis inside each cluster.
 CLUSTER_SEED = 0
+#: Singular values of C below this fraction of the largest are re-solved by one
+#: small SVD (see ``_coupling_svd``).
+TAIL = 0.1
 
 
 @dataclass(eq=False)
@@ -142,8 +160,12 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
 
     so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
     with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
-    modes [u; 0] or [0; v] from the unpaired singular vectors.  They are
-    kept in factored form: U, V and the sparse mixing R (see the module
+    modes [u; 0] or [0; v] from the unpaired singular vectors.  That SVD
+    comes from an ``eigh`` of the Gram matrix of C and one QR
+    (``_coupling_svd``): the coupling it drops is R_ij ~ E_ij / sigma_i,
+    E the ``eigh`` backward error, so the rows with sigma below ``TAIL``
+    sigma_max are re-solved by one small SVD.  The eigenpairs are kept
+    in factored form: U, V and the sparse mixing R (see the module
     docstring).  Raises ``SpectrumError`` if L breaks that structure, or
     if an eigenvalue is not strictly positive beyond round-off, which
     would signal broken adjointness upstream.
@@ -151,8 +173,8 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     h2 = hodge.mask.spacing ** 2
     _check_block_structure(hodge, 6.0 / h2)
     m_e = hodge.n_even
-    u_mat, sigma, vt = np.linalg.svd(-h2 * hodge.even_odd_block(hodge.ops.laplacian),
-                                     full_matrices=True)
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(
+        -h2 * hodge.even_odd_block(hodge.ops.laplacian))
     eigenvalues, slot_rows, slot_values = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
     # the spectrum scales as 1/h^2, so the round-off floor is relative only
     tol = 1e-12 * eigenvalues[-1]
@@ -161,7 +183,7 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
     gaps, starts, sizes, draw = _clusters(eigenvalues, 3 * hodge.mask.n_cells)
-    draw_half = _blockdiag(u_mat.T, vt, hodge.coords(draw))
+    draw_half = _blockdiag(u_mat.T, v_mat.T, hodge.coords(draw))
     mixing = _canonical_mixing(starts, sizes, slot_rows, slot_values, draw_half)
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
     margins = {
@@ -169,8 +191,42 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
         "max_merged_gap_rel": float(merged.max()) if merged.size else None,
         "min_split_gap_rel": float(split.min()) if split.size else None,
         "lambda_min_over_positivity_tol": float(eigenvalues[0] / tol),
+        "max_dropped_coupling_rel": dropped,
+        "resolved_tail": tail,
     }
-    return StokesSpectrum(hodge, eigenvalues, u_mat, vt.T, mixing, margins)
+    return StokesSpectrum(hodge, eigenvalues, u_mat, v_mat, mixing, margins)
+
+
+def _coupling_svd(coupling: np.ndarray):
+    """The full SVD coupling = U diag(sigma) V^T, from ``eigh`` of the Gram
+    matrix and one complete QR (see the module docstring).
+
+    Returns U (m_e x m_e) and V (m_o x m_o), both C-contiguous, the
+    min(m_e, m_o) singular values sigma (descending up to round-off), the
+    largest dropped |R_ij| over sigma_max (``None`` without one) and the
+    size k of the re-solved trailing block.
+    """
+    transposed = coupling.shape[0] < coupling.shape[1]
+    tall = coupling.T if transposed else coupling
+    p = tall.shape[1]
+    w, right = np.linalg.eigh(tall.T @ tall)
+    right = np.ascontiguousarray(right[:, ::-1])
+    left, r = np.linalg.qr(tall @ right, mode="complete")
+    r = r[:p]
+    k = int(np.count_nonzero(w < TAIL ** 2 * w[-1])) if p else 0
+    if k:
+        tail = slice(p - k, p)
+        rot_left, sigma_tail, rot_right = np.linalg.svd(r[tail, tail])
+        left[:, tail] = left[:, tail] @ rot_left
+        right[:, tail] = right[:, tail] @ rot_right.T
+        r[:, tail] = r[:, tail] @ rot_right.T
+        r[tail, tail] = np.diag(sigma_tail)
+    diagonal = np.diagonal(r)
+    left[:, :p] *= np.where(diagonal < 0.0, -1.0, 1.0)
+    sigma = np.abs(diagonal)
+    dropped = float(np.abs(np.triu(r, 1)).max() / sigma.max()) if p > 1 and sigma.max() else None
+    u_mat, v_mat = (right, left) if transposed else (left, right)
+    return u_mat, sigma, v_mat, dropped, k
 
 
 def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):

@@ -25,8 +25,9 @@ are held to bounds of their own:
   (or to the trajectory, for the oracle deviation), so they carry that
   reference's round-off: compared within max(1e-10 relative, ``ROUNDOFF``);
 * the defect checks (divergence of the basis and of the solution, the
-  pressure-consistency gap, the merged eigenvalue gaps) measure round-off
-  itself: scaled to their units they must stay below ``ROUNDOFF``.
+  pressure-consistency gap, the merged eigenvalue gaps, the coupling the
+  factorization of C drops) measure round-off itself: scaled to their
+  units they must stay below ``ROUNDOFF``.
 """
 
 import csv
@@ -70,6 +71,7 @@ POWERS = {
 ROUNDOFF_PATHS = {
     "spectrum.margins.divergence_defect",
     "spectrum.margins.max_merged_gap_rel",
+    "spectrum.margins.max_dropped_coupling_rel",
     "verification.max_divergence",
     "verification.max_pressure_consistency",
 }

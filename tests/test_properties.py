@@ -35,7 +35,8 @@ from mildflow import (
     phi,
 )
 from mildflow.hodge import RANK_TOLERANCE, velocity_classes
-from conftest import dense_reference_spectrum, mask_path, random_vector_field
+from mildflow.stokes import _coupling_svd
+from conftest import DATA, dense_reference_spectrum, mask_path, random_vector_field
 
 # Hypothesis caches the literals of the local source files in its storage
 # directory while it collects this module; keep that cache out of the checkout.
@@ -182,6 +183,43 @@ def test_factored_form_without_even_blocks():
     # the one cell reaches only odd blocks, so U is 0 x 0
     spectrum = _assert_factored_form_matches_the_dense_arrays(load_mask(mask_path("single")), 0)
     assert spectrum.u_mat.shape == (0, 0) and spectrum.v_mat.shape == (3, 3)
+
+
+def _assert_coupling_svd_matches_reference(mask):
+    # the Gram-matrix route against LAPACK's SVD of C: the singular values,
+    # C v_i = sigma_i u_i and C^T u_i = sigma_i v_i (0 for the unpaired
+    # vectors), and orthonormal U and V
+    hodge = build_hodge(build_operators(mask))
+    coupling = -mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
+    u_mat, sigma, v_mat, _, _ = _coupling_svd(coupling)
+    reference = np.linalg.svd(coupling, compute_uv=False)
+    bound = 1e-13 * reference.max(initial=0.0)
+    assert np.abs(np.sort(sigma)[::-1] - reference).max(initial=0.0) <= bound
+    paired = np.zeros(coupling.shape)
+    np.fill_diagonal(paired, sigma)
+    for residual in (coupling @ v_mat - u_mat @ paired, coupling.T @ u_mat - v_mat @ paired.T):
+        assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= bound
+    for factor in (u_mat, v_mat):
+        assert np.abs(factor.T @ factor - np.eye(factor.shape[1])).max(initial=0.0) <= 1e-13
+    return sigma
+
+
+@PROPERTY_SETTINGS
+@given(masks())
+def test_coupling_svd_matches_reference(mask):
+    _assert_coupling_svd_matches_reference(mask)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.mask")))
+def test_coupling_svd_matches_reference_on_shipped_masks(name):
+    # covers the transposed case (lshape_3x3x1, C 4 x 7), an empty even
+    # side (single, C 0 x 3), an exact zero sigma (lmask_6x6x3) and a
+    # sigma of 2.1e-4 beside seven zeros (small_sigma_5x5x5, from a seeded
+    # search), where without the tail re-solve the residuals reach
+    # eps ||C||^2 / sigma, 1.8e-12 sigma_max
+    sigma = _assert_coupling_svd_matches_reference(load_mask(mask_path(name)))
+    if name == "small_sigma_5x5x5":
+        assert np.count_nonzero((sigma > 1e-10) & (sigma < 1e-3)) == 1
 
 
 def _dense_reference_hodge(ops):

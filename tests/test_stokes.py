@@ -24,6 +24,7 @@ from mildflow import (
     smoothing_bound,
     smoothing_envelope,
 )
+from mildflow.stokes import TAIL
 from conftest import dense_reference_spectrum, mask_path
 
 
@@ -64,6 +65,17 @@ class TestAssembly:
         ops = dataclasses.replace(box4_ops, laplacian=(diagonal + 2.0 * (lap - diagonal)).tocsr())
         with pytest.raises(SpectrumError, match="not positive definite"):
             assemble_stokes(build_hodge(ops))
+
+    @pytest.mark.parametrize("name", ["box4", "lmask"])
+    def test_factorization_margins(self, request, name):
+        # the re-solved block holds the singular values of C below TAIL
+        # sigma_max, and the coupling the factorization drops is round-off
+        hodge = request.getfixturevalue(f"{name}_hodge")
+        margins = assemble_stokes(hodge).margins
+        coupling = -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
+        svals = np.linalg.svd(coupling, compute_uv=False)
+        assert margins["resolved_tail"] == np.count_nonzero(svals < TAIL * svals[0]) > 0
+        assert 0.0 < margins["max_dropped_coupling_rel"] <= 1e-13
 
     def test_rayleigh_quotient_per_mode(self, box4_hodge, box4_spectrum):
         lap = box4_hodge.ops.laplacian

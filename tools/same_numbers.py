@@ -25,7 +25,9 @@ violation.  Then, per input:
 * the values that moved, and the keys that are new or removed, are
   listed; a removed key is a violation, a new one is not;
 * ``norms.csv`` and ``iterations.csv`` must match byte for byte, and
-  both sides must exit with the same code.
+  both sides must exit with the same code.  When a CSV differs, the
+  largest absolute and relative move of each of its columns is printed
+  with the violation.
 
 Reruns are byte-identical only at a fixed BLAS thread count, so both sides
 run with the environment this script sees; set ``OPENBLAS_NUM_THREADS``
@@ -37,6 +39,7 @@ violation.  Needs only the standard library and PyYAML.
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
 import json
 import math
@@ -172,6 +175,30 @@ def compare_summaries(parent: dict, change: dict, tol: float) -> list:
     return violations
 
 
+def column_moves(parent: Path, change: Path) -> list:
+    """One line per column of two CSV files with a header row: its largest
+    absolute and relative move, or one line saying the tables do not pair."""
+    tables = []
+    for path in (parent, change):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    (header, *old), (new_header, *new) = tables
+    if header != new_header or [len(row) for row in old] != [len(row) for row in new]:
+        return ["headers or row shapes differ"]
+    lines = []
+    for j, name in enumerate(header):
+        largest, largest_rel = 0.0, 0.0
+        for row_old, row_new in zip(old, new):
+            x, y = float(row_old[j]), float(row_new[j])
+            if same(x, y):
+                continue
+            delta = abs(y - x) if not math.isnan(y - x) else math.inf
+            largest = max(largest, delta)
+            largest_rel = max(largest_rel, delta / abs(x) if x else math.inf)
+        lines.append(f"{name}: |d| {largest:.2e}, rel {largest_rel:.2e}")
+    return lines
+
+
 def compare_case(directory: Path, inputs: dict, codes: dict) -> list:
     violations = []
     if inputs["parent"] != inputs["change"]:
@@ -196,6 +223,8 @@ def compare_case(directory: Path, inputs: dict, codes: dict) -> list:
         a, b = (directory / side / name for side in ("parent", "change"))
         if a.exists() != b.exists() or (a.exists() and a.read_bytes() != b.read_bytes()):
             print(f"    {name} differs  VIOLATION")
+            for line in column_moves(a, b) if a.exists() and b.exists() else []:
+                print(f"      {line}")
             violations.append(f"{name} differs")
     return violations
 
