@@ -16,19 +16,18 @@ and emits three machine-readable files into the output directory:
 mask file.  Exit codes: 0 ok, 2 config error; a failing stage exits with
 the code that ``_FAILURES`` gives its exception type.
 
-The config is YAML (keys documented in the README; any other key is a
-config error); a seed is mandatory so reruns at the same BLAS thread
-count are bit-reproducible apart from the timestamp field.
+The config is YAML.  The ``ExperimentConfig`` fields declare its keys,
+which the README documents; any other key is a config error.  A seed is
+mandatory so reruns at the same BLAS thread count are bit-reproducible
+apart from the timestamp field.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +80,9 @@ _FAILURES = {
     OracleInstabilityError: ("oracle", EXIT_ORACLE),
 }
 
-# The README's config schema: every section and the keys it may hold, and
-# the keys and types each initial-data kind reads besides ``kind``.
+# The keys and types each initial-data kind reads besides ``kind``.
 _INITIAL_DATA_KEYS = {"zero": {}, "eigenmode": {"mode": int, "amplitude": float},
                       "random": {"amplitude": float, "seed": int}, "file": {"path": str}}
-_SECTION_KEYS = {
-    "picard": {"tol", "max_iterations"},
-    "phi_norm": {"trials"},
-    "gate": {"safety_factor"},
-    "shrink": {"eps_schedule"},
-    "oracle": {"dts"},
-    "initial_data": {"kind", *set().union(*_INITIAL_DATA_KEYS.values())},
-}
-_CONFIG_KEYS = {"mask", "output_dir", "horizon", "segments", "quad_order", "seed",
-                "nonlinearity_scale", *_SECTION_KEYS}
 #: Most oracle steps one ``oracle.dts`` entry may take (``horizon / dt``).
 MAX_ORACLE_STEPS = 10**6
 #: Most time-grid segments N.  Phi's kernel operands hold 3n rows and up to
@@ -102,24 +90,31 @@ MAX_ORACLE_STEPS = 10**6
 MAX_SEGMENTS = 10**4
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class ExperimentConfig:
-    """Validated experiment description (see README for the file schema)."""
+    """Validated experiment description, and the config schema.
 
-    mask_path: str
-    output_dir: str
-    horizon: float
-    segments: int
-    quad_order: int
-    seed: int
-    nonlinearity_scale: float
-    picard_tol: float
-    picard_max_iterations: int
-    phi_trials: int
-    gate_safety: float
-    eps_schedule: list
-    oracle_dts: list
-    initial_data: dict
+    Each field but ``raw`` reads the YAML key in its ``key`` metadata
+    ("section.key" inside a section) as the field's type; a field with no
+    default is a required key.  ``config_from_dict`` accepts these keys and
+    no others (``initial_data`` holds the keys of ``_INITIAL_DATA_KEYS``).
+    """
+
+    mask_path: str = field(metadata={"key": "mask"})
+    output_dir: str = field(metadata={"key": "output_dir"})
+    horizon: float = field(metadata={"key": "horizon"})
+    segments: int = field(metadata={"key": "segments"})
+    quad_order: int = field(default=6, metadata={"key": "quad_order"})
+    seed: int = field(metadata={"key": "seed"})
+    nonlinearity_scale: float = field(default=1.0, metadata={"key": "nonlinearity_scale"})
+    picard_tol: float = field(default=1e-10, metadata={"key": "picard.tol"})
+    picard_max_iterations: int = field(default=15, metadata={"key": "picard.max_iterations"})
+    phi_trials: int = field(default=16, metadata={"key": "phi_norm.trials"})
+    gate_safety: float = field(default=2.0, metadata={"key": "gate.safety_factor"})
+    # lists of positive numbers
+    eps_schedule: list = field(default_factory=list, metadata={"key": "shrink.eps_schedule"})
+    oracle_dts: list = field(default_factory=list, metadata={"key": "oracle.dts"})
+    initial_data: dict = field(metadata={"key": "initial_data"})
     raw: dict = field(default_factory=dict, repr=False)
 
 
@@ -139,22 +134,41 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Check ``data`` against the ``ExperimentConfig`` fields and build the config."""
+    schema = {f.metadata["key"]: f for f in fields(ExperimentConfig) if "key" in f.metadata}
+    sections = {"initial_data": {"kind", *set().union(*_INITIAL_DATA_KEYS.values())}}
+    for name in schema:
+        section, _, key = name.rpartition(".")
+        if section:
+            sections.setdefault(section, set()).add(key)
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        if key not in schema and key not in sections:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _SECTION_KEYS:
+        if key in sections:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping")
             for sub in value:
-                if sub not in _SECTION_KEYS[key]:
+                if sub not in sections[key]:
                     raise ConfigError(f"unknown config key '{key}.{sub}'")
 
-    def need(key, kind, section=None):
-        src = data if section is None else data.get(section, {})
-        name = key if section is None else f"{section}.{key}"
+    def need(name, kind, required=True):
+        section, _, key = name.rpartition(".")
+        src = data.get(section, {}) if section else data
         if key not in src:
-            raise ConfigError(f"missing config key {name!r}")
+            if required:
+                raise ConfigError(f"missing config key {name!r}")
+            return MISSING
         value = src[key]
+        if kind is list:
+            bad = [
+                e for e in value
+                if not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
+            ] if isinstance(value, list) else [None]
+            if bad:
+                raise ConfigError(
+                    f"{name} must be a list of positive numbers{_float_text_hint(bad[0])}"
+                )
+            return [float(e) for e in value]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, kind) or isinstance(value, bool):
@@ -164,85 +178,45 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"config key {name!r} must be finite")
         return value
 
-    def optional(key, kind, default, section=None):
-        if key not in (data if section is None else data.get(section, {})):
-            return default
-        return need(key, kind, section)
-
-    def positive_list(section, key):
-        values = data.get(section, {}).get(key, [])
-        bad = [
-            e for e in values
-            if not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
-        ] if isinstance(values, list) else [None]
-        if bad:
-            raise ConfigError(
-                f"{section}.{key} must be a list of positive numbers{_float_text_hint(bad[0])}"
-            )
-        return [float(e) for e in values]
-
-    mask_path = need("mask", str)
-    output_dir = need("output_dir", str)
-    horizon = need("horizon", float)
-    segments = need("segments", int)
-    quad_order = optional("quad_order", int, 6)
-    seed = need("seed", int)
-    if seed < 0:
+    values = {}
+    for name, f in schema.items():
+        value = need(name, f.type, f.default is MISSING and f.default_factory is MISSING)
+        if value is not MISSING:
+            values[f.name] = value
+    config = ExperimentConfig(**values, raw=data)
+    if config.seed < 0:
         raise ConfigError("config key 'seed' must be >= 0")
-    scale = optional("nonlinearity_scale", float, 1.0)
-    tol = optional("tol", float, 1e-10, "picard")
-    max_it = optional("max_iterations", int, 15, "picard")
-    trials = optional("trials", int, 16, "phi_norm")
-    safety = optional("safety_factor", float, 2.0, "gate")
-    schedule = positive_list("shrink", "eps_schedule")
-    dts = positive_list("oracle", "dts")
 
-    init = need("initial_data", dict)
-    kind = need("kind", str, "initial_data")
+    init = config.initial_data
+    kind = need("initial_data.kind", str)
     if kind not in _INITIAL_DATA_KEYS:
         raise ConfigError(f"unknown initial_data.kind {kind!r}")
     unread = sorted(init.keys() - _INITIAL_DATA_KEYS[kind].keys() - {"kind"})
     if unread:
         raise ConfigError(f"config key 'initial_data.{unread[0]}' is not read by kind {kind!r}")
     for key, key_type in _INITIAL_DATA_KEYS[kind].items():
-        if key in init or key != "seed":  # only the random seed is optional
-            need(key, key_type, "initial_data")
+        need(f"initial_data.{key}", key_type, key != "seed")  # only the random seed is optional
     if init.get("seed", 0) < 0:
         raise ConfigError("config key 'initial_data.seed' must be >= 0")
 
-    if horizon <= 0 or segments < 2 or quad_order < 1:
+    horizon, segments = config.horizon, config.segments
+    if horizon <= 0 or segments < 2 or config.quad_order < 1:
         raise ConfigError("horizon must be positive, segments >= 2, quad_order >= 1")
-    if tol <= 0 or max_it < 1 or trials < 1 or safety < 1.0:
+    if (config.picard_tol <= 0 or config.picard_max_iterations < 1 or config.phi_trials < 1
+            or config.gate_safety < 1.0):
         raise ConfigError("picard/phi_norm/gate settings out of range")
-    if not scale >= 0.0:
+    if not config.nonlinearity_scale >= 0.0:
         raise ConfigError("nonlinearity_scale must be non-negative")
     if segments > MAX_SEGMENTS:
         raise ConfigError(f"segments exceeds {MAX_SEGMENTS}")
-    if any(horizon / dt > MAX_ORACLE_STEPS for dt in dts):
+    if any(horizon / dt > MAX_ORACLE_STEPS for dt in config.oracle_dts):
         raise ConfigError(f"oracle.dts: horizon / dt exceeds {MAX_ORACLE_STEPS} oracle steps")
     try:
-        TimeGrid.graded(horizon, segments, quad_order)
+        TimeGrid.graded(horizon, segments, config.quad_order)
     except ValueError as exc:
         raise ConfigError(f"horizon {horizon!r} and segments {segments} "
                           f"give no time grid: {exc}") from exc
-
-    return ExperimentConfig(
-        mask_path=mask_path,
-        output_dir=output_dir,
-        horizon=horizon,
-        segments=segments,
-        quad_order=quad_order,
-        seed=seed,
-        nonlinearity_scale=scale,
-        picard_tol=tol,
-        picard_max_iterations=max_it,
-        phi_trials=trials,
-        gate_safety=safety,
-        eps_schedule=schedule,
-        oracle_dts=dts,
-        initial_data=init,
-        raw=data,
-    )
+    return config
 
 
 def _float_text_hint(value) -> str:

@@ -102,10 +102,6 @@ class StokesSpectrum:
     v_mat: np.ndarray
     mixing: sp.csr_array
     margins: dict = field(default_factory=dict)
-    mixing_t: sp.csr_array = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.mixing_t = self.mixing.T.tocsr()
 
     @property
     def dim(self) -> int:
@@ -117,7 +113,7 @@ class StokesSpectrum:
 
     def to_modal(self, coords: np.ndarray) -> np.ndarray:
         """Modal coordinates Q^T c of Z coordinates c, (m,) or (m, k)."""
-        return self.mixing_t @ _blockdiag(self.u_mat.T, self.v_mat.T, coords)
+        return self.mixing.T @ _blockdiag(self.u_mat.T, self.v_mat.T, coords)
 
     def lift(self, modal: np.ndarray) -> np.ndarray:
         """Flat fields Y a of modal coordinates a, (m,) or (m, k) -> (3n,) or (3n, k)."""
@@ -343,9 +339,9 @@ def smoothing_bound(spectrum: StokesSpectrum, s: float, t_grid) -> np.ndarray:
     if s < 0.0:
         raise ValueError(f"smoothing exponent must be nonnegative, got {s}")
     x = np.outer(t_grid, spectrum.eigenvalues)
-    return np.max(x**s * np.exp(-x), axis=1) if s > 0 else np.exp(-x[:, 0])
+    return np.max(x**s * np.exp(-x), axis=1)
 
 
 def smoothing_envelope(s: float) -> float:
     """The calculus maximum of x^s e^{-x} over x > 0, i.e. (s/e)^s."""
-    return 1.0 if s == 0.0 else (s / math.e) ** s
+    return (s / math.e) ** s

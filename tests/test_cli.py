@@ -18,6 +18,7 @@ from mildflow.cli import (
     EXIT_ORACLE,
     EXIT_PICARD,
     EXIT_SPECTRUM,
+    ExperimentConfig,
     config_from_dict,
     load_config,
     main,
@@ -62,6 +63,14 @@ def write_config(tmp_path, cfg, name="config.yaml"):
 
 def read_summary(out_dir):
     return json.loads((Path(out_dir) / "summary.json").read_text())
+
+
+def readme_schema():
+    """The YAML block under the README's ``### Config schema``."""
+    text = README.read_text()
+    block = text[text.index("### Config schema"):]
+    block = block[block.index("```yaml\n") + len("```yaml\n"):]
+    return yaml.safe_load(block[:block.index("```")])
 
 
 class TestConfigParsing:
@@ -190,11 +199,23 @@ class TestConfigParsing:
         assert cfg.eps_schedule == [] and cfg.oracle_dts == []
 
     def test_readme_schema_block_is_accepted(self):
-        text = README.read_text()
-        block = text[text.index("### Config schema"):]
-        block = block[block.index("```yaml\n") + len("```yaml\n"):]
-        schema = yaml.safe_load(block[:block.index("```")])
+        schema = readme_schema()
         assert config_from_dict(schema).segments == schema["segments"]
+
+    def test_declared_keys_and_defaults_are_the_readme_block(self):
+        shown = {}
+        for key, value in readme_schema().items():
+            if isinstance(value, dict) and key != "initial_data":  # its keys go by kind
+                shown.update({f"{key}.{sub}": item for sub, item in value.items()})
+            else:
+                shown[key] = value
+        declared = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)
+                    if "key" in f.metadata}
+        assert shown.keys() == declared.keys()
+        for key, f in declared.items():
+            if key.split(".")[0] in ("quad_order", "nonlinearity_scale", "picard", "phi_norm",
+                                     "gate"):
+                assert (type(shown[key]), shown[key]) == (type(f.default), f.default), key
 
     def test_validate_command(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

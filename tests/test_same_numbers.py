@@ -1,0 +1,51 @@
+"""tools/same_numbers.py: the summary comparison that decides a violation."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
+
+
+@pytest.fixture(scope="module")
+def compare_summaries():
+    spec = importlib.util.spec_from_file_location("same_numbers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare_summaries
+
+
+def summary(distances, ratios, **extra):
+    return {"timestamp": "t", "picard": {"distances": distances, "ratios": ratios}, **extra}
+
+
+def test_ratio_of_round_off_distances_may_move(compare_summaries, capsys):
+    # two Picard distances near 1e-12, inside the 10 tol = 1e-9 band each is
+    # allowed: their ratio is round-off, and moved 2.7e-6 relative in a
+    # change that only reordered a dense factorization
+    d = [2.0e-6, 3.0e-11, 1.1e-12]
+    r = [d[1] / d[0], d[2] / d[1]]
+    moved = [r[0], r[1] * (1 + 2.7e-6)]
+    assert abs(moved[1] - r[1]) > 10 * 1e-10  # beyond the plain float bound
+    assert compare_summaries(summary(d, r), summary(d, moved), 1e-10) == []
+    assert "moved picard.ratios[1]" in capsys.readouterr().out
+
+
+def test_ratio_of_resolved_distances_may_not_move(compare_summaries):
+    d = [1.0e-2, 5.0e-4]
+    violations = compare_summaries(summary(d, [0.05]), summary(d, [0.5]), 1e-10)
+    assert violations == ["picard.ratios[0] moved"]
+
+
+def test_removed_key_is_a_violation(compare_summaries):
+    parent = summary([1.0, 0.1], [0.1], status="ok")
+    change = summary([1.0, 0.1], [0.1])
+    assert compare_summaries(parent, change, 1e-10) == ["status removed"]
+
+
+def test_new_key_is_not_a_violation(compare_summaries, capsys):
+    parent = summary([1.0, 0.1], [0.1])
+    change = summary([1.0, 0.1], [0.1], grid={"lambda_min_t1": 0.5})
+    assert compare_summaries(parent, change, 1e-10) == []
+    assert "new grid.lambda_min_t1: 0.5" in capsys.readouterr().out

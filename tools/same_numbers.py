@@ -21,7 +21,12 @@ violation.  Then, per input:
 
 * every ``summary.json`` value is compared, ``timestamp`` aside: an
   integer, string, bool or null must match exactly, and a float passes if
-  |change - parent| <= max(1e-8 |parent|, 10 picard.tol);
+  |change - parent| <= max(1e-8 |parent|, 10 picard.tol).  A ratio
+  ``picard.ratios[i]`` = r = d1 / d0 of the distances d0 =
+  ``picard.distances[i]`` and d1 = ``picard.distances[i+1]`` may also
+  move by the first-order effect of that band on each distance,
+  r (b(d1) / d1 + b(d0) / d0) with b(d) = max(1e-8 d, 10 picard.tol):
+  near the tolerance the distances are round-off, and so is r;
 * the values that moved, and the keys that are new or removed, are
   listed; a removed key is a violation, a new one is not;
 * ``norms.csv`` and ``iterations.csv`` must match byte for byte, and
@@ -44,6 +49,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -146,6 +152,22 @@ def same(x, y) -> bool:
     return type(x) is type(y) and x == y
 
 
+def allowed_move(key: str, x: float, old: dict, tol: float) -> float:
+    """The largest |change - parent| the parent value ``x`` at ``key`` passes with;
+    ``old`` holds the parent summary's flattened values."""
+    def band(value):
+        return max(REL_TOL * abs(value), TOL_FACTOR * tol)
+
+    ratio = re.fullmatch(r"picard\.ratios\[(\d+)\]", key)
+    if not ratio:
+        return band(x)
+    i = int(ratio[1])
+    d0, d1 = old[f"picard.distances[{i}]"], old[f"picard.distances[{i + 1}]"]
+    # r (b(d1) / d1 + b(d0) / d0) with r = d1 / d0, written without dividing by d1,
+    # which is 0 when the last step lands exactly on the fixed point
+    return max(band(x), (band(d1) + abs(x) * band(d0)) / d0)
+
+
 def compare_summaries(parent: dict, change: dict, tol: float) -> list:
     """Violations between two summaries; prints every moved, new and removed key."""
     old, new = dict(flatten(parent)), dict(flatten(change))
@@ -158,7 +180,7 @@ def compare_summaries(parent: dict, change: dict, tol: float) -> list:
             continue
         if is_float(x) and is_float(y) and not (isinstance(x, int) and isinstance(y, int)):
             delta = abs(y - x)
-            ok = delta <= max(REL_TOL * abs(x), TOL_FACTOR * tol)
+            ok = delta <= allowed_move(key, x, old, tol)
             rel = delta / abs(x) if x else math.inf
             print(f"    moved {key}: {x!r} -> {y!r} (|d| {delta:.2e}, rel {rel:.2e})"
                   + ("" if ok else "  VIOLATION"))
