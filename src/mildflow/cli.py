@@ -136,13 +136,14 @@ def load_config(path) -> ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Check ``data`` against the ``ExperimentConfig`` fields and build the config."""
     schema = {f.metadata["key"]: f for f in fields(ExperimentConfig) if "key" in f.metadata}
+    top = {name.partition(".")[0] for name in schema}
     sections = {"initial_data": {"kind", *set().union(*_INITIAL_DATA_KEYS.values())}}
     for name in schema:
-        section, _, key = name.rpartition(".")
-        if section:
+        section, _, key = name.partition(".")
+        if key:
             sections.setdefault(section, set()).add(key)
     for key, value in data.items():
-        if key not in schema and key not in sections:
+        if key not in top:
             raise ConfigError(f"unknown config key {key!r}")
         if key in sections:
             if not isinstance(value, dict):

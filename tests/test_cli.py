@@ -103,6 +103,8 @@ class TestConfigParsing:
         "change",
         [
             {"nonlinearity_scal": 0.0},  # misspelt top-level key
+            {"picard.tol": 1e-12},  # a section key written flat at the top level
+            {"oracle.dts": [0.01]},
             {"picard": {"tol": 1e-10, "max_iteration": 3}},  # misspelt nested key
             {"picard": 5},  # section that is not a mapping
             {"nonlinearity_scale": -1.0},
@@ -132,7 +134,7 @@ class TestConfigParsing:
             {"initial_data": {"kind": "random", "amplitude": 0.05, "mode": 2}},
             {"initial_data": {"kind": "random", "amplitude": 0.05, "path": "zeros.npy"}},
         ],
-        ids=["top_level_typo", "nested_typo", "section_not_mapping", "negative_scale",
+        ids=["top_level_typo", "flat_section_key", "flat_section_list", "nested_typo", "section_not_mapping", "negative_scale",
              "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
              "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
