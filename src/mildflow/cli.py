@@ -247,15 +247,16 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         coords = hodge.coords(rng.standard_normal(3 * mask.n_cells))
         coords *= float(init["amplitude"]) / (mask.cell_volume ** 0.5 * np.linalg.norm(coords))
         return hodge.lift(coords)
-    # kind == "file": component-blocked array of shape (3, n) or (3n,)
+    # kind == "file": a component-blocked array of shape (3, n) or (3n,) only
     try:
-        values = np.asarray(np.load(init["path"]), dtype=float).reshape(-1)
+        values = np.asarray(np.load(init["path"]), dtype=float)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read initial data file {init['path']}: {exc}") from exc
-    if values.size != 3 * mask.n_cells:
+    accepted = ((3, mask.n_cells), (3 * mask.n_cells,))
+    if values.shape not in accepted:
         raise ConfigError(
-            f"initial data file {init['path']} holds {values.size} values, "
-            f"the mask needs 3 x {mask.n_cells}"
+            f"initial data file {init['path']} holds an array of shape {values.shape}, "
+            f"the mask needs {accepted[0]} or {accepted[1]}"
         )
     if not np.isfinite(values).all():
         raise ConfigError(f"initial data file {init['path']} holds non-finite values")
@@ -439,22 +440,14 @@ def _write_iterations_csv(path: Path, log):
 
 
 def _cmd_run(args) -> int:
-    try:
-        code = run_experiment(load_config(args.config))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    code = run_experiment(load_config(args.config))
     if code != EXIT_OK:
         print(f"run failed with exit code {code} (see summary.json)", file=sys.stderr)
     return code
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    load_config(args.config)
     print("config ok")
     return EXIT_OK
 
@@ -496,7 +489,11 @@ def main(argv=None) -> int:
     p_info.add_argument("mask")
     p_info.set_defaults(func=_cmd_mask_info)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -285,18 +285,15 @@ class DiscreteOperators:
     laplacian: sp.csr_matrix
 
     def gradient_of(self, p: ScalarField) -> VectorField:
-        if not p.mask.same_as(self.mask):
-            raise FieldMismatchError("scalar field on a different mask")
+        _require_same_mask(p, self)
         return VectorField.from_flat(self.mask, self.gradient @ p.values)
 
     def divergence_of(self, u: VectorField) -> ScalarField:
-        if not u.mask.same_as(self.mask):
-            raise FieldMismatchError("vector field on a different mask")
+        _require_same_mask(u, self)
         return ScalarField(self.mask, self.divergence @ u.flat)
 
     def laplacian_of(self, u: VectorField) -> VectorField:
-        if not u.mask.same_as(self.mask):
-            raise FieldMismatchError("vector field on a different mask")
+        _require_same_mask(u, self)
         return VectorField.from_flat(self.mask, self.laplacian @ u.flat)
 
 

@@ -77,7 +77,6 @@ class ParityBlock:
     The factors are the kept part of the block's SVD.
     """
 
-    klass: int
     cells: np.ndarray
     rows: np.ndarray
     span: slice
@@ -199,18 +198,17 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
         cells = np.flatnonzero(cell_class == klass)
         rows = np.flatnonzero(row_class == klass)
         dense = ops.gradient[rows][:, cells].toarray()
-        factors.append((klass, cells, rows, *np.linalg.svd(dense, full_matrices=True)))
-    svals = np.concatenate([f[4] for f in factors])
+        factors.append((cells, rows, *np.linalg.svd(dense, full_matrices=True)))
+    svals = np.concatenate([f[3] for f in factors])
     top = svals.max(initial=0.0)
     cut = RANK_TOLERANCE * top
-    ranks = [int(np.count_nonzero(f[4] > cut)) for f in factors]
+    ranks = [int(np.count_nonzero(f[3] > cut)) for f in factors]
     rank = sum(ranks)
     blocks, start = [], 0
-    for (klass, cells, rows, u_mat, s, vt), r in zip(factors, ranks):
+    for (cells, rows, u_mat, s, vt), r in zip(factors, ranks):
         span = slice(start, start + rows.size - r)
         # the kernel and the kept factor share the block's U between them
-        blocks.append(ParityBlock(klass, cells, rows, span, u_mat[:, r:], u_mat[:, :r],
-                                  s[:r], vt[:r]))
+        blocks.append(ParityBlock(cells, rows, span, u_mat[:, r:], u_mat[:, :r], s[:r], vt[:r]))
         start = span.stop
     # ker(divergence) must contain Z up to round-off
     defect = max(float(np.abs(ops.divergence[:, b.rows] @ b.kernel).max(initial=0.0))

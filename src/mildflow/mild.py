@@ -597,32 +597,25 @@ def picard_solve(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: Vector
     alpha = _orbit(spectrum, spectrum.project(u0.flat), grid)
     log.alpha_norms = et_norm(spectrum, alpha)
     v = alpha if config.start == "alpha" else zero_trajectory(spectrum, grid)
-    log.iterate_norms.append(et_norm(spectrum, v))
-
-    prev_dist = None
-    bad_streak = 0
     while True:
-        correction = phi(spectrum, v, v, scale=config.nonlinearity_scale)
-        nxt = combine_trajectories(1.0, alpha, 1.0, correction)
+        log.iterate_norms.append(et_norm(spectrum, v))
+        nxt = combine_trajectories(1.0, alpha, 1.0,
+                                   phi(spectrum, v, v, scale=config.nonlinearity_scale))
         dist = et_norm(spectrum, combine_trajectories(1.0, nxt, -1.0, v)).total
         log.iterations += 1
+        if log.distances and log.distances[-1] > 0.0:
+            log.ratios.append(dist / log.distances[-1])
         log.distances.append(dist)
-        if prev_dist is not None and prev_dist > 0.0:
-            ratio = dist / prev_dist
-            log.ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-        if bad_streak >= 3:
+        # NaN is not >= 1: a NaN ratio ends a run of expansions
+        if len(log.ratios) >= 3 and all(r >= 1.0 for r in log.ratios[-3:]):
             raise PicardDivergenceError(
-                f"no contraction for {bad_streak} consecutive steps "
-                f"(last distances {log.distances[-4:]})",
+                f"no contraction for 3 consecutive steps (last distances {log.distances[-4:]})",
                 log,
             )
         log.converged = dist <= config.tol
         if log.converged or log.iterations >= config.max_iterations:
             break
-        prev_dist = dist
         v = nxt
-        log.iterate_norms.append(et_norm(spectrum, v))
 
     log.fixed_point_residual = dist
     if not log.converged:

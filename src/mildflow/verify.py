@@ -86,15 +86,14 @@ def _recover_pressures(hodge: HodgeDecomposition, w_flat: np.ndarray):
     w of a (3n, k) array.
 
     Returns the potentials, the mismatch grad p + w (what the gradient
-    cannot explain), the gradient residuals (the defect within the gradient
-    subspace) and the H components (the part of w no potential represents).
+    cannot explain) and the norms of its H components (the part of w no
+    potential represents), read off the coordinates: Z has orthonormal
+    columns, so ||Z Z^T m|| = ||Z^T m||.
     """
     p = -hodge.potentials(w_flat)
     mismatch = hodge.ops.gradient @ p + w_flat
-    mismatch_h = hodge.lift_flat(hodge.coords(mismatch))
     vol = hodge.mask.cell_volume ** 0.5
-    return (p, mismatch, vol * np.linalg.norm(mismatch - mismatch_h, axis=0),
-            vol * np.linalg.norm(mismatch_h, axis=0))
+    return p, mismatch, vol * np.linalg.norm(hodge.coords(mismatch), axis=0)
 
 
 def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
@@ -127,7 +126,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     denom = vol * (np.linalg.norm(du, axis=0) + np.linalg.norm(lap_u, axis=0))
     denom = np.maximum(denom, np.finfo(float).tiny)
     residual_num = vol * np.linalg.norm(spectrum.project(w), axis=0)  # direct projection route
-    potentials, mismatch, _, h_components = _recover_pressures(hodge, w)
+    potentials, mismatch, h_components = _recover_pressures(hodge, w)
     # the eigenfields are orthonormal: the field error is the modal error
     init_err = vol * float(np.linalg.norm(traj.samples[0] - spectrum.project(u0.flat)))
     return StrongCheckReport(

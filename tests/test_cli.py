@@ -394,14 +394,17 @@ class TestRunPipeline:
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
 
-    @pytest.mark.parametrize("values", ["wrong_size", "nan", "unreadable"])
+    @pytest.mark.parametrize("values", ["wrong_size", "cell_major", "nan", "unreadable"])
     def test_bad_file_initial_data_is_config_error(self, tmp_path, values):
         import numpy as np
 
         out = tmp_path / "out"
         npy = tmp_path / "u0.npy"
+        arrays = {"wrong_size": np.zeros((3, 63)), "nan": np.full((3, 64), np.nan),
+                  # 3 x 64 values, but one row per cell: not component-blocked
+                  "cell_major": np.full((64, 3), 0.01)}
         if values != "unreadable":
-            np.save(npy, np.zeros((3, 63)) if values == "wrong_size" else np.full((3, 64), np.nan))
+            np.save(npy, arrays[values])
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         summary = read_summary(out)
@@ -655,23 +658,32 @@ def test_pipeline_never_reads_the_dense_arrays(tmp_path, monkeypatch, mask_name)
 TRACED_CLI_NAMES = ["load_mask", "build_operators", "build_hodge", "assemble_stokes",
                     "estimate_phi_norm", "shrink_horizon", "picard_solve",
                     "strong_residual", "energy_audit", "imex_oracle"]
+# the kernels the tracer wraps in their own modules; it wraps
+# mild.convolve_semigroup too, but the pipeline never calls it
+TRACED_KERNEL_NAMES = [("mild", "phi"), ("mild", "advect_flat"), ("verify", "advect_flat")]
 
 
 def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
     # the tracer sees a stage only if the run looks its function up as a
-    # mildflow.cli global at call time
-    import mildflow.cli as cli_mod
+    # mildflow.cli global at call time, and a kernel only if the run looks
+    # it up as a global of its mildflow.mild or mildflow.verify caller
+    import mildflow.cli
+    import mildflow.mild
+    import mildflow.verify
 
-    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
+    modules = {"cli": mildflow.cli, "mild": mildflow.mild, "verify": mildflow.verify}
+    traced = [("cli", name) for name in TRACED_CLI_NAMES] + TRACED_KERNEL_NAMES
+    calls = dict.fromkeys(traced, 0)
 
-    def counting(name, func):
+    def counting(key, func):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return func(*args, **kwargs)
         return wrapper
 
-    for name in TRACED_CLI_NAMES:
-        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    for module, name in traced:
+        monkeypatch.setattr(modules[module], name,
+                            counting((module, name), getattr(modules[module], name)))
     out = tmp_path / "out"
     # criterion 11's config at amplitude 12 takes one shrink
     cfg = base_config(out, seed=4242, shrink={"eps_schedule": [0.2, 0.4]},

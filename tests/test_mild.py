@@ -734,6 +734,31 @@ class TestPicard:
         assert sum(1 for r in log.ratios[-3:] if r >= 1.0) == 3
         assert log.fixed_point_residual is None
 
+    def test_contracting_step_restarts_the_expansion_count(self, box4_spectrum, box4_hodge,
+                                                           grid, monkeypatch):
+        # the k-th Phi image is s_k d, so from zero data the distances are
+        # 1, 2, 1, 2, 4, 8 times ||d||: one expansion, a contraction, then
+        # three expansions in a row; a count of expansions in total would
+        # stop at the fifth step
+        rng = np.random.default_rng(5)
+        d = MildTrajectory(grid, rng.standard_normal((grid.nodes.size, box4_spectrum.dim)),
+                           rng.standard_normal((grid.segments, box4_spectrum.dim)))
+        scales = iter([1, 3, 4, 6, 10, 18, 34])
+
+        def scaled_phi(*args, **kwargs):
+            s = next(scales)
+            return MildTrajectory(grid, s * d.samples, s * d.derivative_samples)
+
+        monkeypatch.setattr(mild_mod, "phi", scaled_phi)
+        with pytest.raises(PicardDivergenceError,
+                           match="no contraction for 3 consecutive steps") as info:
+            picard_solve(box4_spectrum, box4_hodge, VectorField.zeros(box4_hodge.mask),
+                         PicardConfig(grid=grid))
+        log = info.value.log
+        assert log.iterations == 6
+        np.testing.assert_allclose(log.ratios, [2.0, 0.5, 2.0, 2.0, 2.0], rtol=1e-12)
+        assert log.fixed_point_residual is None
+
     def test_iteration_limit_raises_with_log(self, box4_spectrum, box4_hodge, grid):
         u0 = _mode_field(box4_spectrum, 0, 0.05)
         cfg = PicardConfig(grid=grid, tol=1e-30, max_iterations=1)

@@ -9,11 +9,16 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
 
 
 @pytest.fixture(scope="module")
-def compare_summaries():
+def tool():
     spec = importlib.util.spec_from_file_location("same_numbers", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare_summaries
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare_summaries(tool):
+    return tool.compare_summaries
 
 
 def summary(distances, ratios, **extra):
@@ -49,3 +54,26 @@ def test_new_key_is_not_a_violation(compare_summaries, capsys):
     change = summary([1.0, 0.1], [0.1], grid={"lambda_min_t1": 0.5})
     assert compare_summaries(parent, change, 1e-10) == []
     assert "new grid.lambda_min_t1: 0.5" in capsys.readouterr().out
+
+
+def margins(gap):
+    return {"timestamp": "t", "spectrum": {"margins": {"max_merged_gap_rel": gap}}}
+
+
+def test_round_off_measurement_may_move_by_round_off(compare_summaries, capsys):
+    # a merged eigenvalue gap that moved at picard.tol 1e-30, where the
+    # plain float bound is 1e-8 relative: it is round-off either way
+    assert compare_summaries(margins(4.1e-16), margins(5.4e-16), 1e-30) == []
+    assert "moved spectrum.margins.max_merged_gap_rel" in capsys.readouterr().out
+
+
+def test_round_off_measurement_may_not_move_beyond_round_off(compare_summaries):
+    violations = compare_summaries(margins(4.1e-16), margins(4.1e-16 + 1e-12), 1e-30)
+    assert violations == ["spectrum.margins.max_merged_gap_rel moved"]
+
+
+def test_round_off_keys_are_the_invariance_tests(tool):
+    import test_invariance
+
+    assert tool.ROUNDOFF_KEYS == test_invariance.ROUNDOFF_PATHS
+    assert tool.ROUNDOFF == test_invariance.ROUNDOFF

@@ -152,7 +152,7 @@ def per_column_strong_residual(spectrum, hodge, ops, traj, scale):
         w = du + lap_u + conv
         denom = vol * (np.linalg.norm(du) + np.linalg.norm(lap_u))
         residual = vol * np.linalg.norm(fields.T @ w)
-        p, _, _, h_component = mildflow.verify._recover_pressures(hodge, w[:, None])
+        p, _, h_component = mildflow.verify._recover_pressures(hodge, w[:, None])
         grad_full = ops.gradient @ p[:, 0] + w
         rows.append((
             vol * np.linalg.norm(ops.divergence @ u),
@@ -244,10 +244,14 @@ class TestBatchedAudit:
 
 
 def recover_one(hodge, w):
-    """Potential, gradient residual and H component of one field's recovery."""
-    p, _, gradient_residual, h_component = mildflow.verify._recover_pressures(
-        hodge, w.flat[:, None])
-    return p[:, 0], gradient_residual[0], h_component[0]
+    """Potential, gradient residual and H component of one field's recovery.
+
+    The gradient residual, the mismatch's part outside H, is the defect of
+    the recovery within the gradient subspace."""
+    p, mismatch, h_component = mildflow.verify._recover_pressures(hodge, w.flat[:, None])
+    mismatch = VectorField.from_flat(hodge.mask, mismatch[:, 0])
+    gradient_residual = np.linalg.norm(mismatch.flat - hodge.project(mismatch).flat)
+    return p[:, 0], hodge.mask.cell_volume ** 0.5 * gradient_residual, h_component[0]
 
 
 class TestRecoverPressure:
