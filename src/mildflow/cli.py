@@ -118,6 +118,18 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe YAML loading that rejects a key written twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [self.construct_object(k, deep=deep) for k, _ in node.value
+                if k.tag != "tag:yaml.org,2002:merge"]  # a << merge key may repeat
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"config key {key!r} is written twice in one mapping")
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and statically validate a YAML experiment config."""
     try:
@@ -125,7 +137,7 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -249,8 +261,8 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         return hodge.lift(coords)
     # kind == "file": a component-blocked array of shape (3, n) or (3n,) only
     try:
-        values = np.asarray(np.load(init["path"]), dtype=float)
-    except (OSError, ValueError) as exc:
+        values = np.asarray(np.load(init["path"])).astype(float, casting="same_kind")
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read initial data file {init['path']}: {exc}") from exc
     accepted = ((3, mask.n_cells), (3 * mask.n_cells,))
     if values.shape not in accepted:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DiscreteOperators, VectorField
-from .errors import FieldMismatchError
+from .domain import DiscreteOperators, VectorField, _require_same_mask
 
 
 def advect_flat(ops: DiscreteOperators, xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
@@ -34,7 +33,6 @@ def advect_flat(ops: DiscreteOperators, xu: np.ndarray, xv: np.ndarray) -> np.nd
 
 def advect(ops: DiscreteOperators, u: VectorField, v: VectorField) -> VectorField:
     """Directional derivative (u . grad) v as a vector field."""
-    for f in (u, v):
-        if not f.mask.same_as(ops.mask):
-            raise FieldMismatchError("advection operands on a different mask")
+    _require_same_mask(u, ops)
+    _require_same_mask(v, ops)
     return VectorField.from_flat(ops.mask, advect_flat(ops, u.flat, v.flat))

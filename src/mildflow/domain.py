@@ -7,16 +7,18 @@ masks are fine.
 
 Fields live on the occupied cells only, in a fixed cell enumeration
 (C-order of the index triples).  Three operators are assembled as explicit
-sparse matrices over that enumeration:
+sparse matrices over that enumeration.  Both stencils are parts of one
+adjacency per axis e, P[c, c+e] = 1 for each pair of occupied neighbors; a
+neighbor outside the mask has no entry, which is the zero extension:
 
-* ``gradient``   : centered differences ``(p[c+e] - p[c-e]) / (2h)`` with
-  zero extension outside the mask,
+* ``gradient``   : centered differences ``(p[c+e] - p[c-e]) / (2h)``, the
+  antisymmetric part ``(P - P^T) / (2h)`` per axis,
 * ``divergence`` : exactly ``-gradient.T``, so that
   ``<grad p, u> + <p, div u> = 0`` holds to round-off (discrete
   integration by parts with zero boundary values),
-* ``laplacian``  : componentwise 7-point stencil ``(6u[c] - sum u[nbr])/h^2``
-  with Dirichlet (zero) values at unoccupied neighbors; symmetric positive
-  definite.
+* ``laplacian``  : componentwise 7-point stencil ``(6u[c] - sum u[nbr])/h^2``,
+  ``(6 I - sum_e (P + P^T)) / h^2``, with Dirichlet (zero) values at
+  unoccupied neighbors; symmetric positive definite.
 
 Inner products and norms carry the cell volume ``h^3`` so that they are
 discretizations of the corresponding integrals.
@@ -24,7 +26,7 @@ discretizations of the corresponding integrals.
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +186,8 @@ def vector_lp_norm(u: VectorField, p: float) -> float:
 
 
 def load_mask(source) -> DomainMask:
-    """Parse a mask from bytes, text, a file-like object, or a path."""
+    """Parse a mask from bytes, text, a file-like object, or a path
+    (a ``str`` or an ``os.PathLike``)."""
     text = _as_text(source)
     lines = text.split("\n")
     # A single trailing newline is tolerated.
@@ -249,10 +252,12 @@ def format_mask(mask: DomainMask) -> str:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, str) and "\n" not in source and not source.startswith(MASK_MAGIC):
+    if isinstance(source, os.PathLike) or (
+        isinstance(source, str) and "\n" not in source and not source.startswith(MASK_MAGIC)
+    ):
         with open(source, "rb") as fh:
             source = fh.read()
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+    elif hasattr(source, "read"):
         source = source.read()
     if isinstance(source, str):
         return source
@@ -298,38 +303,15 @@ class DiscreteOperators:
 
 
 def build_operators(mask: DomainMask) -> DiscreteOperators:
-    """Assemble the stencil operators for a mask."""
+    """Assemble the stencil operators for a mask from one adjacency per axis."""
     n = mask.n_cells
-    idx = mask.index_grid
-    occ = mask.occupancy
     h = mask.spacing
-
-    blocks = []
-    lap_rows, lap_cols, lap_vals = [], [], []
-    for axis, shift in enumerate(_AXIS_SHIFTS):
-        rows_p, cols_p = _neighbor_pairs(occ, idx, shift)
-        # Centered difference: +1/(2h) at c+e, -1/(2h) at c-e; missing
-        # neighbors contribute the zero extension, i.e. nothing.
-        data = np.concatenate(
-            [np.full(rows_p.size, 1.0 / (2 * h)), np.full(rows_p.size, -1.0 / (2 * h))]
-        )
-        rows = np.concatenate([rows_p, cols_p])
-        cols = np.concatenate([cols_p, rows_p])
-        blocks.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
-        # 7-point Laplacian couplings for this axis (both orientations).
-        lap_rows.extend([rows_p, cols_p])
-        lap_cols.extend([cols_p, rows_p])
-        lap_vals.extend([np.full(rows_p.size, -1.0 / h**2)] * 2)
-
-    lap_rows.append(np.arange(n))
-    lap_cols.append(np.arange(n))
-    lap_vals.append(np.full(n, 6.0 / h**2))
-    scalar_lap = sp.csr_matrix(
-        (np.concatenate(lap_vals), (np.concatenate(lap_rows), np.concatenate(lap_cols))),
-        shape=(n, n),
-    )
-
-    gradient = sp.vstack(blocks, format="csr")
+    adjacency = []
+    for shift in _AXIS_SHIFTS:
+        rows, cols = _neighbor_pairs(mask.occupancy, mask.index_grid, shift)
+        adjacency.append(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)))
+    gradient = sp.vstack([(p - p.T) / (2 * h) for p in adjacency], format="csr")
+    scalar_lap = 6.0 / h**2 * sp.eye(n, format="csr") - sum(p + p.T for p in adjacency) / h**2
     divergence = (-gradient.T).tocsr()
     laplacian = sp.block_diag([scalar_lap] * 3, format="csr")
     return DiscreteOperators(mask, gradient, divergence, laplacian)

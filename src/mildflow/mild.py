@@ -114,9 +114,7 @@ class TimeGrid:
         return TimeGrid(new_horizon, self.nodes * (new_horizon / self.horizon), self.quad_order)
 
     def same_as(self, other: "TimeGrid") -> bool:
-        return self is other or (
-            self.nodes.size == other.nodes.size and np.array_equal(self.nodes, other.nodes)
-        )
+        return self is other or np.array_equal(self.nodes, other.nodes)
 
 
 @dataclass(eq=False)
@@ -250,12 +248,6 @@ def _panel_quadrature(lower: float, upper: float, breaks, order: int):
     """
     width = upper - lower
     rel = np.asarray(sorted(b - lower for b in breaks if lower < b < upper), dtype=float)
-    if rel.size:
-        keep = np.ones(rel.size, dtype=bool)
-        keep[1:] = np.diff(rel) > 1e-14 * width
-        keep &= rel > 1e-14 * width
-        keep &= rel < (1.0 - 1e-14) * width
-        rel = rel[keep]
     theta_b = np.concatenate(
         [[0.0], np.arcsin(np.sqrt(np.clip(rel / width, 0.0, 1.0))), [0.5 * np.pi]]
     )

@@ -183,12 +183,11 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     sweep 2 on.  For sweep 1, q is delta_2 / delta_1 of the last window
     that swept twice, scaled up by the growth of the relative first move
     delta_1 / max|entry| since (a bilinear forcing contracts less at
-    larger amplitude).  The first window and zero data take q = 1, the
-    rule "stop after a sweep that moved no state beyond the tolerance",
-    so no window sweeps longer than under that rule.  A state whose norm
-    is not within ``GROWTH_LIMIT`` times the initial norm ends its window
-    there, so no sweep forces it; once it is exact, it raises
-    ``OracleInstabilityError`` at its time.
+    larger amplitude).  q starts at 1, the rule "stop after a sweep that
+    moved no state beyond the tolerance", and no window sweeps longer than
+    under that rule.  A state whose norm is not within ``GROWTH_LIMIT``
+    times the initial norm ends its window there, so no sweep forces it;
+    once it is exact, it raises ``OracleInstabilityError`` at its time.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -210,7 +209,7 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     node_modal = np.empty((grid.nodes.size, lam.size))
     node_modal[0] = buffer[0]
     node_pos = np.searchsorted(times, grid.nodes)
-    carried = None  # (delta_2 / delta_1, delta_1 / top) of the last window that swept twice
+    carried = (1.0, np.inf)  # (delta_2 / delta_1, delta_1 / top), last window to sweep twice
     start = 0
     while start < which.size:
         steps = which[start:start + WINDOW_STEPS]
@@ -226,11 +225,9 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             norms = np.linalg.norm(a[1:], axis=1)
             over = np.flatnonzero(~(norms <= limit))  # NaN counts as over
             move, top = np.abs(a[1:] - previous).max(), np.abs(a).max()
-            if top == 0.0:  # zero data: nothing to predict
-                ratio = 1.0
-            elif sweep == 1:
-                first = move / top
-                ratio = 1.0 if carried is None else carried[0] * max(1.0, first / carried[1])
+            if sweep == 1:
+                first = move / top if top else 0.0
+                ratio = carried[0] * max(1.0, first / carried[1])
             else:
                 ratio = move / last if last else 1.0
                 if sweep == 2:

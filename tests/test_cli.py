@@ -167,9 +167,13 @@ class TestConfigParsing:
                                     "nodes must start at 0 and increase strictly$"),
             ("initial_data:\n  kind: zero\n  amplitude: 5.0\n",
              "'initial_data.amplitude' is not read by kind 'zero'$"),
+            # PyYAML alone keeps the last value of a repeated key
+            ("horizon: 0.5\nhorizon: 5.0\n", "key 'horizon' is written twice"),
+            ("picard:\n  tol: 1.0e-10\n  tol: 1.0e-12\n", "key 'tol' is written twice"),
         ],
         ids=["tol", "horizon", "oracle_dt", "oracle_step_cap", "segment_cap", "text",
-             "seed", "random_seed", "horizon_underflow", "unread_initial_data_key"],
+             "seed", "random_seed", "horizon_underflow", "unread_initial_data_key",
+             "duplicate_key", "duplicate_section_key"],
     )
     def test_config_error_names_cause(self, tmp_path, text, message):
         cfg = base_config(tmp_path / "out")
@@ -394,7 +398,8 @@ class TestRunPipeline:
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
 
-    @pytest.mark.parametrize("values", ["wrong_size", "cell_major", "nan", "unreadable"])
+    @pytest.mark.parametrize("values", ["wrong_size", "cell_major", "nan", "complex", "npz",
+                                        "unreadable"])
     def test_bad_file_initial_data_is_config_error(self, tmp_path, values):
         import numpy as np
 
@@ -402,14 +407,21 @@ class TestRunPipeline:
         npy = tmp_path / "u0.npy"
         arrays = {"wrong_size": np.zeros((3, 63)), "nan": np.full((3, 64), np.nan),
                   # 3 x 64 values, but one row per cell: not component-blocked
-                  "cell_major": np.full((64, 3), 0.01)}
-        if values != "unreadable":
+                  "cell_major": np.full((64, 3), 0.01),
+                  # a float cast would drop the imaginary part
+                  "complex": np.full((3, 64), 0.01 + 0.01j)}
+        if values == "npz":  # an archive of arrays, not one array
+            with open(npy, "wb") as fh:
+                np.savez(fh, u=np.zeros((3, 64)))
+        elif values != "unreadable":
             np.save(npy, arrays[values])
         cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         summary = read_summary(out)
         assert summary["status"] == "failed"
         assert summary["failure"]["stage"] == "initial_data"
+        if values == "complex":
+            assert "complex128" in summary["failure"]["message"]
 
     def test_single_cell_mask_runs(self, tmp_path):
         # one cell has no convective coupling: ||Phi|| is 0 and the gate

@@ -1,6 +1,7 @@
 """Mask parsing and the stencil operators."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ class TestMaskParsing:
         assert load_mask(FULL_BOX_2.encode()).n_cells == 8
         assert load_mask(io.BytesIO(FULL_BOX_2.encode())).n_cells == 8
         assert load_mask(mask_path("box4")).n_cells == 64
+        assert load_mask(Path(mask_path("box4"))).n_cells == 64
 
     def test_empty_mask_rejected(self):
         with pytest.raises(MaskEmptyError):

@@ -58,6 +58,35 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @PROPERTY_SETTINGS
+@given(masks(), st.sampled_from([1e-3, 1.0 / 3.0, 7.0]), seeds)
+def test_stencils_match_their_definitions(mask, h, seed):
+    # the reference reads the neighbors c +- e off the zero-padded grid
+    mask = DomainMask(mask.dims, h, mask.occupancy)
+    ops = build_operators(mask)
+    u = np.random.default_rng(seed).standard_normal((3, mask.n_cells))
+    grid = np.zeros((3,) + mask.dims)
+    grid[:, mask.occupancy] = u
+    padded = np.pad(grid, [(0, 0)] + [(1, 1)] * 3)
+
+    def neighbors(axis, step):  # u[c + step e_axis], zero outside the mask
+        return np.roll(padded, -step, axis + 1)[:, 1:-1, 1:-1, 1:-1][:, mask.occupancy]
+
+    scale = np.abs(u).max()
+    grad = (ops.gradient @ u[0]).reshape(3, -1)
+    for axis in range(3):
+        want = (neighbors(axis, 1)[0] - neighbors(axis, -1)[0]) / (2 * h)
+        assert np.abs(grad[axis] - want).max() <= 1e-14 * scale / h
+    lap = (ops.laplacian @ u.reshape(-1)).reshape(3, -1)
+    want = (6 * u - sum(neighbors(axis, step) for axis in range(3) for step in (1, -1))) / h**2
+    assert np.abs(lap - want).max() <= 1e-14 * scale / h**2
+    assert np.array_equal(ops.laplacian.diagonal(), np.full(3 * mask.n_cells, 6.0 / h**2))
+    for matrix in (ops.gradient, ops.divergence, ops.laplacian):
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        assert np.all((np.diff(matrix.indices) > 0) | (np.diff(rows) > 0))  # sorted, unique
+        assert np.all(matrix.data != 0.0)
+
+
+@PROPERTY_SETTINGS
 @given(masks())
 def test_mask_format_load_round_trip(mask):
     again = load_mask(format_mask(mask))

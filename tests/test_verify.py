@@ -398,6 +398,17 @@ class TestOracle:
         oracle = imex_oracle(box4_spectrum, box4_hodge, zero, grid, 0.01)
         assert not oracle.samples.any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_data_sweeps_each_window_once(self, column_counts, box4_spectrum, box4_hodge):
+        # no sweep moves a zero state, so each window stops after one
+        # kernel call; one more forces the node derivatives
+        grid, dt = TimeGrid.graded(10.0, 24, 6), 0.025
+        kernel_columns = column_counts(mildflow.mild, "advect_flat")
+        imex_oracle(box4_spectrum, box4_hodge, VectorField.zeros(box4_hodge.mask), grid, dt)
+        windows = -(-(oracle_times(grid, dt).size - 1) // mildflow.verify.WINDOW_STEPS)
+        assert windows > 1
+        assert len(kernel_columns) == windows + 1
+
     def test_first_order_convergence_to_mild_solution(self, box4_spectrum, box4_hodge,
                                                       small_u0, small_solution, grid):
         ref = np.linalg.norm(small_solution.samples, axis=1).max()
