@@ -261,7 +261,11 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
         return hodge.lift(coords)
     # kind == "file": a component-blocked array of shape (3, n) or (3n,) only
     try:
-        values = np.asarray(np.load(init["path"])).astype(float, casting="same_kind")
+        values = np.load(init["path"])
+        if isinstance(values, np.lib.npyio.NpzFile):
+            values.close()
+            raise ValueError("it is an .npz archive; it needs one array saved with np.save")
+        values = values.astype(float, casting="same_kind")
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read initial data file {init['path']}: {exc}") from exc
     accepted = ((3, mask.n_cells), (3 * mask.n_cells,))

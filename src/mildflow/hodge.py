@@ -32,6 +32,14 @@ how many columns are even (``n_even``, where the fourth block's span
 ends) and, for its structure check, the class of each entry
 (``velocity_classes``).
 
+The 8 block SVDs run at one BLAS thread each, on as many worker threads
+as BLAS had (``_block_svds``), which is faster than one block at a time
+at several BLAS threads and makes the factors independent of the BLAS
+thread count.  That count is process-global: while the block loop runs,
+any other BLAS call in the process runs at one thread too.  Where numpy's
+BLAS is not the scipy-openblas it ships, the count cannot be set and the
+blocks are factored one at a time.
+
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
 orthogonal to ker(gradient), block by block, which makes pressure
@@ -40,6 +48,11 @@ recovery canonical.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +190,41 @@ class HodgeDecomposition:
         return out
 
 
+@functools.cache
+def _blas_thread_control():
+    """The setter and getter of the thread count of the OpenBLAS that numpy
+    ships in ``numpy.libs``, or ``None`` where there is no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+def _block_svds(matrices: list) -> list:
+    """Full SVDs of the matrices, in their order, each at one BLAS thread on a
+    pool of as many worker threads as BLAS had (at most one per matrix);
+    serially at the current thread count where the count cannot be set."""
+    control = _blas_thread_control()
+    if control is None:
+        return [np.linalg.svd(a, full_matrices=True) for a in matrices]
+    set_threads, get_threads = control
+    threads = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(min(len(matrices), threads)) as pool:
+            return list(pool.map(lambda a: np.linalg.svd(a, full_matrices=True), matrices))
+    finally:
+        set_threads(threads)
+
+
 def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     """Factor the gradient block by block and assemble the divergence-free basis.
 
@@ -193,12 +241,10 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
     if np.any(row_class[grad.row[coupled]] != cell_class[grad.col[coupled]]):
         raise SpectrumError("gradient couples cells outside their parity blocks")
 
-    factors = []
-    for klass in _BLOCK_ORDER:
-        cells = np.flatnonzero(cell_class == klass)
-        rows = np.flatnonzero(row_class == klass)
-        dense = ops.gradient[rows][:, cells].toarray()
-        factors.append((cells, rows, *np.linalg.svd(dense, full_matrices=True)))
+    layout = [(np.flatnonzero(cell_class == klass), np.flatnonzero(row_class == klass))
+              for klass in _BLOCK_ORDER]
+    dense = [ops.gradient[rows][:, cells].toarray() for cells, rows in layout]
+    factors = [(*pair, *svd) for pair, svd in zip(layout, _block_svds(dense))]
     svals = np.concatenate([f[3] for f in factors])
     top = svals.max(initial=0.0)
     cut = RANK_TOLERANCE * top

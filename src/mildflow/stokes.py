@@ -22,18 +22,21 @@ with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
 
 The SVD is built from the Gram matrix, at about half the LAPACK work of
 a full SVD of C.  With A = C or C^T, whichever is tall (p columns),
-``eigh`` gives A^T A = V w V^T (descending), and one complete Householder
-QR gives A V = Q R: Q is the full orthonormal factor on the long side,
-its last |m_e - m_o| columns the unpaired vectors, and R ~ diag(+-sigma).
-The strictly upper part of R is dropped.  Since R^T R = V^T A^T A V =
-diag(w) + E, with E of order eps ||C||^2 the backward error of ``eigh``,
-those entries are R_ij ~ E_ij / sigma_i: round-off in rows with large
-sigma_i, but up to eps ||C||^2 / sigma_i where sigma_i is small.  So the
-trailing block of R whose sigma lies below ``TAIL`` sigma_max is
-re-solved by its own SVD, which rotates the matching columns of Q and V,
-and leaves only entries of order eps ||C|| / ``TAIL``.  The largest
-dropped |R_ij| / sigma_max, the factorization's backward error, and the
-size of the re-solved block go to ``margins``.
+``eigh`` gives A^T A = V w V^T (descending).  The head columns, with
+w_i >= ``TAIL``^2 w_max and w_i > 0, give u_i = A v_i / sqrt(w_i):
+u_i^T u_j = delta_ij + E_ij / sqrt(w_i w_j), with E of order eps ||C||^2
+the backward error of ``eigh``, so these are orthonormal to
+eps / ``TAIL``^2.  The tail is not: there E_ij / w_i is not round-off.
+A seeded Gaussian draw as wide as the head's complement, projected off
+the head twice and orthonormalized by one reduced QR, gives a basis W of
+that complement (from the draw alone: columns of A V_tail can be exactly
+zero), and one SVD of W^T A V_tail gives the tail's singular
+values, its left vectors W times the left factor, and the rotation of
+V_tail; the rest of W's rotated columns are the |m_e - m_o| unpaired
+vectors.  What this drops is the coupling U_head^T A V_tail, of order
+eps ||C|| / ``TAIL``; its largest entry over sigma_max, the
+factorization's backward error, and the size of the tail go to
+``margins``.
 
 Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
@@ -76,10 +79,11 @@ from .hodge import HodgeDecomposition, velocity_classes
 _EXP_LIMIT = 700.0
 #: Relative eigenvalue gap (over lambda_max) up to which eigenvalues share a cluster.
 CLUSTER_TOLERANCE = 1e-9
-#: Seed of the Gaussian draw that fixes the eigenvector basis inside each cluster.
+#: Seed of the Gaussian draws that fix the eigenvector basis inside each cluster
+#: and the basis of the complement in ``_coupling_svd``.
 CLUSTER_SEED = 0
-#: Singular values of C below this fraction of the largest are re-solved by one
-#: small SVD (see ``_coupling_svd``).
+#: Singular values of C below this fraction of the largest are solved by one
+#: small SVD inside the complement of the others (see ``_coupling_svd``).
 TAIL = 0.1
 
 
@@ -157,10 +161,11 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
     with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
     modes [u; 0] or [0; v] from the unpaired singular vectors.  That SVD
-    comes from an ``eigh`` of the Gram matrix of C and one QR
-    (``_coupling_svd``): the coupling it drops is R_ij ~ E_ij / sigma_i,
-    E the ``eigh`` backward error, so the rows with sigma below ``TAIL``
-    sigma_max are re-solved by one small SVD.  The eigenpairs are kept
+    comes from an ``eigh`` of the Gram matrix of C (``_coupling_svd``):
+    the head columns, sigma at least ``TAIL`` sigma_max, are A v / sigma;
+    the complement of the head is the span of one seeded Gaussian draw
+    projected off it, and one small SVD inside that complement gives the
+    tail and the unpaired vectors.  The eigenpairs are kept
     in factored form: U, V and the sparse mixing R (see the module
     docstring).  Raises ``SpectrumError`` if L breaks that structure, or
     if an eigenvalue is not strictly positive beyond round-off, which
@@ -195,34 +200,36 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
 
 def _coupling_svd(coupling: np.ndarray):
     """The full SVD coupling = U diag(sigma) V^T, from ``eigh`` of the Gram
-    matrix and one complete QR (see the module docstring).
+    matrix, the head columns normalized, and one small SVD inside the
+    complement of the head (see the module docstring).
 
     Returns U (m_e x m_e) and V (m_o x m_o), both C-contiguous, the
     min(m_e, m_o) singular values sigma (descending up to round-off), the
-    largest dropped |R_ij| over sigma_max (``None`` without one) and the
-    size k of the re-solved trailing block.
+    largest coupling |U_head^T A v_tail| that the projection drops, over
+    sigma_max (``None`` without one), and the size k of the tail.
     """
     transposed = coupling.shape[0] < coupling.shape[1]
     tall = coupling.T if transposed else coupling
-    p = tall.shape[1]
+    rows, p = tall.shape
     w, right = np.linalg.eigh(tall.T @ tall)
-    right = np.ascontiguousarray(right[:, ::-1])
-    left, r = np.linalg.qr(tall @ right, mode="complete")
-    r = r[:p]
-    k = int(np.count_nonzero(w < TAIL ** 2 * w[-1])) if p else 0
-    if k:
-        tail = slice(p - k, p)
-        rot_left, sigma_tail, rot_right = np.linalg.svd(r[tail, tail])
-        left[:, tail] = left[:, tail] @ rot_left
-        right[:, tail] = right[:, tail] @ rot_right.T
-        r[:, tail] = r[:, tail] @ rot_right.T
-        r[tail, tail] = np.diag(sigma_tail)
-    diagonal = np.diagonal(r)
-    left[:, :p] *= np.where(diagonal < 0.0, -1.0, 1.0)
-    sigma = np.abs(diagonal)
-    dropped = float(np.abs(np.triu(r, 1)).max() / sigma.max()) if p > 1 and sigma.max() else None
+    w, right = w[::-1], np.ascontiguousarray(right[:, ::-1])
+    head = int(np.count_nonzero((w >= TAIL ** 2 * w.max(initial=0.0)) & (w > 0.0)))
+    image = tall @ right
+    u_head = image[:, :head] / np.sqrt(w[:head])
+    # an orthonormal basis of the head's complement, from a draw projected twice
+    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, rows - head))
+    for _ in range(2):
+        draw -= u_head @ (u_head.T @ draw)
+    complement = np.linalg.qr(draw)[0]
+    # the tail solved inside the complement; its last columns are unpaired
+    rot_left, sigma_tail, rot_right = np.linalg.svd(complement.T @ image[:, head:])
+    left = np.concatenate([u_head, complement @ rot_left], axis=1)
+    right[:, head:] = right[:, head:] @ rot_right.T
+    sigma = np.concatenate([np.sqrt(w[:head]), sigma_tail])
+    cross = u_head.T @ image[:, head:]
+    dropped = float(np.abs(cross).max() / sigma[0]) if cross.size else None
     u_mat, v_mat = (right, left) if transposed else (left, right)
-    return u_mat, sigma, v_mat, dropped, k
+    return u_mat, sigma, v_mat, dropped, p - head
 
 
 def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):

@@ -422,6 +422,10 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "initial_data"
         if values == "complex":
             assert "complex128" in summary["failure"]["message"]
+        if values == "npz":
+            assert summary["failure"]["message"] == (
+                f"cannot read initial data file {npy}: it is an .npz archive; "
+                "it needs one array saved with np.save")
 
     def test_single_cell_mask_runs(self, tmp_path):
         # one cell has no convective coupling: ||Phi|| is 0 and the gate

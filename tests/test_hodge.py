@@ -1,12 +1,14 @@
 """Orthogonal splitting into divergence-free fields and gradients."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mildflow import (
+    DomainMask,
     ScalarField,
     SpectrumError,
     VectorField,
@@ -16,6 +18,7 @@ from mildflow import (
     field_norm,
     load_mask,
 )
+from mildflow import hodge as hodge_module
 from conftest import mask_path, random_scalar_values, random_vector_field
 
 
@@ -206,3 +209,85 @@ def test_rank_cut_is_global_across_parity_blocks(box4_ops, box4_hodge):
     assert hodge.grad_rank == np.count_nonzero(svals > RANK_TOLERANCE * svals[0])
     assert hodge.grad_rank == box4_hodge.grad_rank - kept_by_own_cut.size
     assert hodge.dim == box4_hodge.dim + kept_by_own_cut.size
+
+
+def _rough_ops():
+    """Operators of an 80%-fill 9^3 mask (571 cells): blocks of about 214 x 71,
+    large enough that LAPACK's results depend on the BLAS thread count."""
+    occupancy = np.random.default_rng(0).random((9, 9, 9)) < 0.8
+    return build_operators(DomainMask((9, 9, 9), 1.0 / 9, occupancy))
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread-count setter and getter; the count is restored after the test."""
+    control = hodge_module._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS thread count cannot be set in this process")
+    before = control[1]()
+    yield control
+    control[0](before)
+
+
+@pytest.mark.parametrize("name", ["box4", "lmask", "rough"])
+def test_worker_pool_matches_the_serial_loop(name, request, monkeypatch):
+    ops = _rough_ops() if name == "rough" else request.getfixturevalue(f"{name}_hodge").ops
+    pooled = build_hodge(ops)
+    monkeypatch.setattr(hodge_module, "_blas_thread_control", lambda: None)
+    serial = build_hodge(ops)
+    assert pooled.grad_rank == serial.grad_rank
+    for got, want in zip(pooled.blocks, serial.blocks):
+        assert got.span == want.span and np.array_equal(got.s_r, want.s_r)
+    projector = pooled.basis @ pooled.basis.T
+    assert np.abs(projector - serial.basis @ serial.basis.T).max() <= 1e-12
+
+
+def test_serial_fallback_factors_on_the_calling_thread(box4_ops, monkeypatch):
+    # without a thread-count setter no worker thread is started
+    threads = []
+    svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(hodge_module, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    hodge = build_hodge(box4_ops)
+    assert threads == [threading.main_thread()] * 8
+    assert hodge.dim + hodge.grad_rank == 3 * box4_ops.mask.n_cells
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_blas_thread_count_is_restored(start, box4_ops, blas_threads, monkeypatch):
+    set_threads, get_threads = blas_threads
+    set_threads(start)
+    build_hodge(box4_ops)
+    assert get_threads() == start
+
+    calls, svd, lock = [], np.linalg.svd, threading.Lock()
+
+    def third_block_fails(*args, **kwargs):
+        with lock:
+            calls.append(get_threads())
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", third_block_fails)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_hodge(box4_ops)
+    # every block ran at one BLAS thread, and the count is back where it was
+    assert set(calls) == {1} and get_threads() == start
+
+
+def test_factors_do_not_depend_on_the_blas_thread_count(blas_threads):
+    # the serial loop at 1 and at 2 BLAS threads gives factors that differ
+    # at round-off on this mask; one-thread workers give the same bits
+    set_threads, _ = blas_threads
+    ops, factors = _rough_ops(), []
+    for threads in (1, 2):
+        set_threads(threads)
+        factors.append([(b.kernel, b.u_r, b.s_r, b.vt_r) for b in build_hodge(ops).blocks])
+    for got, want in zip(*factors):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

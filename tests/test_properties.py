@@ -145,9 +145,7 @@ def test_stokes_spectrum_positive_and_phi_symmetric_bilinear(mask, seed):
     assert gap(left, right) <= 1e-12 * (abs(a) * norm(uv) + abs(b) * norm(wv))
 
 
-@PROPERTY_SETTINGS
-@given(masks(), seeds)
-def test_modal_energy_audit_matches_the_lifted_fields(mask, seed):
+def _assert_modal_energy_audit_matches_the_lifted_fields(mask, seed):
     ops = build_operators(mask)
     spectrum = assemble_stokes(build_hodge(ops))
     grid = TimeGrid.graded(0.5, 6, 3)
@@ -164,6 +162,12 @@ def test_modal_energy_audit_matches_the_lifted_fields(mask, seed):
     want = energies - energies[0] + 2.0 * np.concatenate([[0.0], cumulative])
     got = energy_audit(spectrum, traj)
     assert np.abs(got - want).max() <= 1e-12 * energies.max()
+
+
+@PROPERTY_SETTINGS
+@given(masks(), seeds)
+def test_modal_energy_audit_matches_the_lifted_fields(mask, seed):
+    _assert_modal_energy_audit_matches_the_lifted_fields(mask, seed)
 
 
 def _assert_factored_form_matches_the_dense_arrays(mask, seed):
@@ -213,13 +217,12 @@ def test_factored_form_without_even_blocks():
     assert spectrum.u_mat.shape == (0, 0) and spectrum.v_mat.shape == (3, 3)
 
 
-def _assert_coupling_svd_matches_reference(mask):
-    # the Gram-matrix route against LAPACK's SVD of C: the singular values,
-    # C v_i = sigma_i u_i and C^T u_i = sigma_i v_i (0 for the unpaired
-    # vectors), and orthonormal U and V
-    hodge = build_hodge(build_operators(mask))
-    coupling = -mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
-    u_mat, sigma, v_mat, _, _ = _coupling_svd(coupling)
+def _assert_is_svd(coupling):
+    """``_coupling_svd`` against LAPACK's SVD of C: the singular values,
+    C v_i = sigma_i u_i and C^T u_i = sigma_i v_i (0 for the unpaired
+    vectors), and orthonormal U and V.  Returns sigma, the dropped coupling
+    and the tail size."""
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(coupling)
     reference = np.linalg.svd(coupling, compute_uv=False)
     bound = 1e-13 * reference.max(initial=0.0)
     assert np.abs(np.sort(sigma)[::-1] - reference).max(initial=0.0) <= bound
@@ -229,7 +232,17 @@ def _assert_coupling_svd_matches_reference(mask):
         assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= bound
     for factor in (u_mat, v_mat):
         assert np.abs(factor.T @ factor - np.eye(factor.shape[1])).max(initial=0.0) <= 1e-13
-    return sigma
+    return sigma, dropped, tail
+
+
+def _coupling(mask):
+    hodge = build_hodge(build_operators(mask))
+    return -mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
+
+
+def _assert_coupling_svd_matches_reference(mask):
+    # the Gram-matrix route against LAPACK's SVD of C
+    return _assert_is_svd(_coupling(mask))[0]
 
 
 @PROPERTY_SETTINGS
@@ -248,6 +261,29 @@ def test_coupling_svd_matches_reference_on_shipped_masks(name):
     sigma = _assert_coupling_svd_matches_reference(load_mask(mask_path(name)))
     if name == "small_sigma_5x5x5":
         assert np.count_nonzero((sigma > 1e-10) & (sigma < 1e-3)) == 1
+
+
+def _two_cells_apart():
+    """The 1 x 1 x 4 mask with cells 0 and 3: no two cells touch, so C is all zero."""
+    return DomainMask((1, 1, 4), 0.25, np.array([[[True, False, False, True]]]))
+
+
+def test_coupling_svd_of_an_all_zero_coupling():
+    # every sigma is 0, so every column is tail and nothing is divided by sqrt(w)
+    mask = _two_cells_apart()
+    coupling = _coupling(mask)
+    assert coupling.size and not coupling.any()
+    sigma, dropped, tail = _assert_is_svd(coupling)
+    assert not sigma.any() and dropped is None and tail == sigma.size
+    _assert_modal_energy_audit_matches_the_lifted_fields(mask, 0)
+
+
+def test_coupling_svd_without_tail_or_complement():
+    # square and well conditioned: every column is head, and the
+    # complement of the head and the tail SVD are empty
+    coupling = np.eye(40) + 0.01 * np.random.default_rng(0).standard_normal((40, 40))
+    sigma, dropped, tail = _assert_is_svd(coupling)
+    assert tail == 0 and dropped is None and sigma.min() > 0.9
 
 
 def _dense_reference_hodge(ops):

@@ -24,7 +24,7 @@ from mildflow import (
     smoothing_bound,
     smoothing_envelope,
 )
-from mildflow.stokes import TAIL
+from mildflow.stokes import TAIL, _coupling_svd
 from conftest import dense_reference_spectrum, mask_path
 
 
@@ -76,6 +76,15 @@ class TestAssembly:
         svals = np.linalg.svd(coupling, compute_uv=False)
         assert margins["resolved_tail"] == np.count_nonzero(svals < TAIL * svals[0]) > 0
         assert 0.0 < margins["max_dropped_coupling_rel"] <= 1e-13
+
+    def test_factorization_is_deterministic(self):
+        # the complement of the head comes from a seeded draw, so two calls
+        # give the same bits
+        hodge = build_hodge(build_operators(load_mask(mask_path("small_sigma_5x5x5"))))
+        coupling = -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
+        first, second = _coupling_svd(coupling), _coupling_svd(coupling)
+        assert first[3:] == second[3:]
+        assert all(np.array_equal(a, b) for a, b in zip(first[:3], second[:3]))
 
     def test_rayleigh_quotient_per_mode(self, box4_hodge, box4_spectrum):
         lap = box4_hodge.ops.laplacian
