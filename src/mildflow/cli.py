@@ -47,6 +47,7 @@ from .hodge import build_hodge, parity_classes
 from .mild import (
     PicardConfig,
     TimeGrid,
+    alpha_from_coords,
     alpha_trajectory,
     estimate_phi_norm,
     et_norm,
@@ -336,9 +337,17 @@ def _run_stages(config: ExperimentConfig, summary: dict):
     # contracts unconditionally
     phi_gate = config.gate_safety * config.nonlinearity_scale * phi_hat
     linear_mode = phi_gate == 0.0
-    alpha = alpha_trajectory(spectrum, u0, grid)
-    alpha_norms = et_norm(spectrum, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
+        alpha = alpha_trajectory(spectrum, u0, grid)
+        alpha_norms = et_norm(spectrum, alpha)
     if not math.isfinite(alpha_norms.total):
+        # ||alpha|| is linear in u0: if it is finite for u0 scaled to norm 1,
+        # the data is too large; if not, the spectrum's range is
+        top = np.abs(u0.flat).max()
+        size = top * u0.mask.cell_volume ** 0.5 * np.linalg.norm(u0.flat / top)  # ||u0||
+        if not np.isfinite(size) or math.isfinite(et_norm(spectrum, alpha_from_coords(
+                spectrum, hodge.coords(u0.flat / size), grid)).total):
+            raise ConfigError(f"initial data too large: ||u0|| = {size:.3e} makes ||alpha|| overflow")
         raise SpectrumError(f"||alpha|| is the non-finite {alpha_norms.total}")
     if config.nonlinearity_scale > 0.0 and phi_hat == 0.0:
         x = spectrum.lift(np.random.default_rng(config.seed).standard_normal(spectrum.dim))

@@ -189,6 +189,8 @@ def load_mask(source) -> DomainMask:
     """Parse a mask from bytes, text, a file-like object, or a path
     (a ``str`` or an ``os.PathLike``)."""
     text = _as_text(source)
+    if "\r\n" in text:
+        raise MaskHeaderError("the file has CRLF line endings; a mask needs LF line endings")
     lines = text.split("\n")
     # A single trailing newline is tolerated.
     while lines and lines[-1] == "":

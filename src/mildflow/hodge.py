@@ -29,8 +29,8 @@ block at a time, and ``basis`` builds the dense (3n, m) array on demand
 only.  Those blocks and spans are the one description of the parity
 layout: ``stokes`` applies Z only through these methods, and reads only
 how many columns are even (``n_even``, where the fourth block's span
-ends) and, for its structure check, the class of each entry
-(``velocity_classes``).
+ends) and ``even_odd_block``, which also rejects an operator entry
+between two blocks of the same parity: the product would drop it.
 
 The 8 block SVDs run at one BLAS thread each, on as many worker threads
 as BLAS had (``_block_svds``), which is faster than one block at a time
@@ -162,7 +162,13 @@ class HodgeDecomposition:
 
     def even_odd_block(self, op) -> np.ndarray:
         """Z_e^T op Z_o, (n_even, m - n_even), for a sparse (3n, 3n) op, from
-        the pairs of an even and an odd block that op couples."""
+        the pairs of an even and an odd block that op couples.  Raises
+        ``SpectrumError`` if op has a nonzero off-diagonal entry between two
+        blocks of the same parity (or inside one), which that product drops."""
+        odd = np.isin(np.arange(op.shape[0]), np.concatenate([b.rows for b in self.blocks[4:]]))
+        coo = op.tocoo()
+        if np.any((odd[coo.row] == odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
+            raise SpectrumError("operator couples two blocks of the same parity")
         m_e = self.n_even
         out = np.zeros((m_e, self.dim - m_e))
         for be in self.blocks[:4]:  # the even blocks come first

@@ -10,15 +10,15 @@ to round-off:
     f(S) c = Q (f(lambda) * (Q^T c)).
 
 The spectrum comes from one SVD.  The 7-point Laplacian has the constant
-diagonal 6/h^2 and couples only parity blocks (see ``hodge``) whose
-classes differ in one bit, so with Z = [Z_e | Z_o] split by the parity
-of popcount(k),
+diagonal 6/h^2 and couples only parity blocks (see ``hodge``) of opposite
+parity of popcount(k), so with Z = [Z_e | Z_o] split by that parity,
 
     S = (6/h^2) I - (1/h^2) [[0, C], [C^T, 0]],   C = -h^2 Z_e^T L Z_o,
 
 and the SVD C = U diag(sigma) V^T gives the eigenvalues (6 -+ sigma)/h^2
 with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
-6/h^2.  ``assemble_stokes`` checks that structure on the sparse L.
+6/h^2.  ``assemble_stokes`` checks the diagonal, ``hodge.even_odd_block``
+that no entry of L joins two blocks of the same parity.
 
 The SVD is built from the Gram matrix, at about half the LAPACK work of
 a full SVD of C.  With A = C or C^T, whichever is tall (p columns),
@@ -42,20 +42,21 @@ Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
 ``CLUSTER_TOLERANCE`` form one cluster, and each cluster's eigenvectors
 are rotated to a basis that depends only on the eigenspace (the
-orthonormalized projection of a fixed seeded Gaussian draw).  Every
-result is then independent of the basis Z, of the factorization and of
-the BLAS thread count, up to round-off.
+orthonormalized projection of a fixed seeded Gaussian draw), one block
+of the block-diagonal B.  Every result is then independent of the basis
+Z, of the factorization and of the BLAS thread count, up to round-off.
 
 Factored form.  Neither Z nor the eigenfields Y = Z Q is formed.  The
 eigenvectors are kept as Q = blockdiag(U, V) R, with U and V the
-singular vectors of C and R the sparse orthogonal m x m matrix that
-pairs them (+-1/sqrt(2)), keeps the unpaired ones and carries each
-cluster's canonical rotation on its few nonzero rows.  Trajectories live
-in modal coordinates Q^T c; ``from_modal`` (Q a) and ``to_modal``
-(Q^T c) convert between them and Z coordinates with one sparse product
-and the U and V products, and ``lift`` (Y a) and ``project`` (Y^T x)
-compose them with ``hodge.lift_flat`` and ``hodge.coords``, the one
-place that knows which entries of a flat field each parity block holds.
+singular vectors of C and R = P B sparse and orthogonal (m x m): the
+pairing P has the columns [u_i; +-v_i]/sqrt(2) and the unpaired u_i or
+v_j, in ascending eigenvalue order, and B rotates each cluster.
+Trajectories live in modal coordinates Q^T c; ``from_modal`` (Q a) and
+``to_modal`` (Q^T c) convert between them and Z coordinates with one
+sparse product and the U and V products, and ``lift`` (Y a) and
+``project`` (Y^T x) compose them with ``hodge.lift_flat`` and
+``hodge.coords``, the one place that knows which entries of a flat field
+each parity block holds.
 All of them take one column or a batch.  ``fields`` and ``modes`` build
 the dense Y and Q on demand, and nothing in the pipeline reads them.
 The operator applications ``apply_frac_power`` and ``apply_semigroup``
@@ -73,7 +74,7 @@ import scipy.sparse as sp
 
 from .domain import VectorField
 from .errors import SpectrumError
-from .hodge import HodgeDecomposition, velocity_classes
+from .hodge import HodgeDecomposition
 
 #: exp argument beyond which a spectral multiplier would overflow
 _EXP_LIMIT = 700.0
@@ -165,18 +166,20 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     the head columns, sigma at least ``TAIL`` sigma_max, are A v / sigma;
     the complement of the head is the span of one seeded Gaussian draw
     projected off it, and one small SVD inside that complement gives the
-    tail and the unpaired vectors.  The eigenpairs are kept
-    in factored form: U, V and the sparse mixing R (see the module
-    docstring).  Raises ``SpectrumError`` if L breaks that structure, or
-    if an eigenvalue is not strictly positive beyond round-off, which
-    would signal broken adjointness upstream.
+    tail and the unpaired vectors.  The eigenpairs are kept in factored
+    form: U, V and the sparse mixing R = P B, the pairing P of those modes
+    times the cluster rotations B (see the module docstring).  Raises
+    ``SpectrumError`` if L breaks that structure (here or in
+    ``even_odd_block``), or if an eigenvalue is not strictly positive
+    beyond round-off, which would signal broken adjointness upstream.
     """
     h2 = hodge.mask.spacing ** 2
-    _check_block_structure(hodge, 6.0 / h2)
+    if not np.all(hodge.ops.laplacian.diagonal() == 6.0 / h2):
+        raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
     m_e = hodge.n_even
     u_mat, sigma, v_mat, dropped, tail = _coupling_svd(
         -h2 * hodge.even_odd_block(hodge.ops.laplacian))
-    eigenvalues, slot_rows, slot_values = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
+    eigenvalues, pairing = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
     # the spectrum scales as 1/h^2, so the round-off floor is relative only
     tol = 1e-12 * eigenvalues[-1]
     if eigenvalues[0] <= tol:
@@ -184,8 +187,8 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
             f"reduced operator is not positive definite: min eigenvalue {eigenvalues[0]:.3e}"
         )
     gaps, starts, sizes, draw = _clusters(eigenvalues, 3 * hodge.mask.n_cells)
-    draw_half = _blockdiag(u_mat.T, v_mat.T, hodge.coords(draw))
-    mixing = _canonical_mixing(starts, sizes, slot_rows, slot_values, draw_half)
+    scores = StokesSpectrum(hodge, eigenvalues, u_mat, v_mat, pairing).project(draw)
+    mixing = pairing @ _cluster_rotations(starts, sizes, scores)
     merged, split = gaps[gaps <= CLUSTER_TOLERANCE], gaps[gaps > CLUSTER_TOLERANCE]
     margins = {
         "cluster_tolerance": CLUSTER_TOLERANCE,
@@ -232,39 +235,21 @@ def _coupling_svd(coupling: np.ndarray):
     return u_mat, sigma, v_mat, dropped, p - head
 
 
-def _check_block_structure(hodge: HodgeDecomposition, diagonal: float):
-    """Raise ``SpectrumError`` unless L has the constant ``diagonal`` and every
-    off-diagonal entry joins parity blocks whose classes differ in one bit."""
-    lap = hodge.ops.laplacian
-    if not np.all(lap.diagonal() == diagonal):
-        raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
-    block = velocity_classes(hodge.mask)
-    entries = lap.tocoo()
-    off = (entries.row != entries.col) & (entries.data != 0.0)
-    flipped = block[entries.row[off]] ^ block[entries.col[off]]
-    if not np.all((flipped == 1) | (flipped == 2) | (flipped == 4)):
-        raise SpectrumError("Laplacian couples parity blocks that differ in more than one bit")
-
-
 def _coupled_eigenpairs(sigma: np.ndarray, m_e: int, m_o: int, h2: float):
-    """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2 and their
-    orthonormal eigenvectors in the coordinates of blockdiag(U, V), from the
-    singular values of C (u_i is coordinate i, v_j coordinate m_e + j).
-
-    Every eigenvector has at most two nonzero coordinates: eigenvector k is
-    ``values[k, 0]`` at ``rows[k, 0]`` plus ``values[k, 1]`` at ``rows[k, 1]``
-    (an unpaired vector repeats its row with the value 0).
-    """
+    """Ascending eigenvalues of (6 I - [[0, C], [C^T, 0]]) / h^2 and the
+    pairing P (CSR), whose columns are their orthonormal eigenvectors in the
+    coordinates of blockdiag(U, V) (u_i is coordinate i, v_j coordinate
+    m_e + j): [u_i; +-v_i]/sqrt(2) and the unpaired u_i or v_j."""
     p, m = sigma.size, m_e + m_o
     eigenvalues = np.concatenate([6.0 - sigma, np.full(m - 2 * p, 6.0), 6.0 + sigma]) / h2
     order = np.argsort(eigenvalues, kind="stable")
-    paired = np.column_stack([np.arange(p), m_e + np.arange(p)])
-    unpaired = np.concatenate([np.arange(p, m_e), m_e + np.arange(p, m_o)]).repeat(2)
-    rows = np.concatenate([paired, unpaired.reshape(-1, 2), paired])
-    half = 0.5 ** 0.5
-    values = np.concatenate([np.full((p, 2), half), np.tile([1.0, 0.0], (m - 2 * p, 1)),
-                             np.tile([half, -half], (p, 1))])
-    return eigenvalues[order], rows[order], values[order]
+    paired, half = np.arange(p), 0.5 ** 0.5
+    # before sorting, the columns are [u; v]/sqrt(2), the unpaired, [u; -v]/sqrt(2)
+    rows = np.concatenate([paired, m_e + paired, paired, np.r_[p:m_e, m_e + p:m], m_e + paired])
+    cols = np.concatenate([paired, paired, m - p + paired, np.arange(p, m - p), m - p + paired])
+    values = np.concatenate([np.full(3 * p, half), np.ones(m - 2 * p), np.full(p, -half)])
+    pairing = sp.csr_array((values, (rows, np.argsort(order)[cols])), shape=(m, m))
+    return eigenvalues[order], pairing
 
 
 def _clusters(eigenvalues: np.ndarray, n3: int):
@@ -278,33 +263,26 @@ def _clusters(eigenvalues: np.ndarray, n3: int):
     return gaps, starts, sizes, draw
 
 
-def _canonical_mixing(starts, sizes, rows, values, draw_half: np.ndarray) -> sp.csr_array:
-    """The mixing R (CSR): the eigenvectors of ``_coupled_eigenpairs`` as
-    columns, each cluster rotated to a basis fixed by its eigenspace.
+def _cluster_rotations(starts, sizes, scores: np.ndarray) -> sp.csr_array:
+    """The block-diagonal B (CSR) that rotates each cluster's eigenvectors
+    to a basis fixed by its eigenspace, from ``scores`` = Y^T D, Y the
+    eigenfields before the rotation and D the draw of ``_clusters``.
 
-    ``draw_half`` = blockdiag(U, V)^T Z^T D for the draw D of ``_clusters``.
     A cluster's eigenfields Y_C become Y_C q, q the Q factor (with a
     positive diagonal in the R factor) of Y_C^T D_C, D_C the first |C|
     columns of D; Y_C q = P_C D_C r^{-1} depends on the cluster's subspace
     only, and a single eigenvector gets the sign of g^T y, g the first
-    column of D.  The rotation acts on the cluster's 2 |C| nonzero rows of
-    R, all clusters of one size in one batch.
+    column of D.  All clusters of one size are one batch.
     """
     entries = []
     for size in np.unique(sizes):
-        cols = starts[sizes == size][:, None] + np.arange(size)
-        slots = rows[cols].reshape(cols.shape[0], 2 * size)
-        block = np.zeros((cols.shape[0], 2 * size, size))
-        block[:, 0::2][:, np.arange(size), np.arange(size)] = values[cols, 0]
-        block[:, 1::2][:, np.arange(size), np.arange(size)] = values[cols, 1]
-        q, r = np.linalg.qr(block.transpose(0, 2, 1) @ draw_half[slots, :size])
+        members = starts[sizes == size][:, None] + np.arange(size)
+        q, r = np.linalg.qr(scores[members, :size])
         q *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-        block = block @ q
-        entries.append((np.broadcast_to(slots[:, :, None], block.shape).ravel(),
-                        np.broadcast_to(cols[:, None, :], block.shape).ravel(), block.ravel()))
-    slot_rows, slot_cols, slot_values = map(np.concatenate, zip(*entries))
-    # the repeated row of an unpaired vector holds 0 and is summed away
-    return sp.csr_array((slot_values, (slot_rows, slot_cols)), shape=(rows.shape[0],) * 2)
+        entries.append((np.broadcast_to(members[:, :, None], q.shape).ravel(),
+                        np.broadcast_to(members[:, None, :], q.shape).ravel(), q.ravel()))
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    return sp.csr_array((values, (rows, cols)), shape=(scores.shape[0],) * 2)
 
 
 def _multiplier(spectrum: StokesSpectrum, factors: np.ndarray):

@@ -50,6 +50,11 @@ def lmask_hodge(lmask):
     return build_hodge(build_operators(lmask))
 
 
+@pytest.fixture(scope="session")
+def small_sigma_hodge():
+    return build_hodge(build_operators(load_mask(mask_path("small_sigma_5x5x5"))))
+
+
 @pytest.fixture
 def column_counts(monkeypatch):
     """``column_counts(owner, name)`` wraps ``owner.name`` for one test and

@@ -634,6 +634,21 @@ class TestRunPipeline:
             initial_data={"kind": "random", "amplitude": 0.03, "seed": 7})
         assert "picard" not in summary
 
+    @pytest.mark.parametrize("amplitude", [1.0e+160, 1.0e+300])
+    def test_initial_data_too_large_is_config_error(self, tmp_path, amplitude):
+        # the criterion-11 config with huge data: ||alpha|| overflows on the
+        # data alone, so the data is blamed, without a numpy warning
+        out = tmp_path / "out"
+        cfg = base_config(out, seed=4242, shrink={"eps_schedule": [0.2, 0.4]},
+                          initial_data={"kind": "random", "amplitude": amplitude, "seed": 7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        failure = read_summary(out)["failure"]
+        assert failure["stage"] == "initial_data" and failure["error"] == "ConfigError"
+        assert failure["message"] == (
+            f"initial data too large: ||u0|| = {amplitude:.3e} makes ||alpha|| overflow")
+
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod
 

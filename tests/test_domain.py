@@ -54,6 +54,8 @@ class TestMaskParsing:
     def test_bad_magic_line(self):
         with pytest.raises(MaskHeaderError):
             load_mask("voxels v2\n1 1 1 1.0\n1\n")
+        with pytest.raises(MaskHeaderError, match="the file has CRLF line endings"):
+            load_mask(FULL_BOX_2.replace("\n", "\r\n"))
 
     def test_bad_dimension_line(self):
         with pytest.raises(MaskHeaderError, match="missing dimension line"):

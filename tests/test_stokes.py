@@ -24,6 +24,7 @@ from mildflow import (
     smoothing_bound,
     smoothing_envelope,
 )
+from mildflow.hodge import velocity_classes
 from mildflow.stokes import TAIL, _coupling_svd
 from conftest import dense_reference_spectrum, mask_path
 
@@ -77,14 +78,31 @@ class TestAssembly:
         assert margins["resolved_tail"] == np.count_nonzero(svals < TAIL * svals[0]) > 0
         assert 0.0 < margins["max_dropped_coupling_rel"] <= 1e-13
 
-    def test_factorization_is_deterministic(self):
+    def test_factorization_is_deterministic(self, small_sigma_hodge):
         # the complement of the head comes from a seeded draw, so two calls
         # give the same bits
-        hodge = build_hodge(build_operators(load_mask(mask_path("small_sigma_5x5x5"))))
+        hodge = small_sigma_hodge
         coupling = -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
         first, second = _coupling_svd(coupling), _coupling_svd(coupling)
         assert first[3:] == second[3:]
         assert all(np.array_equal(a, b) for a, b in zip(first[:3], second[:3]))
+
+    def test_coupling_across_more_than_one_bit(self, box4_hodge, box4_spectrum):
+        # classes 0 and 7 differ in three bits, but one is even and one odd:
+        # the coupling is in C, and the spectrum is the dense one
+        ops = box4_hodge.ops
+        klass = velocity_classes(ops.mask)
+        first, last = np.flatnonzero(klass == 0)[0], np.flatnonzero(klass == 7)[0]
+        laplacian = ops.laplacian.tolil()
+        laplacian[first, last] = laplacian[last, first] = -0.5 / ops.mask.spacing ** 2
+        hodge = dataclasses.replace(
+            box4_hodge, ops=dataclasses.replace(ops, laplacian=laplacian.tocsr()))
+        spectrum = assemble_stokes(hodge)
+        reference = dense_reference_spectrum(hodge, hodge.basis)
+        lam = reference.eigenvalues
+        assert np.abs(spectrum.eigenvalues - lam).max() <= 1e-12 * lam[-1]
+        assert np.abs(lam - box4_spectrum.eigenvalues).max() > 1e-3 * lam[-1]
+        assert np.abs(spectrum.fields - reference.fields).max() <= 1e-10
 
     def test_rayleigh_quotient_per_mode(self, box4_hodge, box4_spectrum):
         lap = box4_hodge.ops.laplacian
@@ -255,10 +273,11 @@ class TestSmoothingBounds:
         assert abs(smoothing_envelope(1.0) - 1.0 / np.e) <= 1e-15
 
 
-@pytest.mark.parametrize("hodge_name", ["box4_hodge", "lmask_hodge"])
+@pytest.mark.parametrize("hodge_name", ["box4_hodge", "lmask_hodge", "small_sigma_hodge"])
 def test_results_do_not_depend_on_the_hodge_basis(hodge_name, request):
     # the box's eigenvalues are highly degenerate, so eigh may return any
-    # basis inside a cluster; a rotated Z must give the same eigenfields
+    # basis inside a cluster; a rotated Z must give the same eigenfields.
+    # small_sigma's 21-member cluster at 6/h^2 holds 7 unpaired vectors
     hodge = request.getfixturevalue(hodge_name)
     spectrum = assemble_stokes(hodge)
     rng = np.random.default_rng(11)
