@@ -53,7 +53,7 @@ import functools
 import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,20 +142,33 @@ class HodgeDecomposition:
             z[b.rows, b.span] = b.kernel
         return z
 
+    def astype(self, dtype, gradient_scale: float = 1.0) -> "HodgeDecomposition":
+        """The decomposition with the kernels Z_k and ``ops.gradient`` times
+        gradient_scale cast to dtype (shared where unscaled and of that dtype
+        already): all that ``coords``, ``lift_flat`` and ``advect_flat`` read.
+        The potential factors, the divergence and the Laplacian stay."""
+        gradient = self.ops.gradient if gradient_scale == 1.0 else gradient_scale * self.ops.gradient
+        return replace(self, ops=replace(self.ops, gradient=gradient.astype(dtype, copy=False)),
+                       blocks=tuple(replace(b, kernel=b.kernel.astype(dtype, copy=False))
+                                    for b in self.blocks))
+
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, u) -> np.ndarray:
-        """Coordinates Z^T u of (the H-part of) a field, or of each column of a (3n, k) array."""
-        flat = u.flat if isinstance(u, VectorField) else np.asarray(u, dtype=float)
-        out = np.empty((self.dim,) + flat.shape[1:])
+        """Coordinates Z^T u of (the H-part of) a field, or of each column of a
+        (3n, k) array, in the wider dtype of Z and u."""
+        flat = u.flat if isinstance(u, VectorField) else np.asarray(u)
+        out = np.empty((self.dim,) + flat.shape[1:], np.result_type(self.blocks[0].kernel, flat))
         for b in self.blocks:
             out[b.span] = b.kernel.T @ flat[b.rows]
         return out
 
     def lift_flat(self, coords: np.ndarray) -> np.ndarray:
-        """Flat field Z @ coords, of shape (3n,) or (3n, k) for (m,) or (m, k) coordinates."""
-        coords = np.asarray(coords, dtype=float)
-        out = np.empty((3 * self.mask.n_cells,) + coords.shape[1:])
+        """Flat field Z @ coords, of shape (3n,) or (3n, k) for (m,) or (m, k)
+        coordinates, in the wider dtype of Z and coords."""
+        coords = np.asarray(coords)
+        out = np.empty((3 * self.mask.n_cells,) + coords.shape[1:],
+                       np.result_type(self.blocks[0].kernel, coords))
         for b in self.blocks:  # every entry of a flat field is in one block
             out[b.rows] = b.kernel @ coords[b.span]
         return out

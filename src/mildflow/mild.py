@@ -204,11 +204,13 @@ def alpha_trajectory(spectrum: StokesSpectrum, u0: VectorField, grid: TimeGrid) 
 
     The initial field is projected into the divergence-free subspace; a
     warning is emitted if that changes it by more than 1e-12 relative.
+    The change is measured on u0 / max|u0|, whose norm cannot overflow.
     """
     modal0 = spectrum.project(u0.flat)
-    scale = np.linalg.norm(u0.flat)
-    if scale > 0.0:
-        defect = np.linalg.norm(u0.flat - spectrum.lift(modal0)) / scale
+    peak = np.abs(u0.flat).max()
+    if peak > 0.0:
+        defect = (np.linalg.norm((u0.flat - spectrum.lift(modal0)) / peak)
+                  / np.linalg.norm(u0.flat / peak))
         if defect > _PROJECTION_WARN_TOL:
             warnings.warn(
                 f"initial field had a gradient component ({defect:.2e} relative); projected",

@@ -67,7 +67,7 @@ strictly positive, which makes negative powers legal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,6 +111,17 @@ class StokesSpectrum:
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
+
+    def astype(self, dtype, gradient_scale: float = 1.0) -> "StokesSpectrum":
+        """The spectrum with U, V, the mixing and the Hodge factors it applies
+        cast to dtype (shared where they have that dtype already), so that
+        ``lift``, ``project`` and ``modal_forcing`` run in dtype on inputs
+        in dtype; the gradient is also scaled, as in
+        ``HodgeDecomposition.astype``.  The eigenvalues stay float64."""
+        return replace(self, hodge=self.hodge.astype(dtype, gradient_scale),
+                       u_mat=self.u_mat.astype(dtype, copy=False),
+                       v_mat=self.v_mat.astype(dtype, copy=False),
+                       mixing=self.mixing.astype(dtype, copy=False))
 
     def from_modal(self, modal: np.ndarray) -> np.ndarray:
         """Z coordinates Q a of modal coordinates a, (m,) or (m, k)."""

@@ -29,11 +29,16 @@ factors are read once per sweep rather than twice per step.  The sweeps
 are a discrete Picard (waveform-relaxation) iteration (Gander & Vandewalle,
 SIAM J. Sci. Comput. 29, 2007) whose moves shrink by a measurable factor,
 so a window is accepted once its predicted next move, not a confirming
-sweep, is below round-off.
+sweep, is below the sweeps' tolerance.  The sweeps force in float32,
+through the one forcing kernel on a float32 view of the spectrum
+(``StokesSpectrum.astype``), while the recurrence and the states stay
+float64 (mixed precision, Higham & Mary, Acta Numerica 31, 2022); they
+stop at eps32 relative, the floor this puts under the oracle's deviation.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,10 +56,14 @@ GROWTH_LIMIT = 1e3
 #: Steps per window of ``imex_oracle``: each sweep lifts and projects all of
 #: a window's states in one batch, one read of the eigenbasis factors.
 WINDOW_STEPS = 64
+#: The dtype in which a sweep lifts, advects and projects the window's states;
+#: the recurrence and the states stay float64.
+SWEEP_DTYPE = np.float32
 #: A window's sweeps stop once the predicted next move, the last move times
-#: its contraction factor q (at most 1), is at most this times the window's
-#: largest |entry|; q = 1 stops after a sweep that moved no state that far.
-SWEEP_TOLERANCE = np.finfo(float).eps
+#: its contraction factor q (at most 1), is at most this times the machine
+#: epsilon of ``SWEEP_DTYPE`` times the window's largest |entry|; q = 1 stops
+#: after a sweep that moved no state that far.
+SWEEP_TOLERANCE = 1.0
 
 
 @dataclass(eq=False)
@@ -172,13 +181,22 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
 
     The recurrence is solved window by window, ``WINDOW_STEPS`` steps at
     a time, from the window's first state and the linear orbit as the
-    first guess.  Each sweep forces all of the window's states as columns
-    of one ``modal_forcing`` call and reruns the elementwise recurrence
-    with those forcings.  Sweep s makes the window's first s states exact
-    (the iteration is nilpotent), so at most one sweep per step gives the
-    recurrence's own solution.  The sweeps stop earlier, once the predicted
-    next move delta_s * min(q, 1) is at most ``SWEEP_TOLERANCE`` times the
-    window's largest |entry|; delta_s is the largest state change of
+    first guess.  Each sweep casts the window's states to ``SWEEP_DTYPE``
+    and forces them all as columns of one ``modal_forcing`` call on the
+    spectrum cast to that dtype, built once per call; it then reruns the
+    elementwise recurrence in float64 with those forcings.  The states
+    are divided by a power of two near their largest |entry| and the
+    gradient multiplied by one near the spacing before the cast, and the
+    forcings scaled back in float64 (exactly: powers of two), so
+    ``SWEEP_DTYPE`` neither overflows nor goes subnormal at any spacing
+    or amplitude.  Sweep s makes
+    the window's first s states exact (the iteration is nilpotent), so at
+    most one sweep per step gives the solution of the recurrence with
+    forcings in ``SWEEP_DTYPE``.  The sweeps stop earlier, once the
+    predicted next move delta_s * min(q, 1) is at most ``SWEEP_TOLERANCE``
+    times the machine epsilon of ``SWEEP_DTYPE`` times the window's largest
+    |entry|: the accuracy of the solve, not of the oracle, which is first
+    order in dt.  Here delta_s is the largest state change of
     sweep s and q the contraction factor, delta_s / delta_{s-1} from
     sweep 2 on.  For sweep 1, q is delta_2 / delta_1 of the last window
     that swept twice, scaled up by the growth of the relative first move
@@ -188,6 +206,9 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     under that rule.  A state whose norm is not within ``GROWTH_LIMIT``
     times the initial norm ends its window there, so no sweep forces it;
     once it is exact, it raises ``OracleInstabilityError`` at its time.
+    The initial projection of u0 and the node derivatives are computed in
+    float64 on the given spectrum, so linear mode (``scale`` 0) stays the
+    exact orbit.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -203,6 +224,11 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
     lengths, which = np.unique(np.diff(times), return_inverse=True)
     decay = np.exp(-np.outer(lengths, lam))
     weight = (1.0 - decay) / lam
+    # the forcing is bilinear and scales as 1/h: the sweeps force a / 2^t with
+    # the gradient times 2^unit ~ h, and the kicks are scaled back by 2^(2t - unit)
+    unit = math.frexp(spectrum.hodge.mask.spacing)[1]
+    low = spectrum.astype(SWEEP_DTYPE, math.ldexp(1.0, unit))
+    tolerance = SWEEP_TOLERANCE * np.finfo(SWEEP_DTYPE).eps
     buffer = np.empty((WINDOW_STEPS + 1, lam.size))
     buffer[0] = spectrum.project(u0.flat)
     limit = GROWTH_LIMIT * max(np.linalg.norm(buffer[0]), np.finfo(float).tiny)
@@ -218,8 +244,9 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
             a[n + 1] = decay[k] * a[n]
         for sweep in range(1, WINDOW_STEPS + 1):  # ends by the cap at the latest
             previous = a[1:].copy()
-            flat = spectrum.lift(a[:-1].T)
-            kicks = weight[steps] * modal_forcing(spectrum, flat, flat, scale).T
+            t = math.frexp(np.abs(a[:-1]).max())[1]
+            flat = low.lift(np.ldexp(a[:-1].T, -t).astype(SWEEP_DTYPE))
+            kicks = scale * np.ldexp(weight[steps] * modal_forcing(low, flat, flat).T, 2 * t - unit)
             for n, k in enumerate(steps):
                 a[n + 1] = decay[k] * a[n] + kicks[n]
             norms = np.linalg.norm(a[1:], axis=1)
@@ -233,7 +260,7 @@ def imex_oracle(spectrum: StokesSpectrum, hodge: HodgeDecomposition, u0: VectorF
                 if sweep == 2:
                     carried = (ratio, first)
             last = move
-            converged = move * min(ratio, 1.0) <= SWEEP_TOLERANCE * top
+            converged = move * min(ratio, 1.0) <= tolerance * top
             if over.size and (over[0] < sweep or converged):
                 raise OracleInstabilityError(
                     f"oracle norm grew beyond {GROWTH_LIMIT:.0e} x initial "

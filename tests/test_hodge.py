@@ -291,3 +291,24 @@ def test_factors_do_not_depend_on_the_blas_thread_count(blas_threads):
         factors.append([(b.kernel, b.u_r, b.s_r, b.vt_r) for b in build_hodge(ops).blocks])
     for got, want in zip(*factors):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_coords_and_lift_keep_their_float64_bits(box4_hodge):
+    # float64 factors: the block products of a float64 input, bit for bit,
+    # and a narrower input is read as float64, as a cast before would
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3 * box4_hodge.mask.n_cells, 5))
+    c = rng.standard_normal((box4_hodge.dim, 5))
+    want_coords, want_flat = np.empty_like(c), np.empty_like(x)
+    for b in box4_hodge.blocks:
+        want_coords[b.span] = b.kernel.T @ x[b.rows]
+        want_flat[b.rows] = b.kernel @ c[b.span]
+    assert np.array_equal(box4_hodge.coords(x), want_coords)
+    assert np.array_equal(box4_hodge.lift_flat(c), want_flat)
+    for narrow in (x.astype(np.float32), np.rint(4.0 * x).astype(int)):
+        got = box4_hodge.coords(narrow)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, box4_hodge.coords(narrow.astype(float)))
+    assert np.array_equal(box4_hodge.lift_flat(c.astype(np.float32)),
+                          box4_hodge.lift_flat(c.astype(np.float32).astype(float)))
+

@@ -1,5 +1,6 @@
 """Trajectory space, semigroup convolution, smallness gate, Picard iteration."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,19 @@ class TestAlphaTrajectory:
         u0 = box4_ops.gradient_of(p)  # pure gradient: projection removes it all
         with pytest.warns(UserWarning, match="gradient component"):
             alpha_trajectory(box4_spectrum, u0, grid)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e200])
+    def test_projection_warning_survives_huge_data(self, box4_ops, box4_spectrum, grid,
+                                                   amplitude):
+        # the defect is measured on u0 / max|u0|: its norm cannot overflow
+        rng = np.random.default_rng(0)
+        gradient = box4_ops.gradient @ rng.standard_normal(box4_ops.mask.n_cells)
+        u0 = VectorField.from_flat(box4_ops.mask, amplitude * gradient)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alpha_trajectory(box4_spectrum, u0, grid)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "initial field had a gradient component (1.00e+00 relative); projected")]
 
 
 class TestEtNorm:

@@ -296,3 +296,26 @@ def test_results_do_not_depend_on_the_hodge_basis(hodge_name, request):
     assert logs[0].converged and logs[1].iterations == logs[0].iterations
     distances = np.array([log.distances for log in logs])
     assert np.abs(distances[1] - distances[0]).max() <= 1e-12 * distances[0, 0]
+
+
+def test_astype_casts_the_factors_and_keeps_the_eigenvalues(box4_spectrum):
+    def factors(spectrum):
+        return [spectrum.u_mat, spectrum.v_mat, spectrum.mixing, spectrum.hodge.ops.gradient,
+                *(b.kernel for b in spectrum.hodge.blocks)]
+
+    low = box4_spectrum.astype(np.float32)
+    assert low.eigenvalues is box4_spectrum.eigenvalues
+    assert low.eigenvalues.dtype == np.float64
+    assert {f.dtype for f in factors(low)} == {np.dtype(np.float32)}
+    assert {f.dtype for f in factors(box4_spectrum)} == {np.dtype(np.float64)}
+    # the dtype a factor has already is shared, not copied
+    same = box4_spectrum.astype(np.float64)
+    assert all(a is b for a, b in zip(factors(same), factors(box4_spectrum)))
+    half = box4_spectrum.astype(np.float64, gradient_scale=0.5).hodge.ops.gradient
+    assert (half != 0.5 * box4_spectrum.hodge.ops.gradient).nnz == 0
+    rng = np.random.default_rng(14)
+    modal = rng.standard_normal((box4_spectrum.dim, 4))
+    flat = low.lift(modal.astype(np.float32))
+    assert flat.dtype == np.float32 and low.project(flat).dtype == np.float32
+    np.testing.assert_allclose(flat, box4_spectrum.lift(modal), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(low.project(flat), modal, rtol=0, atol=1e-5)

@@ -5,6 +5,7 @@ import pytest
 
 import mildflow.verify
 from mildflow import (
+    DomainMask,
     MildTrajectory,
     OracleInstabilityError,
     PicardConfig,
@@ -13,6 +14,7 @@ from mildflow import (
     VectorField,
     alpha_trajectory,
     assemble_stokes,
+    build_hodge,
     build_operators,
     energy_audit,
     imex_oracle,
@@ -303,7 +305,24 @@ def criterion_10_data(spectrum, hodge, amplitude):
     return hodge.lift(amplitude * spectrum.from_modal(modal / np.linalg.norm(modal)))
 
 
+@pytest.fixture(scope="module")
+def box8_case():
+    """The ``mild_box8`` benchmark's oracle input at seed 1: the 8^3 box, its
+    random data at amplitude 6 smoothed by e^{-0.02 A}, its grid and dt."""
+    hodge = build_hodge(build_operators(DomainMask((8, 8, 8), 1 / 8, np.ones((8, 8, 8), bool))))
+    spectrum = assemble_stokes(hodge)
+    coords = hodge.coords(np.random.default_rng(2).standard_normal(3 * hodge.mask.n_cells))
+    coords *= 6.0 / (hodge.mask.cell_volume ** 0.5 * np.linalg.norm(coords))
+    modal = np.exp(-0.02 * spectrum.eigenvalues) * spectrum.to_modal(coords)
+    u0 = VectorField.from_flat(hodge.mask, spectrum.lift(modal))
+    return spectrum, hodge, u0, TimeGrid.graded(0.5, 24, 6), 2.5e-4
+
+
 class TestOracle:
+    # the tests of the window solver's exactness sweep in float64, where the
+    # stop rule is "below round-off"; test_float32_sweeps_match_float64 ties
+    # the default float32 sweeps to them
+
     @pytest.mark.parametrize("tolerance", [None, 0.0], ids=["stop_rule", "to_cap"])
     @pytest.mark.parametrize("case", ["box4", "lmask"])
     def test_matches_sequential_loop(self, monkeypatch, request, case, tolerance,
@@ -314,6 +333,7 @@ class TestOracle:
             spectrum, hodge = box4_spectrum, box4_hodge
         else:
             spectrum, hodge = request.getfixturevalue("lmask_case")[:2]
+        monkeypatch.setattr(mildflow.verify, "SWEEP_DTYPE", np.float64)
         if tolerance is not None:  # every window sweeps until no bit moves
             monkeypatch.setattr(mildflow.verify, "SWEEP_TOLERANCE", tolerance)
         grid, dt = TimeGrid.graded(0.5, 20, 6), 0.0041
@@ -332,6 +352,7 @@ class TestOracle:
         # the small data decay over T = 10: 7 windows of 64 steps, each
         # sweep one kernel call whose first column is the window's fixed
         # first state; the q = 1 rule sweeps 5, 4, 3, 3, 2, 2, 2 times
+        monkeypatch.setattr(mildflow.verify, "SWEEP_DTYPE", np.float64)
         grid, dt = TimeGrid.graded(10.0, 24, 6), 0.025
         want = sequential_oracle(box4_spectrum, small_u0, grid, dt)[1]
         firsts = []
@@ -356,15 +377,76 @@ class TestOracle:
         assert 1 in sweeps[1:]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_growing_early_moves_match_sequential_loop(self, lmask_case):
+    def test_growing_early_moves_match_sequential_loop(self, monkeypatch, lmask_case):
         # criterion 10's data on the L-mask at amplitude 100: the first moves
         # of later windows grow, so the carried factor must scale up with them
+        monkeypatch.setattr(mildflow.verify, "SWEEP_DTYPE", np.float64)
         spectrum, hodge = lmask_case[:2]
         grid, dt = TimeGrid.graded(0.5, 32, 6), 0.001
         u0 = criterion_10_data(spectrum, hodge, 100.0)
         want = sequential_oracle(spectrum, u0, grid, dt)[1]
         got = imex_oracle(spectrum, hodge, u0, grid, dt).samples
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case, amplitude, segments, dt", [
+        ("box4", 3.0, 20, 0.0041), ("lmask", 3.0, 20, 0.0041),
+        ("box4", 100.0, 32, 0.001), ("lmask", 100.0, 32, 0.001), ("box8", None, 24, 2.5e-4),
+    ], ids=["box4", "lmask", "box4_amp100", "lmask_amp100", "box8"])
+    def test_float32_sweeps_match_float64(self, monkeypatch, request, case, amplitude,
+                                          segments, dt, box4_spectrum, box4_hodge):
+        # the default sweeps force in float32 and stop at eps32: the result
+        # stays within 1e-6 of the float64 sweeps' norm (about 2e-7 here)
+        if case == "box8":
+            spectrum, hodge, u0 = request.getfixturevalue("box8_case")[:3]
+        else:
+            spectrum, hodge = ((box4_spectrum, box4_hodge) if case == "box4"
+                               else request.getfixturevalue("lmask_case")[:2])
+            u0 = criterion_10_data(spectrum, hodge, amplitude)
+        grid = TimeGrid.graded(0.5, segments, 6)
+        assert mildflow.verify.SWEEP_DTYPE is np.float32
+        low = imex_oracle(spectrum, hodge, u0, grid, dt).samples
+        monkeypatch.setattr(mildflow.verify, "SWEEP_DTYPE", np.float64)
+        want = imex_oracle(spectrum, hodge, u0, grid, dt).samples
+        ref = np.linalg.norm(want, axis=1).max()
+        assert low.dtype == np.float64
+        assert np.array_equal(low[0], want[0])
+        assert np.linalg.norm(low - want, axis=1).max() <= 1e-6 * ref
+
+    @pytest.mark.parametrize("c", [1e-15, 1e15])
+    def test_sweeps_keep_their_range_at_any_spacing(self, c, box4_spectrum, box4_hodge):
+        # the parabolic image of criterion 10's box4 run: spacing c h, data
+        # over c, times and dt c^2 times.  Unscaled float32 forcing overflows
+        # to inf at c = 1e-15 (about 1e46) and goes subnormal at c = 1e15
+        # (about 1e-44); the image must be the run's own field over c
+        u0 = criterion_10_data(box4_spectrum, box4_hodge, 3.0)
+        want = box4_spectrum.lift(imex_oracle(box4_spectrum, box4_hodge, u0,
+                                              TimeGrid.graded(0.5, 20, 6), 0.0041).samples.T)
+        mask = box4_hodge.mask
+        hodge = build_hodge(build_operators(DomainMask(mask.dims, c * mask.spacing,
+                                                       mask.occupancy)))
+        spectrum = assemble_stokes(hodge)
+        image = imex_oracle(spectrum, hodge, VectorField.from_flat(hodge.mask, u0.flat / c),
+                            TimeGrid.graded(c**2 * 0.5, 20, 6), c**2 * 0.0041).samples
+        got = c * spectrum.lift(image.T)
+        assert np.isfinite(got).all()
+        ref = np.linalg.norm(want, axis=0).max()
+        assert np.linalg.norm(got - want, axis=0).max() <= 1e-6 * ref
+
+    def test_sweeps_force_in_float32(self, monkeypatch, box4_spectrum, box4_hodge, small_u0,
+                                     grid):
+        # every sweep's kernel call runs on float32 states; the last call,
+        # the node derivatives, runs in float64 on the given spectrum
+        dtypes, real = [], mildflow.mild.advect_flat
+
+        def recording(ops, xu, xv):
+            dtypes.append((xu.dtype, ops.gradient.dtype))
+            return real(ops, xu, xv)
+
+        monkeypatch.setattr(mildflow.mild, "advect_flat", recording)
+        imex_oracle(box4_spectrum, box4_hodge, small_u0, grid, 0.01)
+        assert len(dtypes) > 2
+        assert set(dtypes[:-1]) == {(np.dtype(np.float32),) * 2}
+        assert dtypes[-1] == (np.float64, np.float64)
 
     @pytest.mark.parametrize("dt", [0.01, 0.005, 0.0025])
     def test_times_merge_round_off_into_nodes(self, dt):
