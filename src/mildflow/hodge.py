@@ -38,7 +38,8 @@ at several BLAS threads and makes the factors independent of the BLAS
 thread count.  That count is process-global: while the block loop runs,
 any other BLAS call in the process runs at one thread too.  Where numpy's
 BLAS is not the scipy-openblas it ships, the count cannot be set and the
-blocks are factored one at a time.
+blocks are factored one at a time.  That library is looked up once
+(``_openblas``); ``stokes`` finds its in-place eigensolve there too.
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -210,21 +211,30 @@ class HodgeDecomposition:
 
 
 @functools.cache
-def _blas_thread_control():
-    """The setter and getter of the thread count of the OpenBLAS that numpy
-    ships in ``numpy.libs``, or ``None`` where there is no such library."""
+def _openblas():
+    """The OpenBLAS that numpy ships in ``numpy.libs`` (``ctypes.CDLL``), or
+    ``None`` where there is no such library; its symbols end in ``64_``."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         try:
-            lib = ctypes.CDLL(path)
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter = lib.scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
+            return ctypes.CDLL(path)
+        except OSError:
             continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        return setter, getter
     return None
+
+
+@functools.cache
+def _blas_thread_control():
+    """The setter and getter of the thread count of ``_openblas()``, or
+    ``None`` where there is no such library."""
+    lib = _openblas()
+    try:
+        setter, getter = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    except AttributeError:  # no library (None) or not these symbols
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
 
 
 def _block_svds(matrices: list) -> list:

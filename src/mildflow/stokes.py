@@ -36,7 +36,11 @@ V_tail; the rest of W's rotated columns are the |m_e - m_o| unpaired
 vectors.  What this drops is the coupling U_head^T A V_tail, of order
 eps ||C|| / ``TAIL``; its largest entry over sigma_max, the
 factorization's backward error, and the size of the tail go to
-``margins``.
+``margins``.  Memory: the eigensolve runs in place, through the
+``LAPACKE_dsyevd`` of the OpenBLAS that numpy ships, so the Gram array
+becomes V with no copy of it (where that symbol is missing,
+``np.linalg.eigh`` runs the same ``dsyevd`` on a copy, with the same
+bits), and U is written into one preallocated array.
 
 Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
@@ -66,6 +70,8 @@ strictly positive, which makes negative powers legal.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -74,7 +80,7 @@ import scipy.sparse as sp
 
 from .domain import VectorField
 from .errors import SpectrumError
-from .hodge import HodgeDecomposition
+from .hodge import HodgeDecomposition, _openblas
 
 #: exp argument beyond which a spectral multiplier would overflow
 _EXP_LIMIT = 700.0
@@ -86,6 +92,8 @@ CLUSTER_SEED = 0
 #: Singular values of C below this fraction of the largest are solved by one
 #: small SVD inside the complement of the others (see ``_coupling_svd``).
 TAIL = 0.1
+#: LAPACKE's matrix_layout value for column-major storage.
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(eq=False)
@@ -173,7 +181,7 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     so one SVD C = U diag(sigma) V^T gives every eigenpair: (6 -+ sigma)/h^2
     with modes [u; +-v]/sqrt(2), and |m_e - m_o| eigenvalues 6/h^2 with
     modes [u; 0] or [0; v] from the unpaired singular vectors.  That SVD
-    comes from an ``eigh`` of the Gram matrix of C (``_coupling_svd``):
+    comes from an in-place ``eigh`` of the Gram matrix of C (``_coupling_svd``):
     the head columns, sigma at least ``TAIL`` sigma_max, are A v / sigma;
     the complement of the head is the span of one seeded Gaussian draw
     projected off it, and one small SVD inside that complement gives the
@@ -212,10 +220,50 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     return StokesSpectrum(hodge, eigenvalues, u_mat, v_mat, mixing, margins)
 
 
+@functools.cache
+def _lapacke_dsyevd():
+    """``LAPACKE_dsyevd`` of the OpenBLAS that numpy ships (64-bit integers),
+    or ``None`` where ``hodge._openblas`` finds no such library or symbol."""
+    try:
+        dsyevd = _openblas().scipy_LAPACKE_dsyevd64_
+    except AttributeError:  # no library (None) or not this symbol
+        return None
+    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                       np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int64,
+                       np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
+    dsyevd.restype = ctypes.c_int64
+    return dsyevd
+
+
+def _gram_eigh(gram: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of the exactly symmetric, C-contiguous
+    ``gram``, which is overwritten with its orthonormal eigenvectors, one
+    per row.  ``LAPACKE_dsyevd`` reads ``gram`` column-major (gram^T = gram)
+    and writes the eigenvector columns, rows in C order, in place; without
+    it, ``np.linalg.eigh`` (the same ``dsyevd``, on a copy) runs and its
+    eigenvectors are copied in.  Raises ``np.linalg.LinAlgError`` if the
+    eigensolve fails."""
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        w, vectors = np.linalg.eigh(gram)
+        gram[:] = vectors.T
+        return w
+    w = np.empty(gram.shape[0])
+    info = dsyevd(_LAPACK_COL_MAJOR, b"V", b"L", gram.shape[0], gram, max(gram.shape[0], 1), w)
+    if info:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK dsyevd info {info})")
+    return w
+
+
 def _coupling_svd(coupling: np.ndarray):
     """The full SVD coupling = U diag(sigma) V^T, from ``eigh`` of the Gram
     matrix, the head columns normalized, and one small SVD inside the
     complement of the head (see the module docstring).
+
+    The Gram matrix A^T A is the eigensolve's only input and output
+    (``_gram_eigh``: in place, or by ``np.linalg.eigh`` and a copy back where
+    numpy's OpenBLAS has no ``LAPACKE_dsyevd``) and becomes V; A V, the
+    normalized head and the rotated complement are written into one U.
 
     Returns U (m_e x m_e) and V (m_o x m_o), both C-contiguous, the
     min(m_e, m_o) singular values sigma (descending up to round-off), the
@@ -225,22 +273,25 @@ def _coupling_svd(coupling: np.ndarray):
     transposed = coupling.shape[0] < coupling.shape[1]
     tall = coupling.T if transposed else coupling
     rows, p = tall.shape
-    w, right = np.linalg.eigh(tall.T @ tall)
-    w, right = w[::-1], np.ascontiguousarray(right[:, ::-1])
+    right = tall.T @ tall  # one triangle by syrk, mirrored: exactly symmetric
+    w = _gram_eigh(right)[::-1]
+    right[:] = right[::-1].T  # descending columns; the eigensolve's workspace is gone
     head = int(np.count_nonzero((w >= TAIL ** 2 * w.max(initial=0.0)) & (w > 0.0)))
-    image = tall @ right
-    u_head = image[:, :head] / np.sqrt(w[:head])
+    left = np.empty((rows, rows))
+    np.matmul(tall, right, out=left[:, :p])
+    u_head = left[:, :head]
+    u_head /= np.sqrt(w[:head])
     # an orthonormal basis of the head's complement, from a draw projected twice
     draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, rows - head))
     for _ in range(2):
         draw -= u_head @ (u_head.T @ draw)
     complement = np.linalg.qr(draw)[0]
     # the tail solved inside the complement; its last columns are unpaired
-    rot_left, sigma_tail, rot_right = np.linalg.svd(complement.T @ image[:, head:])
-    left = np.concatenate([u_head, complement @ rot_left], axis=1)
+    rot_left, sigma_tail, rot_right = np.linalg.svd(complement.T @ left[:, head:p])
+    cross = u_head.T @ left[:, head:p]
+    np.matmul(complement, rot_left, out=left[:, head:])
     right[:, head:] = right[:, head:] @ rot_right.T
     sigma = np.concatenate([np.sqrt(w[:head]), sigma_tail])
-    cross = u_head.T @ image[:, head:]
     dropped = float(np.abs(cross).max() / sigma[0]) if cross.size else None
     u_mat, v_mat = (right, left) if transposed else (left, right)
     return u_mat, sigma, v_mat, dropped, p - head

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mildflow import (
+    DomainMask,
     StokesSpectrum,
     VectorField,
     assemble_stokes,
@@ -74,6 +75,13 @@ def column_counts(monkeypatch):
         return columns
 
     return watch
+
+
+def rough_ops():
+    """Operators of an 80%-fill 9^3 mask (571 cells): blocks of about 214 x 71,
+    large enough that LAPACK's results depend on the BLAS thread count."""
+    occupancy = np.random.default_rng(0).random((9, 9, 9)) < 0.8
+    return build_operators(DomainMask((9, 9, 9), 1.0 / 9, occupancy))
 
 
 def random_vector_field(mask, rng) -> VectorField:

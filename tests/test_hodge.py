@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 
 from mildflow import (
-    DomainMask,
     ScalarField,
     SpectrumError,
     VectorField,
@@ -19,7 +18,7 @@ from mildflow import (
     load_mask,
 )
 from mildflow import hodge as hodge_module
-from conftest import mask_path, random_scalar_values, random_vector_field
+from conftest import mask_path, random_scalar_values, random_vector_field, rough_ops
 
 
 def test_projector_kills_gradients(box4_ops, box4_hodge):
@@ -211,13 +210,6 @@ def test_rank_cut_is_global_across_parity_blocks(box4_ops, box4_hodge):
     assert hodge.dim == box4_hodge.dim + kept_by_own_cut.size
 
 
-def _rough_ops():
-    """Operators of an 80%-fill 9^3 mask (571 cells): blocks of about 214 x 71,
-    large enough that LAPACK's results depend on the BLAS thread count."""
-    occupancy = np.random.default_rng(0).random((9, 9, 9)) < 0.8
-    return build_operators(DomainMask((9, 9, 9), 1.0 / 9, occupancy))
-
-
 @pytest.fixture
 def blas_threads():
     """The BLAS thread-count setter and getter; the count is restored after the test."""
@@ -231,7 +223,7 @@ def blas_threads():
 
 @pytest.mark.parametrize("name", ["box4", "lmask", "rough"])
 def test_worker_pool_matches_the_serial_loop(name, request, monkeypatch):
-    ops = _rough_ops() if name == "rough" else request.getfixturevalue(f"{name}_hodge").ops
+    ops = rough_ops() if name == "rough" else request.getfixturevalue(f"{name}_hodge").ops
     pooled = build_hodge(ops)
     monkeypatch.setattr(hodge_module, "_blas_thread_control", lambda: None)
     serial = build_hodge(ops)
@@ -285,7 +277,7 @@ def test_factors_do_not_depend_on_the_blas_thread_count(blas_threads):
     # the serial loop at 1 and at 2 BLAS threads gives factors that differ
     # at round-off on this mask; one-thread workers give the same bits
     set_threads, _ = blas_threads
-    ops, factors = _rough_ops(), []
+    ops, factors = rough_ops(), []
     for threads in (1, 2):
         set_threads(threads)
         factors.append([(b.kernel, b.u_r, b.s_r, b.vt_r) for b in build_hodge(ops).blocks])

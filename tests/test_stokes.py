@@ -1,6 +1,8 @@
 """Reduced operator assembly and the spectral functional calculus."""
 
 import dataclasses
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +26,19 @@ from mildflow import (
     smoothing_bound,
     smoothing_envelope,
 )
+from mildflow import hodge as hodge_module
+from mildflow import stokes as stokes_module
 from mildflow.hodge import velocity_classes
 from mildflow.stokes import TAIL, _coupling_svd
-from conftest import dense_reference_spectrum, mask_path
+from conftest import dense_reference_spectrum, mask_path, rough_ops
 
 
 def _random_coords(hodge, rng):
     return rng.standard_normal(hodge.dim)
+
+
+def _coupling(hodge):
+    return -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
 
 
 class TestAssembly:
@@ -73,16 +81,14 @@ class TestAssembly:
         # sigma_max, and the coupling the factorization drops is round-off
         hodge = request.getfixturevalue(f"{name}_hodge")
         margins = assemble_stokes(hodge).margins
-        coupling = -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
-        svals = np.linalg.svd(coupling, compute_uv=False)
+        svals = np.linalg.svd(_coupling(hodge), compute_uv=False)
         assert margins["resolved_tail"] == np.count_nonzero(svals < TAIL * svals[0]) > 0
         assert 0.0 < margins["max_dropped_coupling_rel"] <= 1e-13
 
     def test_factorization_is_deterministic(self, small_sigma_hodge):
         # the complement of the head comes from a seeded draw, so two calls
         # give the same bits
-        hodge = small_sigma_hodge
-        coupling = -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
+        coupling = _coupling(small_sigma_hodge)
         first, second = _coupling_svd(coupling), _coupling_svd(coupling)
         assert first[3:] == second[3:]
         assert all(np.array_equal(a, b) for a, b in zip(first[:3], second[:3]))
@@ -319,3 +325,85 @@ def test_astype_casts_the_factors_and_keeps_the_eigenvalues(box4_spectrum):
     assert flat.dtype == np.float32 and low.project(flat).dtype == np.float32
     np.testing.assert_allclose(flat, box4_spectrum.lift(modal), rtol=0, atol=1e-5)
     np.testing.assert_allclose(low.project(flat), modal, rtol=0, atol=1e-5)
+
+
+def _rough12_seed1_hodge():
+    """The ``setup_rough12`` benchmark mask of seed 1: 1,382 of the 12^3 cells,
+    drawn as ``perfbench/workloads.py`` draws them; C is 1,438 x 1,327."""
+    cells = [(i, j, k) for k in range(12) for j in range(12) for i in range(12)]
+    occupancy = np.zeros((12, 12, 12), dtype=bool)
+    occupancy[tuple(np.array(random.Random(1).sample(cells, round(0.8 * len(cells)))).T)] = True
+    return build_hodge(build_operators(DomainMask((12, 12, 12), 1.0 / 12, occupancy)))
+
+
+@pytest.fixture
+def gram_eighs(monkeypatch):
+    """A list that gets one entry per ``np.linalg.eigh`` call in the test."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["box4", "lmask", "small_sigma", "rough"])
+def test_in_place_eigensolve_matches_the_fallback(name, request, monkeypatch, gram_eighs):
+    if stokes_module._lapacke_dsyevd() is None:
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd in this process")
+    hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue(f"{name}_hodge")
+    coupling = _coupling(hodge)
+    in_place = _coupling_svd(coupling)
+    assert not gram_eighs
+    monkeypatch.setattr(stokes_module, "_lapacke_dsyevd", lambda: None)
+    fallback = _coupling_svd(coupling)
+    assert len(gram_eighs) == 1
+    assert in_place[3:] == fallback[3:]
+    assert all(np.array_equal(a, b) for a, b in zip(in_place[:3], fallback[:3]))
+    assert in_place[0].flags.c_contiguous and in_place[2].flags.c_contiguous
+    assert fallback[0].flags.c_contiguous and fallback[2].flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (4, 4)])
+def test_empty_and_zero_couplings(shape):
+    # p = 0 needs a leading dimension of at least 1; a zero C has no head
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(np.zeros(shape))
+    p = min(shape)
+    assert sigma.shape == (p,) and not sigma.any() and tail == p
+    assert u_mat.shape == (shape[0],) * 2 and v_mat.shape == (shape[1],) * 2
+    for factor in (u_mat, v_mat):
+        assert np.abs(factor.T @ factor - np.eye(len(factor))).max(initial=0.0) <= 1e-14
+
+
+def test_failed_in_place_eigensolve_raises_linalg_error(box4_hodge, monkeypatch):
+    monkeypatch.setattr(stokes_module, "_lapacke_dsyevd", lambda: lambda *args: 3)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _coupling_svd(_coupling(box4_hodge))
+
+
+def test_in_place_route_is_found_with_the_blas_thread_control():
+    # where numpy ships its OpenBLAS, the Gram eigensolve does not silently
+    # fall back to the copying np.linalg.eigh
+    if hodge_module._blas_thread_control() is None:
+        pytest.skip("numpy's OpenBLAS is not in numpy.libs in this process")
+    assert stokes_module._lapacke_dsyevd() is not None
+
+
+@pytest.mark.parametrize("name", ["rough", "rough12"])
+def test_coupling_svd_allocates_about_two_factors(name):
+    # numpy's allocations beyond C stay within 1.75 times U and V together
+    # (tracemalloc, deterministic; LAPACK's workspace is not counted): the
+    # Gram matrix becomes V, and A V, the head and the rotated complement
+    # are written into U, with no reversed, concatenated or image copy
+    hodge = _rough12_seed1_hodge() if name == "rough12" else build_hodge(rough_ops())
+    coupling = _coupling(hodge)
+    rows, p = max(coupling.shape), min(coupling.shape)
+    tracemalloc.start()
+    try:
+        _coupling_svd(coupling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 8 * (p * p + rows * rows)
