@@ -39,7 +39,7 @@ thread count.  That count is process-global: while the block loop runs,
 any other BLAS call in the process runs at one thread too.  Where numpy's
 BLAS is not the scipy-openblas it ships, the count cannot be set and the
 blocks are factored one at a time.  That library is looked up once
-(``_openblas``); ``stokes`` finds its in-place eigensolve there too.
+(``_openblas``); ``stokes`` finds its in-place eigensolve and QR there too.
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -179,15 +179,21 @@ class HodgeDecomposition:
         the pairs of an even and an odd block that op couples.  Raises
         ``SpectrumError`` if op has a nonzero off-diagonal entry between two
         blocks of the same parity (or inside one), which that product drops."""
-        odd = np.isin(np.arange(op.shape[0]), np.concatenate([b.rows for b in self.blocks[4:]]))
+        even, odd = self.blocks[:4], self.blocks[4:]  # the even blocks come first
+        odd_rows = np.concatenate([b.rows for b in odd])
+        is_odd = np.isin(np.arange(op.shape[0]), odd_rows)
         coo = op.tocoo()
-        if np.any((odd[coo.row] == odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
+        if np.any((is_odd[coo.row] == is_odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
             raise SpectrumError("operator couples two blocks of the same parity")
+        # op sliced once; each pair's rows and columns are then one contiguous range
+        sliced = op[np.concatenate([b.rows for b in even])][:, odd_rows]
+        row_at = np.cumsum([0] + [b.rows.size for b in even])
+        col_at = np.cumsum([0] + [b.rows.size for b in odd])
         m_e = self.n_even
         out = np.zeros((m_e, self.dim - m_e))
-        for be in self.blocks[:4]:  # the even blocks come first
-            for bo in self.blocks[4:]:
-                coupled = op[be.rows][:, bo.rows]
+        for i, be in enumerate(even):
+            for j, bo in enumerate(odd):
+                coupled = sliced[row_at[i]:row_at[i + 1], col_at[j]:col_at[j + 1]]
                 if coupled.nnz:
                     out[be.span, bo.span.start - m_e:bo.span.stop - m_e] = \
                         be.kernel.T @ (coupled @ bo.kernel)

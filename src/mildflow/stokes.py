@@ -36,11 +36,15 @@ V_tail; the rest of W's rotated columns are the |m_e - m_o| unpaired
 vectors.  What this drops is the coupling U_head^T A V_tail, of order
 eps ||C|| / ``TAIL``; its largest entry over sigma_max, the
 factorization's backward error, and the size of the tail go to
-``margins``.  Memory: the eigensolve runs in place, through the
-``LAPACKE_dsyevd`` of the OpenBLAS that numpy ships, so the Gram array
-becomes V with no copy of it (where that symbol is missing,
-``np.linalg.eigh`` runs the same ``dsyevd`` on a copy, with the same
-bits), and U is written into one preallocated array.
+``margins``.  Memory: C is built twice and is not alive during the
+eigensolve, whose only dense arrays are the Gram matrix and LAPACK's
+workspace; the eigensolve runs in place, through the ``LAPACKE_dsyevd``
+of the OpenBLAS that numpy ships, so the Gram array becomes V with no
+copy of it; U is written into one preallocated array, and the
+complement's basis is orthonormalized in place over the draw, by
+``LAPACKE_dgeqrf`` and ``LAPACKE_dorgqr``.  Where those symbols are
+missing, ``np.linalg.eigh`` and ``np.linalg.qr`` run the same LAPACK
+routines on copies, with the same bits.
 
 Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
@@ -92,8 +96,8 @@ CLUSTER_SEED = 0
 #: Singular values of C below this fraction of the largest are solved by one
 #: small SVD inside the complement of the others (see ``_coupling_svd``).
 TAIL = 0.1
-#: LAPACKE's matrix_layout value for column-major storage.
-_LAPACK_COL_MAJOR = 102
+#: LAPACKE's matrix_layout values for row-major and column-major storage.
+_LAPACK_ROW_MAJOR, _LAPACK_COL_MAJOR = 101, 102
 
 
 @dataclass(eq=False)
@@ -196,8 +200,13 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     if not np.all(hodge.ops.laplacian.diagonal() == 6.0 / h2):
         raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
     m_e = hodge.n_even
-    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(
-        -h2 * hodge.even_odd_block(hodge.ops.laplacian))
+
+    def coupling():
+        c = hodge.even_odd_block(hodge.ops.laplacian)
+        c *= -h2  # in place: one C-sized array per build
+        return c
+
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(coupling)
     eigenvalues, pairing = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
     # the spectrum scales as 1/h^2, so the round-off floor is relative only
     tol = 1e-12 * eigenvalues[-1]
@@ -220,19 +229,29 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     return StokesSpectrum(hodge, eigenvalues, u_mat, v_mat, mixing, margins)
 
 
+_INT, _ARRAY = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+#: The argument types of the LAPACKE functions ``_lapacke`` finds, after
+#: the matrix layout: (jobz, uplo, n, a, lda, w), (m, n, a, lda, tau) and
+#: (m, n, k, a, lda, tau).
+_LAPACKE_ARGTYPES = {
+    "dsyevd": [ctypes.c_char, ctypes.c_char, _INT, _ARRAY, _INT, _ARRAY],
+    "dgeqrf": [_INT, _INT, _ARRAY, _INT, _ARRAY],
+    "dorgqr": [_INT, _INT, _INT, _ARRAY, _INT, _ARRAY],
+}
+
+
 @functools.cache
-def _lapacke_dsyevd():
-    """``LAPACKE_dsyevd`` of the OpenBLAS that numpy ships (64-bit integers),
-    or ``None`` where ``hodge._openblas`` finds no such library or symbol."""
+def _lapacke(name: str):
+    """``LAPACKE_<name>`` of the OpenBLAS that numpy ships (64-bit integers),
+    for a name in ``_LAPACKE_ARGTYPES``, or ``None`` where
+    ``hodge._openblas`` finds no such library or symbol."""
     try:
-        dsyevd = _openblas().scipy_LAPACKE_dsyevd64_
+        function = getattr(_openblas(), f"scipy_LAPACKE_{name}64_")
     except AttributeError:  # no library (None) or not this symbol
         return None
-    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                       np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int64,
-                       np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
-    dsyevd.restype = ctypes.c_int64
-    return dsyevd
+    function.argtypes = [ctypes.c_int] + _LAPACKE_ARGTYPES[name]
+    function.restype = ctypes.c_int64
+    return function
 
 
 def _gram_eigh(gram: np.ndarray) -> np.ndarray:
@@ -243,7 +262,7 @@ def _gram_eigh(gram: np.ndarray) -> np.ndarray:
     it, ``np.linalg.eigh`` (the same ``dsyevd``, on a copy) runs and its
     eigenvectors are copied in.  Raises ``np.linalg.LinAlgError`` if the
     eigensolve fails."""
-    dsyevd = _lapacke_dsyevd()
+    dsyevd = _lapacke("dsyevd")
     if dsyevd is None:
         w, vectors = np.linalg.eigh(gram)
         gram[:] = vectors.T
@@ -255,37 +274,66 @@ def _gram_eigh(gram: np.ndarray) -> np.ndarray:
     return w
 
 
-def _coupling_svd(coupling: np.ndarray):
-    """The full SVD coupling = U diag(sigma) V^T, from ``eigh`` of the Gram
-    matrix, the head columns normalized, and one small SVD inside the
-    complement of the head (see the module docstring).
+def _orthonormalize(a: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous ``a`` (rows x k, k <= rows) with the Q
+    factor of its reduced QR, bit for bit as ``np.linalg.qr(a)[0]`` gives
+    it, and return it.  ``LAPACKE_dgeqrf`` and ``LAPACKE_dorgqr`` run on
+    ``a`` in row-major layout, each through one column-major copy that
+    LAPACKE frees before it returns, where ``np.linalg.qr`` holds several
+    copies and a separate Q at once; without those symbols,
+    ``np.linalg.qr`` runs and its Q is copied in.  Raises
+    ``np.linalg.LinAlgError`` if LAPACK reports an error."""
+    geqrf, orgqr = _lapacke("dgeqrf"), _lapacke("dorgqr")
+    if geqrf is None or orgqr is None:
+        a[:] = np.linalg.qr(a)[0]
+        return a
+    rows, k = a.shape
+    tau = np.empty(k)
+    info = geqrf(_LAPACK_ROW_MAJOR, rows, k, a, max(k, 1), tau)
+    info = info or orgqr(_LAPACK_ROW_MAJOR, rows, k, k, a, max(k, 1), tau)
+    if info:
+        raise np.linalg.LinAlgError(f"QR factorization failed (LAPACK info {info})")
+    return a
 
-    The Gram matrix A^T A is the eigensolve's only input and output
-    (``_gram_eigh``: in place, or by ``np.linalg.eigh`` and a copy back where
-    numpy's OpenBLAS has no ``LAPACKE_dsyevd``) and becomes V; A V, the
-    normalized head and the rotated complement are written into one U.
+
+def _coupling_svd(build):
+    """The full SVD C = U diag(sigma) V^T of the coupling C that ``build()``
+    returns (the same C on each call), from ``eigh`` of the Gram matrix,
+    the head columns normalized, and one small SVD inside the complement of
+    the head (see the module docstring).
+
+    C is built twice and is not alive during the eigensolve: the first
+    build gives the Gram matrix A^T A and is dropped, so that the Gram
+    matrix is the eigensolve's only input and output (``_gram_eigh``: in
+    place, or by ``np.linalg.eigh`` and a copy back where numpy's OpenBLAS
+    has no ``LAPACKE_dsyevd``) and becomes V; the second gives A V, written
+    into one U with the normalized head and the rotated complement, and is
+    dropped too.  The complement's basis is orthonormalized in place
+    (``_orthonormalize``).
 
     Returns U (m_e x m_e) and V (m_o x m_o), both C-contiguous, the
     min(m_e, m_o) singular values sigma (descending up to round-off), the
     largest coupling |U_head^T A v_tail| that the projection drops, over
     sigma_max (``None`` without one), and the size k of the tail.
     """
+    coupling = build()
     transposed = coupling.shape[0] < coupling.shape[1]
     tall = coupling.T if transposed else coupling
     rows, p = tall.shape
     right = tall.T @ tall  # one triangle by syrk, mirrored: exactly symmetric
+    del coupling, tall  # rebuilt for A V below: the eigensolve holds only the Gram matrix
     w = _gram_eigh(right)[::-1]
     right[:] = right[::-1].T  # descending columns; the eigensolve's workspace is gone
     head = int(np.count_nonzero((w >= TAIL ** 2 * w.max(initial=0.0)) & (w > 0.0)))
     left = np.empty((rows, rows))
-    np.matmul(tall, right, out=left[:, :p])
+    np.matmul(build().T if transposed else build(), right, out=left[:, :p])
     u_head = left[:, :head]
     u_head /= np.sqrt(w[:head])
     # an orthonormal basis of the head's complement, from a draw projected twice
     draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, rows - head))
     for _ in range(2):
         draw -= u_head @ (u_head.T @ draw)
-    complement = np.linalg.qr(draw)[0]
+    complement = _orthonormalize(draw)
     # the tail solved inside the complement; its last columns are unpaired
     rot_left, sigma_tail, rot_right = np.linalg.svd(complement.T @ left[:, head:p])
     cross = u_head.T @ left[:, head:p]

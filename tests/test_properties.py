@@ -222,7 +222,7 @@ def _assert_is_svd(coupling):
     C v_i = sigma_i u_i and C^T u_i = sigma_i v_i (0 for the unpaired
     vectors), and orthonormal U and V.  Returns sigma, the dropped coupling
     and the tail size."""
-    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(coupling)
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(lambda: coupling)
     reference = np.linalg.svd(coupling, compute_uv=False)
     bound = 1e-13 * reference.max(initial=0.0)
     assert np.abs(np.sort(sigma)[::-1] - reference).max(initial=0.0) <= bound

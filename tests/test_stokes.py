@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from mildflow import (
 )
 from mildflow import hodge as hodge_module
 from mildflow import stokes as stokes_module
-from mildflow.hodge import velocity_classes
-from mildflow.stokes import TAIL, _coupling_svd
+from mildflow.hodge import HodgeDecomposition, velocity_classes
+from mildflow.stokes import CLUSTER_SEED, TAIL, _coupling_svd, _orthonormalize
 from conftest import dense_reference_spectrum, mask_path, rough_ops
 
 
@@ -89,7 +90,7 @@ class TestAssembly:
         # the complement of the head comes from a seeded draw, so two calls
         # give the same bits
         coupling = _coupling(small_sigma_hodge)
-        first, second = _coupling_svd(coupling), _coupling_svd(coupling)
+        first, second = _coupling_svd(lambda: coupling), _coupling_svd(lambda: coupling)
         assert first[3:] == second[3:]
         assert all(np.array_equal(a, b) for a, b in zip(first[:3], second[:3]))
 
@@ -351,14 +352,14 @@ def gram_eighs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["box4", "lmask", "small_sigma", "rough"])
 def test_in_place_eigensolve_matches_the_fallback(name, request, monkeypatch, gram_eighs):
-    if stokes_module._lapacke_dsyevd() is None:
-        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd in this process")
+    if None in map(stokes_module._lapacke, ("dsyevd", "dgeqrf", "dorgqr")):
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd, dgeqrf or dorgqr here")
     hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue(f"{name}_hodge")
     coupling = _coupling(hodge)
-    in_place = _coupling_svd(coupling)
+    in_place = _coupling_svd(lambda: coupling)
     assert not gram_eighs
-    monkeypatch.setattr(stokes_module, "_lapacke_dsyevd", lambda: None)
-    fallback = _coupling_svd(coupling)
+    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: None)
+    fallback = _coupling_svd(lambda: coupling)
     assert len(gram_eighs) == 1
     assert in_place[3:] == fallback[3:]
     assert all(np.array_equal(a, b) for a, b in zip(in_place[:3], fallback[:3]))
@@ -369,7 +370,7 @@ def test_in_place_eigensolve_matches_the_fallback(name, request, monkeypatch, gr
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (4, 4)])
 def test_empty_and_zero_couplings(shape):
     # p = 0 needs a leading dimension of at least 1; a zero C has no head
-    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(np.zeros(shape))
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(lambda: np.zeros(shape))
     p = min(shape)
     assert sigma.shape == (p,) and not sigma.any() and tail == p
     assert u_mat.shape == (shape[0],) * 2 and v_mat.shape == (shape[1],) * 2
@@ -378,9 +379,9 @@ def test_empty_and_zero_couplings(shape):
 
 
 def test_failed_in_place_eigensolve_raises_linalg_error(box4_hodge, monkeypatch):
-    monkeypatch.setattr(stokes_module, "_lapacke_dsyevd", lambda: lambda *args: 3)
+    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: lambda *args: 3)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        _coupling_svd(_coupling(box4_hodge))
+        _coupling_svd(lambda: _coupling(box4_hodge))
 
 
 def test_in_place_route_is_found_with_the_blas_thread_control():
@@ -388,7 +389,7 @@ def test_in_place_route_is_found_with_the_blas_thread_control():
     # fall back to the copying np.linalg.eigh
     if hodge_module._blas_thread_control() is None:
         pytest.skip("numpy's OpenBLAS is not in numpy.libs in this process")
-    assert stokes_module._lapacke_dsyevd() is not None
+    assert None not in map(stokes_module._lapacke, ("dsyevd", "dgeqrf", "dorgqr"))
 
 
 @pytest.mark.parametrize("name", ["rough", "rough12"])
@@ -402,8 +403,80 @@ def test_coupling_svd_allocates_about_two_factors(name):
     rows, p = max(coupling.shape), min(coupling.shape)
     tracemalloc.start()
     try:
-        _coupling_svd(coupling)
+        _coupling_svd(lambda: coupling)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * 8 * (p * p + rows * rows)
+
+
+@pytest.mark.parametrize("name", ["box4", "rough"])
+def test_only_the_gram_matrix_is_alive_during_the_eigensolve(name, request, monkeypatch):
+    # C is dropped before the eigensolve and rebuilt for A V afterwards, so
+    # numpy holds the Gram matrix (8 p^2 bytes) and nothing of C's size
+    # (8 rows p bytes) while LAPACK runs
+    hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue("box4_hodge")
+    built, entries = [], []
+    even_odd_block, gram_eigh = HodgeDecomposition.even_odd_block, stokes_module._gram_eigh
+
+    def recording_block(self, op):
+        out = even_odd_block(self, op)
+        built.append(weakref.ref(out))
+        return out
+
+    def recording_eigh(gram):
+        entries.append((tracemalloc.get_traced_memory()[0], gram.nbytes,
+                        [ref() is None for ref in built]))
+        return gram_eigh(gram)
+
+    monkeypatch.setattr(HodgeDecomposition, "even_odd_block", recording_block)
+    monkeypatch.setattr(stokes_module, "_gram_eigh", recording_eigh)
+    tracemalloc.start()
+    try:
+        assemble_stokes(hodge)
+    finally:
+        tracemalloc.stop()
+    (traced, gram_bytes, dead), = entries
+    rows = max(hodge.n_even, hodge.dim - hodge.n_even)
+    assert traced <= gram_bytes + 64 * rows + 4096
+    assert len(built) == 2 and dead == [True]
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """A list that gets one entry per ``np.linalg.qr`` call in the test."""
+    calls, qr = [], np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("columns", ["none", "one", "complement", "all"])
+@pytest.mark.parametrize("route", ["in place", "fallback"])
+def test_orthonormalize_matches_numpy_qr(box4_hodge, box4_spectrum, columns, route,
+                                         monkeypatch, qr_calls):
+    # the complement's basis: the bits of np.linalg.qr's Q, written over the
+    # draw by LAPACKE where numpy's OpenBLAS has it, by np.linalg.qr otherwise
+    if route == "in place" and None in map(stokes_module._lapacke, ("dgeqrf", "dorgqr")):
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dgeqrf or dorgqr in this process")
+    rows = box4_hodge.n_even
+    head = rows - box4_spectrum.margins["resolved_tail"]
+    k = {"none": 0, "one": 1, "complement": rows - head, "all": rows}[columns]
+    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, k))
+    expected = np.linalg.qr(draw)[0]
+    if route == "fallback":
+        monkeypatch.setattr(stokes_module, "_lapacke", lambda name: None)
+    qr_calls.clear()
+    q = _orthonormalize(draw)
+    assert q is draw and np.array_equal(q, expected)
+    assert len(qr_calls) == (route == "fallback")
+
+
+def test_failed_in_place_qr_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: lambda *args: -5)
+    with pytest.raises(np.linalg.LinAlgError, match="QR factorization failed"):
+        _orthonormalize(np.ones((4, 2)))
