@@ -403,6 +403,9 @@ def _run_stages(config: ExperimentConfig, summary: dict):
     summary["verification"] = {
         "max_divergence": float(report.divergence_norms.max()),
         "max_residual_rel": float(report.residual_rels.max()),
+        # the nodes come first: the fixed-point distance, then the time discretization
+        "max_node_residual_rel": float(report.residual_rels[:grid.segments].max()),
+        "max_midpoint_residual_rel": float(report.residual_rels[grid.segments:].max()),
         "max_gradient_match_rel": float(report.gradient_match_rels.max()),
         "max_pressure_consistency": float(report.pressure_consistency_rels.max()),
         "initial_value_error": report.initial_value_error,

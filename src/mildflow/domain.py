@@ -186,8 +186,10 @@ def vector_lp_norm(u: VectorField, p: float) -> float:
 
 
 def load_mask(source) -> DomainMask:
-    """Parse a mask from bytes, text, a file-like object, or a path
-    (a ``str`` or an ``os.PathLike``)."""
+    """Parse a mask from bytes, text, a file-like object, or a path.
+
+    A ``str`` with a newline is mask text (which always has one, after the
+    magic line), and any other ``str`` is a path, as is an ``os.PathLike``."""
     text = _as_text(source)
     if "\r\n" in text:
         raise MaskHeaderError("the file has CRLF line endings; a mask needs LF line endings")
@@ -254,9 +256,7 @@ def format_mask(mask: DomainMask) -> str:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and not source.startswith(MASK_MAGIC)
-    ):
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source):
         with open(source, "rb") as fh:
             source = fh.read()
     elif hasattr(source, "read"):

@@ -36,10 +36,13 @@ The 8 block SVDs run at one BLAS thread each, on as many worker threads
 as BLAS had (``_block_svds``), which is faster than one block at a time
 at several BLAS threads and makes the factors independent of the BLAS
 thread count.  That count is process-global: while the block loop runs,
-any other BLAS call in the process runs at one thread too.  Where numpy's
-BLAS is not the scipy-openblas it ships, the count cannot be set and the
-blocks are factored one at a time.  That library is looked up once
-(``_openblas``); ``stokes`` finds its in-place eigensolve and QR there too.
+any other BLAS call in the process runs at one thread too.  The thread
+setter and getter, and the in-place eigensolve of ``stokes``, are
+functions of the OpenBLAS that numpy's wheels ship as
+``numpy.libs/libscipy_openblas64_*.so``, each found by the one lookup
+``_openblas``.  Where there is no such library (numpy 1.x wheels, other
+builds), the blocks are factored one at a time at the current thread
+count, and ``stokes`` runs the copying ``np.linalg.eigh``.
 
 The same factors provide the minimum-norm potentials: for each column w,
 ``potentials`` gives the least-squares solution p of  grad p = (I - P) w
@@ -217,40 +220,29 @@ class HodgeDecomposition:
 
 
 @functools.cache
-def _openblas():
-    """The OpenBLAS that numpy ships in ``numpy.libs`` (``ctypes.CDLL``), or
-    ``None`` where there is no such library; its symbols end in ``64_``."""
+def _openblas(name: str, restype, *argtypes):
+    """``scipy_<name>64_`` of the OpenBLAS that numpy ships in ``numpy.libs``
+    (a ``libscipy_openblas64_*.so``), typed with restype and argtypes, or
+    ``None`` where there is no such library or it has no such symbol."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         try:
-            return ctypes.CDLL(path)
-        except OSError:
+            function = getattr(ctypes.CDLL(path), f"scipy_{name}64_")
+        except (OSError, AttributeError):  # not loadable, or not this symbol
             continue
+        function.restype, function.argtypes = restype, list(argtypes)
+        return function
     return None
-
-
-@functools.cache
-def _blas_thread_control():
-    """The setter and getter of the thread count of ``_openblas()``, or
-    ``None`` where there is no such library."""
-    lib = _openblas()
-    try:
-        setter, getter = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
-    except AttributeError:  # no library (None) or not these symbols
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return setter, getter
 
 
 def _block_svds(matrices: list) -> list:
     """Full SVDs of the matrices, in their order, each at one BLAS thread on a
     pool of as many worker threads as BLAS had (at most one per matrix);
     serially at the current thread count where the count cannot be set."""
-    control = _blas_thread_control()
-    if control is None:
+    set_threads = _openblas("openblas_set_num_threads", None, ctypes.c_int)
+    get_threads = _openblas("openblas_get_num_threads", ctypes.c_int)
+    if set_threads is None or get_threads is None:
         return [np.linalg.svd(a, full_matrices=True) for a in matrices]
-    set_threads, get_threads = control
     threads = get_threads()
     set_threads(1)
     try:

@@ -39,12 +39,11 @@ factorization's backward error, and the size of the tail go to
 ``margins``.  Memory: C is built twice and is not alive during the
 eigensolve, whose only dense arrays are the Gram matrix and LAPACK's
 workspace; the eigensolve runs in place, through the ``LAPACKE_dsyevd``
-of the OpenBLAS that numpy ships, so the Gram array becomes V with no
-copy of it; U is written into one preallocated array, and the
-complement's basis is orthonormalized in place over the draw, by
-``LAPACKE_dgeqrf`` and ``LAPACKE_dorgqr``.  Where those symbols are
-missing, ``np.linalg.eigh`` and ``np.linalg.qr`` run the same LAPACK
-routines on copies, with the same bits.
+of the OpenBLAS that numpy ships (found by ``hodge._openblas``), so the
+Gram array becomes V with no copy of it; and U is written into one
+preallocated array.  Where that library is not found (numpy 1.x wheels,
+other builds), ``np.linalg.eigh`` runs the same ``dsyevd`` on a copy,
+with the same bits.
 
 Canonical clusters.  Inside a degenerate eigenspace any orthonormal basis
 is an eigenbasis, so ascending eigenvalues whose relative gap is at most
@@ -75,7 +74,6 @@ strictly positive, which makes negative powers legal.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -96,8 +94,8 @@ CLUSTER_SEED = 0
 #: Singular values of C below this fraction of the largest are solved by one
 #: small SVD inside the complement of the others (see ``_coupling_svd``).
 TAIL = 0.1
-#: LAPACKE's matrix_layout values for row-major and column-major storage.
-_LAPACK_ROW_MAJOR, _LAPACK_COL_MAJOR = 101, 102
+#: LAPACKE's matrix_layout value for column-major storage.
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(eq=False)
@@ -230,39 +228,19 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
 
 
 _INT, _ARRAY = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-#: The argument types of the LAPACKE functions ``_lapacke`` finds, after
-#: the matrix layout: (jobz, uplo, n, a, lda, w), (m, n, a, lda, tau) and
-#: (m, n, k, a, lda, tau).
-_LAPACKE_ARGTYPES = {
-    "dsyevd": [ctypes.c_char, ctypes.c_char, _INT, _ARRAY, _INT, _ARRAY],
-    "dgeqrf": [_INT, _INT, _ARRAY, _INT, _ARRAY],
-    "dorgqr": [_INT, _INT, _INT, _ARRAY, _INT, _ARRAY],
-}
-
-
-@functools.cache
-def _lapacke(name: str):
-    """``LAPACKE_<name>`` of the OpenBLAS that numpy ships (64-bit integers),
-    for a name in ``_LAPACKE_ARGTYPES``, or ``None`` where
-    ``hodge._openblas`` finds no such library or symbol."""
-    try:
-        function = getattr(_openblas(), f"scipy_LAPACKE_{name}64_")
-    except AttributeError:  # no library (None) or not this symbol
-        return None
-    function.argtypes = [ctypes.c_int] + _LAPACKE_ARGTYPES[name]
-    function.restype = ctypes.c_int64
-    return function
 
 
 def _gram_eigh(gram: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues of the exactly symmetric, C-contiguous
     ``gram``, which is overwritten with its orthonormal eigenvectors, one
     per row.  ``LAPACKE_dsyevd`` reads ``gram`` column-major (gram^T = gram)
-    and writes the eigenvector columns, rows in C order, in place; without
-    it, ``np.linalg.eigh`` (the same ``dsyevd``, on a copy) runs and its
-    eigenvectors are copied in.  Raises ``np.linalg.LinAlgError`` if the
-    eigensolve fails."""
-    dsyevd = _lapacke("dsyevd")
+    and writes the eigenvector columns, rows in C order, in place; where
+    ``hodge._openblas`` does not find it, ``np.linalg.eigh`` (the same
+    ``dsyevd``, on a copy) runs and its eigenvectors are copied in.
+    Raises ``np.linalg.LinAlgError`` if the eigensolve fails."""
+    # (matrix layout, jobz, uplo, n, a, lda, w)
+    dsyevd = _openblas("LAPACKE_dsyevd", _INT, ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                       _INT, _ARRAY, _INT, _ARRAY)
     if dsyevd is None:
         w, vectors = np.linalg.eigh(gram)
         gram[:] = vectors.T
@@ -272,28 +250,6 @@ def _gram_eigh(gram: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK dsyevd info {info})")
     return w
-
-
-def _orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Overwrite the C-contiguous ``a`` (rows x k, k <= rows) with the Q
-    factor of its reduced QR, bit for bit as ``np.linalg.qr(a)[0]`` gives
-    it, and return it.  ``LAPACKE_dgeqrf`` and ``LAPACKE_dorgqr`` run on
-    ``a`` in row-major layout, each through one column-major copy that
-    LAPACKE frees before it returns, where ``np.linalg.qr`` holds several
-    copies and a separate Q at once; without those symbols,
-    ``np.linalg.qr`` runs and its Q is copied in.  Raises
-    ``np.linalg.LinAlgError`` if LAPACK reports an error."""
-    geqrf, orgqr = _lapacke("dgeqrf"), _lapacke("dorgqr")
-    if geqrf is None or orgqr is None:
-        a[:] = np.linalg.qr(a)[0]
-        return a
-    rows, k = a.shape
-    tau = np.empty(k)
-    info = geqrf(_LAPACK_ROW_MAJOR, rows, k, a, max(k, 1), tau)
-    info = info or orgqr(_LAPACK_ROW_MAJOR, rows, k, k, a, max(k, 1), tau)
-    if info:
-        raise np.linalg.LinAlgError(f"QR factorization failed (LAPACK info {info})")
-    return a
 
 
 def _coupling_svd(build):
@@ -308,8 +264,8 @@ def _coupling_svd(build):
     place, or by ``np.linalg.eigh`` and a copy back where numpy's OpenBLAS
     has no ``LAPACKE_dsyevd``) and becomes V; the second gives A V, written
     into one U with the normalized head and the rotated complement, and is
-    dropped too.  The complement's basis is orthonormalized in place
-    (``_orthonormalize``).
+    dropped too.  The complement's basis is the Q of ``np.linalg.qr`` of
+    the projected draw.
 
     Returns U (m_e x m_e) and V (m_o x m_o), both C-contiguous, the
     min(m_e, m_o) singular values sigma (descending up to round-off), the
@@ -333,7 +289,7 @@ def _coupling_svd(build):
     draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, rows - head))
     for _ in range(2):
         draw -= u_head @ (u_head.T @ draw)
-    complement = _orthonormalize(draw)
+    complement = np.linalg.qr(draw)[0]
     # the tail solved inside the complement; its last columns are unpaired
     rot_left, sigma_tail, rot_right = np.linalg.svd(complement.T @ left[:, head:p])
     cross = u_head.T @ left[:, head:p]

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from mildflow import (
     build_operators,
     load_mask,
 )
+from mildflow.hodge import _openblas
 from mildflow.stokes import _clusters
 
 DATA = Path(__file__).parent / "data"
@@ -82,6 +84,13 @@ def rough_ops():
     large enough that LAPACK's results depend on the BLAS thread count."""
     occupancy = np.random.default_rng(0).random((9, 9, 9)) < 0.8
     return build_operators(DomainMask((9, 9, 9), 1.0 / 9, occupancy))
+
+
+def blas_thread_control():
+    """The thread-count setter and getter of numpy's OpenBLAS, looked up as
+    ``hodge._block_svds`` looks them up (each ``None`` where it is not found)."""
+    return (_openblas("openblas_set_num_threads", None, ctypes.c_int),
+            _openblas("openblas_get_num_threads", ctypes.c_int))
 
 
 def random_vector_field(mask, rng) -> VectorField:

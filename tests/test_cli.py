@@ -331,6 +331,12 @@ class TestRunPipeline:
         assert all(r <= bound for r in summary["picard"]["ratios"])
         assert summary["oracle"][-1]["relative_sup_deviation"] <= 1e-3
         assert summary["picard"]["converged"] is True
+        # the node residual measures the fixed-point distance, the midpoint
+        # residual the time discretization
+        verification = summary["verification"]
+        node, midpoint = (verification[f"max_{at}_residual_rel"] for at in ("node", "midpoint"))
+        assert verification["max_residual_rel"] == max(node, midpoint)
+        assert node <= 1e-8 < midpoint
         # each dt's march lands on its multiples of dt and on the 20 graded
         # nodes j^2 / 800, once where they coincide (65 and 110 steps)
         nodes = {Fraction(j * j, 800) for j in range(21)}

@@ -20,6 +20,7 @@ from mildflow import (
     format_mask,
     load_mask,
 )
+from mildflow.cli import EXIT_OK, main
 from conftest import mask_path, random_scalar_values, random_vector_field
 
 FULL_BOX_2 = "mask v1\n2 2 2 1.0\n11\n11\n\n11\n11\n"
@@ -39,6 +40,15 @@ class TestMaskParsing:
         assert load_mask(io.BytesIO(FULL_BOX_2.encode())).n_cells == 8
         assert load_mask(mask_path("box4")).n_cells == 64
         assert load_mask(Path(mask_path("box4"))).n_cells == 64
+
+    def test_path_that_starts_with_the_magic_line(self, tmp_path, monkeypatch, capsys):
+        # a newline-free str is a path, even one that reads like the magic line
+        (tmp_path / "mask v1").mkdir()
+        (tmp_path / "mask v1" / "box2.mask").write_text(FULL_BOX_2)
+        monkeypatch.chdir(tmp_path)
+        assert load_mask("mask v1/box2.mask").n_cells == 8
+        assert main(["mask-info", "mask v1/box2.mask"]) == EXIT_OK
+        assert "occupied cells: 8 of 8" in capsys.readouterr().out
 
     def test_empty_mask_rejected(self):
         with pytest.raises(MaskEmptyError):

@@ -1,5 +1,6 @@
 """Orthogonal splitting into divergence-free fields and gradients."""
 
+import ctypes
 import dataclasses
 import threading
 
@@ -18,7 +19,8 @@ from mildflow import (
     load_mask,
 )
 from mildflow import hodge as hodge_module
-from conftest import mask_path, random_scalar_values, random_vector_field, rough_ops
+from conftest import (blas_thread_control, mask_path, random_scalar_values, random_vector_field,
+                      rough_ops)
 
 
 def test_projector_kills_gradients(box4_ops, box4_hodge):
@@ -210,11 +212,22 @@ def test_rank_cut_is_global_across_parity_blocks(box4_ops, box4_hodge):
     assert hodge.dim == box4_hodge.dim + kept_by_own_cut.size
 
 
+def test_openblas_lookup_is_cached_and_misses_without_raising():
+    assert hodge_module._openblas("no_such_function", ctypes.c_int) is None
+    get_threads = blas_thread_control()[1]
+    if get_threads is None:
+        pytest.skip("numpy's OpenBLAS is not in numpy.libs in this process")
+    # one typed function object per name and signature
+    assert hodge_module._openblas("openblas_get_num_threads", ctypes.c_int) is get_threads
+    assert get_threads.restype is ctypes.c_int and get_threads.argtypes == []
+    assert get_threads() >= 1
+
+
 @pytest.fixture
 def blas_threads():
     """The BLAS thread-count setter and getter; the count is restored after the test."""
-    control = hodge_module._blas_thread_control()
-    if control is None:
+    control = blas_thread_control()
+    if None in control:
         pytest.skip("numpy's BLAS thread count cannot be set in this process")
     before = control[1]()
     yield control
@@ -225,7 +238,7 @@ def blas_threads():
 def test_worker_pool_matches_the_serial_loop(name, request, monkeypatch):
     ops = rough_ops() if name == "rough" else request.getfixturevalue(f"{name}_hodge").ops
     pooled = build_hodge(ops)
-    monkeypatch.setattr(hodge_module, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(hodge_module, "_openblas", lambda name, *types: None)
     serial = build_hodge(ops)
     assert pooled.grad_rank == serial.grad_rank
     for got, want in zip(pooled.blocks, serial.blocks):
@@ -243,7 +256,7 @@ def test_serial_fallback_factors_on_the_calling_thread(box4_ops, monkeypatch):
         threads.append(threading.current_thread())
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(hodge_module, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(hodge_module, "_openblas", lambda name, *types: None)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     hodge = build_hodge(box4_ops)
     assert threads == [threading.main_thread()] * 8

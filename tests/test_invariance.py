@@ -86,6 +86,8 @@ ROUNDOFF_PATHS = {
 #: Relative residuals, compared within max(``TOL`` relative, ``ROUNDOFF``).
 RESIDUAL_PATHS = {
     "verification.max_residual_rel",
+    "verification.max_node_residual_rel",
+    "verification.max_midpoint_residual_rel",
     "verification.max_gradient_match_rel",
 }
 

@@ -30,8 +30,8 @@ from mildflow import (
 from mildflow import hodge as hodge_module
 from mildflow import stokes as stokes_module
 from mildflow.hodge import HodgeDecomposition, velocity_classes
-from mildflow.stokes import CLUSTER_SEED, TAIL, _coupling_svd, _orthonormalize
-from conftest import dense_reference_spectrum, mask_path, rough_ops
+from mildflow.stokes import TAIL, _coupling_svd
+from conftest import blas_thread_control, dense_reference_spectrum, mask_path, rough_ops
 
 
 def _random_coords(hodge, rng):
@@ -337,6 +337,12 @@ def _rough12_seed1_hodge():
     return build_hodge(build_operators(DomainMask((12, 12, 12), 1.0 / 12, occupancy)))
 
 
+def _dsyevd():
+    """``LAPACKE_dsyevd`` of numpy's OpenBLAS (untyped), or ``None`` where
+    ``_gram_eigh`` does not find it."""
+    return hodge_module._openblas("LAPACKE_dsyevd", None)
+
+
 @pytest.fixture
 def gram_eighs(monkeypatch):
     """A list that gets one entry per ``np.linalg.eigh`` call in the test."""
@@ -352,13 +358,13 @@ def gram_eighs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["box4", "lmask", "small_sigma", "rough"])
 def test_in_place_eigensolve_matches_the_fallback(name, request, monkeypatch, gram_eighs):
-    if None in map(stokes_module._lapacke, ("dsyevd", "dgeqrf", "dorgqr")):
-        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd, dgeqrf or dorgqr here")
+    if _dsyevd() is None:
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd here")
     hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue(f"{name}_hodge")
     coupling = _coupling(hodge)
     in_place = _coupling_svd(lambda: coupling)
     assert not gram_eighs
-    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: None)
+    monkeypatch.setattr(stokes_module, "_openblas", lambda name, *types: None)
     fallback = _coupling_svd(lambda: coupling)
     assert len(gram_eighs) == 1
     assert in_place[3:] == fallback[3:]
@@ -379,7 +385,7 @@ def test_empty_and_zero_couplings(shape):
 
 
 def test_failed_in_place_eigensolve_raises_linalg_error(box4_hodge, monkeypatch):
-    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: lambda *args: 3)
+    monkeypatch.setattr(stokes_module, "_openblas", lambda name, *types: lambda *args: 3)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         _coupling_svd(lambda: _coupling(box4_hodge))
 
@@ -387,9 +393,9 @@ def test_failed_in_place_eigensolve_raises_linalg_error(box4_hodge, monkeypatch)
 def test_in_place_route_is_found_with_the_blas_thread_control():
     # where numpy ships its OpenBLAS, the Gram eigensolve does not silently
     # fall back to the copying np.linalg.eigh
-    if hodge_module._blas_thread_control() is None:
+    if None in blas_thread_control():
         pytest.skip("numpy's OpenBLAS is not in numpy.libs in this process")
-    assert None not in map(stokes_module._lapacke, ("dsyevd", "dgeqrf", "dorgqr"))
+    assert _dsyevd() is not None
 
 
 @pytest.mark.parametrize("name", ["rough", "rough12"])
@@ -440,43 +446,3 @@ def test_only_the_gram_matrix_is_alive_during_the_eigensolve(name, request, monk
     rows = max(hodge.n_even, hodge.dim - hodge.n_even)
     assert traced <= gram_bytes + 64 * rows + 4096
     assert len(built) == 2 and dead == [True]
-
-
-@pytest.fixture
-def qr_calls(monkeypatch):
-    """A list that gets one entry per ``np.linalg.qr`` call in the test."""
-    calls, qr = [], np.linalg.qr
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
-    return calls
-
-
-@pytest.mark.parametrize("columns", ["none", "one", "complement", "all"])
-@pytest.mark.parametrize("route", ["in place", "fallback"])
-def test_orthonormalize_matches_numpy_qr(box4_hodge, box4_spectrum, columns, route,
-                                         monkeypatch, qr_calls):
-    # the complement's basis: the bits of np.linalg.qr's Q, written over the
-    # draw by LAPACKE where numpy's OpenBLAS has it, by np.linalg.qr otherwise
-    if route == "in place" and None in map(stokes_module._lapacke, ("dgeqrf", "dorgqr")):
-        pytest.skip("numpy's OpenBLAS exports no LAPACKE_dgeqrf or dorgqr in this process")
-    rows = box4_hodge.n_even
-    head = rows - box4_spectrum.margins["resolved_tail"]
-    k = {"none": 0, "one": 1, "complement": rows - head, "all": rows}[columns]
-    draw = np.random.default_rng(CLUSTER_SEED).standard_normal((rows, k))
-    expected = np.linalg.qr(draw)[0]
-    if route == "fallback":
-        monkeypatch.setattr(stokes_module, "_lapacke", lambda name: None)
-    qr_calls.clear()
-    q = _orthonormalize(draw)
-    assert q is draw and np.array_equal(q, expected)
-    assert len(qr_calls) == (route == "fallback")
-
-
-def test_failed_in_place_qr_raises_linalg_error(monkeypatch):
-    monkeypatch.setattr(stokes_module, "_lapacke", lambda name: lambda *args: -5)
-    with pytest.raises(np.linalg.LinAlgError, match="QR factorization failed"):
-        _orthonormalize(np.ones((4, 2)))
