@@ -5,12 +5,13 @@
     mask -> operators -> hodge -> stokes -> (gate / horizon shrink)
          -> picard -> strong checks -> stepping oracle
 
-and emits three machine-readable files into the output directory:
+and emits four machine-readable files into the output directory:
 
 * ``summary.json``    every norm, gate status, contraction ratios,
                       residuals, oracle deviations, and a config echo;
 * ``norms.csv``       the per-node weighted norm terms of the solution;
-* ``iterations.csv``  the per-iterate fixed-point log.
+* ``iterations.csv``  the per-iterate fixed-point log;
+* ``trace.json``      each stage's calls, seconds and memory (not deterministic).
 
 ``validate`` parses a config without running; ``mask-info`` inspects a
 mask file.  Exit codes: 0 ok, 2 config error; a failing stage exits with
@@ -23,6 +24,7 @@ apart from the timestamp field.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -281,7 +283,7 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run the pipeline; write summary/norms/iterations files; return exit code.
+    """Run the pipeline; write the summary, trace, norms and iterations files; return exit code.
 
     A failing stage raises; ``_FAILURES`` gives its stage name and exit
     code, and the partial ``summary.json`` keeps what earlier stages found.
@@ -291,6 +293,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {out_dir}: {exc}") from exc
+    trace = _Trace()
     summary = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -298,28 +301,59 @@ def run_experiment(config: ExperimentConfig) -> int:
         "status": "ok",
     }
     try:
-        spectrum, traj, log = _run_stages(config, summary)
+        spectrum, traj, log = _run_stages(config, summary, trace)
     except tuple(_FAILURES) as exc:
         stage, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
         summary["status"] = "failed"
         summary["failure"] = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
-        _write_summary(out_dir, summary)
+        _write_json(out_dir, summary, trace)
         return code
-    _write_summary(out_dir, summary)
+    _write_json(out_dir, summary, trace)
     _write_norms_csv(out_dir / "norms.csv", spectrum, traj)
     _write_iterations_csv(out_dir / "iterations.csv", log)
     return EXIT_OK
 
 
-def _run_stages(config: ExperimentConfig, summary: dict):
-    """The pipeline in stage order, recording into ``summary`` as it goes;
-    returns the spectrum, the solution trajectory and its iteration log."""
-    mask = load_mask(config.mask_path)
-    ops = build_operators(mask)
+def _memory_mib() -> tuple:
+    """The process's peak RSS (``ru_maxrss``) and its RSS now, in MiB; each is
+    None where ``resource`` (Windows) or ``/proc/self/statm`` (macOS) is missing."""
+    peak = rss = None
+    with contextlib.suppress(ImportError, OSError):
+        from resource import RUSAGE_SELF, getpagesize, getrusage
+        peak = getrusage(RUSAGE_SELF).ru_maxrss / (2.0**20 if sys.platform == "darwin" else 1024.0)
+        with open("/proc/self/statm") as statm:
+            rss = int(statm.read().split()[1]) * getpagesize() / 2.0**20
+    return peak, rss
+
+
+class _Trace:
+    """Each stage's calls, seconds, peak-RSS rise and RSS after, for ``trace.json``."""
+
+    def __init__(self):
+        self.start, self.rss_before, self.stages = time.perf_counter(), _memory_mib()[1], {}
+
+    def __call__(self, name: str, *args, **kwargs):
+        """Call the module global ``name``, looked up now, so a rebound name is seen."""
+        start, peak = time.perf_counter(), _memory_mib()[0]
+        try:
+            return globals()[name](*args, **kwargs)
+        finally:
+            entry = self.stages.setdefault(name, dict(calls=0, seconds=0.0, peak_rise_mib=0.0))
+            entry["calls"] += 1
+            entry["seconds"] += time.perf_counter() - start
+            top, entry["rss_after_mib"] = _memory_mib()
+            entry["peak_rise_mib"] = None if peak is None else entry["peak_rise_mib"] + top - peak
+
+
+def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
+    """The pipeline in stage order, each stage called through ``stage``, recording into
+    ``summary`` as it goes; returns the spectrum, the solution trajectory and its log."""
+    mask = stage("load_mask", config.mask_path)
+    ops = stage("build_operators", mask)
     summary["domain"] = {"dims": list(mask.dims), "spacing": mask.spacing,
                          "cells": mask.n_cells}
-    hodge = build_hodge(ops)
-    spectrum = assemble_stokes(hodge)
+    hodge = stage("build_hodge", ops)
+    spectrum = stage("assemble_stokes", hodge)
     summary["domain"].update(hodge_dim=hodge.dim, gradient_rank=hodge.grad_rank)
     summary["spectrum"] = {
         "dim": spectrum.dim,
@@ -330,7 +364,7 @@ def _run_stages(config: ExperimentConfig, summary: dict):
 
     u0 = _build_initial_data(config, spectrum, hodge)
     grid = TimeGrid.graded(config.horizon, config.segments, config.quad_order)
-    phi_hat = estimate_phi_norm(spectrum, hodge, grid, config.phi_trials, config.seed)
+    phi_hat = stage("estimate_phi_norm", spectrum, hodge, grid, config.phi_trials, config.seed)
     # the iteration runs with scale * Phi, so the gate must guard that norm;
     # a zero norm (scale 0, or a domain without convective coupling, where a
     # seeded random field has a zero self-forcing) is the linear mode, which
@@ -364,7 +398,7 @@ def _run_stages(config: ExperimentConfig, summary: dict):
     shrink_attempts = []
     if not gate_ok:
         try:
-            shrunk = shrink_horizon(spectrum, u0, phi_gate, grid, config.eps_schedule)
+            shrunk = stage("shrink_horizon", spectrum, u0, phi_gate, grid, config.eps_schedule)
         except GateUnreachableError as exc:
             summary["gate"]["shrink"] = {"passed": False,
                                          "attempts": [vars(a) for a in exc.attempts]}
@@ -391,15 +425,15 @@ def _run_stages(config: ExperimentConfig, summary: dict):
         nonlinearity_scale=config.nonlinearity_scale,
     )
     try:
-        traj, log = picard_solve(spectrum, hodge, u0, picard_cfg)
+        traj, log = stage("picard_solve", spectrum, hodge, u0, picard_cfg)
     except PicardDivergenceError as exc:
         summary["picard"] = _picard_summary(exc.log, shrink_attempts)
         raise
     summary["picard"] = _picard_summary(log, shrink_attempts)
 
-    report = strong_residual(spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
-    balances = energy_audit(spectrum, traj)
-    floor = energy_audit(spectrum, alpha)
+    report = stage("strong_residual", spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
+    balances = stage("energy_audit", spectrum, traj)
+    floor = stage("energy_audit", spectrum, alpha)
     summary["verification"] = {
         "max_divergence": float(report.divergence_norms.max()),
         "max_residual_rel": float(report.residual_rels.max()),
@@ -416,7 +450,7 @@ def _run_stages(config: ExperimentConfig, summary: dict):
 
     summary["oracle"] = []
     for dt in config.oracle_dts:
-        oracle = imex_oracle(spectrum, hodge, u0, grid, dt, config.nonlinearity_scale)
+        oracle = stage("imex_oracle", spectrum, hodge, u0, grid, dt, config.nonlinearity_scale)
         dev = np.linalg.norm(oracle.samples - traj.samples, axis=1).max()
         ref = max(np.linalg.norm(traj.samples, axis=1).max(), np.finfo(float).tiny)
         summary["oracle"].append({
@@ -445,10 +479,12 @@ def _norms_dict(norms) -> dict | None:
     return None if norms is None else {**vars(norms), "total": norms.total}
 
 
-def _write_summary(out_dir: Path, summary: dict):
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+def _write_json(out_dir: Path, summary: dict, trace: _Trace):
+    """Write ``summary.json``, then ``trace.json`` with the run's seconds and peak so far."""
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    run = {"rss_before_mib": trace.rss_before, "seconds": time.perf_counter() - trace.start,
+           "peak_rss_mib": _memory_mib()[0], "stages": trace.stages}
+    (out_dir / "trace.json").write_text(json.dumps(run, indent=2) + "\n")
 
 
 def _write_norms_csv(path: Path, spectrum, traj):

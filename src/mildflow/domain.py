@@ -52,7 +52,7 @@ class DomainMask:
     Attributes
     ----------
     dims : (nx, ny, nz) grid extents, each >= 1.
-    spacing : grid step h > 0, the same in all axes.
+    spacing : grid step h > 0, the same in all axes, stored as a float.
     occupancy : bool array of shape dims; True marks cells of the domain.
     """
 
@@ -79,7 +79,7 @@ class DomainMask:
             )
         if not occ.any():
             raise MaskEmptyError("empty domain: no occupied cell")
-        self.occupancy = occ
+        self.occupancy, self.spacing = occ, float(h)  # format_mask writes the spacing's repr
         # Fixed cell enumeration: C-order over (ix, iy, iz).
         self.cells = np.argwhere(occ)
         index = np.full(self.dims, -1, dtype=np.int64)
@@ -94,7 +94,7 @@ class DomainMask:
 
     @property
     def cell_volume(self) -> float:
-        return float(self.spacing) ** 3
+        return self.spacing ** 3
 
     def same_as(self, other: "DomainMask") -> bool:
         return self is other or (
@@ -193,11 +193,8 @@ def load_mask(source) -> DomainMask:
     text = _as_text(source)
     if "\r\n" in text:
         raise MaskHeaderError("the file has CRLF line endings; a mask needs LF line endings")
-    lines = text.split("\n")
-    # A single trailing newline is tolerated.
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != MASK_MAGIC:
+    lines = text.rstrip("\n").split("\n")  # any number of trailing newlines is accepted
+    if lines[0] != MASK_MAGIC:
         raise MaskHeaderError(f"first line must be {MASK_MAGIC!r}")
     if len(lines) < 2:
         raise MaskHeaderError("missing dimension line")

@@ -1,4 +1,5 @@
 import ctypes
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,12 @@ DATA = Path(__file__).parent / "data"
 
 def mask_path(name: str) -> str:
     return str(DATA / f"{name}.mask")
+
+
+def load_by_path(relative: str) -> dict:
+    """The globals of the Python file at ``relative`` to the repository root, run
+    by path (``tools/`` and ``perfbench/`` are not packages), writing no bytecode."""
+    return runpy.run_path(str(DATA.parent.parent / relative))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from mildflow.errors import (
     PicardDivergenceError,
     SpectrumError,
 )
-from conftest import mask_path
+from conftest import load_by_path, mask_path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,6 +64,17 @@ def write_config(tmp_path, cfg, name="config.yaml"):
 
 def read_summary(out_dir):
     return json.loads((Path(out_dir) / "summary.json").read_text())
+
+
+def read_trace(out_dir, last):
+    """The stages of a run's ``trace.json``, checked up to ``last``, the stage it ended in."""
+    trace = json.loads((Path(out_dir) / "trace.json").read_text())
+    assert list(trace["stages"])[-1] == last
+    assert trace["seconds"] >= 0.0 and trace["peak_rss_mib"] > 0.0 and trace["rss_before_mib"] > 0.0
+    for stage in trace["stages"].values():
+        assert stage["calls"] >= 1 and stage["seconds"] >= 0.0
+        assert stage["peak_rise_mib"] >= 0.0 and stage["rss_after_mib"] > 0.0
+    return trace["stages"]
 
 
 def readme_schema():
@@ -501,6 +513,7 @@ class TestRunPipeline:
         summary = read_summary(tmp_path / "out")
         assert summary["status"] == "failed"
         assert summary["failure"]["stage"] == "mask"
+        read_trace(tmp_path / "out", "load_mask")
 
     def test_large_data_run_passes_after_shrink(self, tmp_path):
         out = tmp_path / "out"
@@ -532,6 +545,7 @@ class TestRunPipeline:
         summary = read_summary(out)
         assert summary["failure"]["stage"] == "gate"
         assert summary["gate"]["passed_initially"] is False
+        read_trace(out, "shrink_horizon")
 
     def test_data_smoothed_to_zero_is_gate_failure(self, tmp_path):
         # eps = 1e3 smooths the mode to exactly 0: no attempt may pass on it
@@ -549,6 +563,7 @@ class TestRunPipeline:
         cfg = base_config(out, initial_data={"kind": "eigenmode", "mode": 10**6,
                                              "amplitude": 0.1})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        read_trace(out, "assemble_stokes")
 
     def test_picard_divergence_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod
@@ -571,8 +586,9 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "picard"
         assert summary["picard"]["converged"] is False
         assert summary["picard"]["iterations"] == 1
-        # a failed run writes its summary and neither CSV
+        # a failed run writes its summary and trace and neither CSV
         assert not (out / "norms.csv").exists() and not (out / "iterations.csv").exists()
+        read_trace(out, "picard_solve")
 
     def test_output_write_error_is_not_a_stage_failure(self, tmp_path, monkeypatch):
         # the one handler maps OSError to stage mask; a failed write must
@@ -604,6 +620,7 @@ class TestRunPipeline:
         assert summary["failure"]["error"] == "SpectrumError"
         assert summary["domain"]["cells"] == 64
         assert "spectrum" not in summary
+        read_trace(out, stage)
 
     @staticmethod
     def _fine_box4_spectrum_failure(tmp_path, capsys, **overrides):
@@ -668,6 +685,26 @@ class TestRunPipeline:
         assert summary["failure"]["stage"] == "oracle"
         # everything computed before the oracle is still in the summary
         assert summary["picard"]["converged"] is True
+        read_trace(out, "imex_oracle")
+
+    @pytest.mark.parametrize("missing", ["resource", "statm"])
+    def test_trace_memory_is_null_where_it_cannot_be_read(self, tmp_path, monkeypatch, missing):
+        import mildflow.cli as cli_mod
+
+        def no_statm(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/statm")
+
+        if missing == "resource":  # as on Windows, which has no /proc either
+            monkeypatch.setitem(sys.modules, "resource", None)
+        else:  # as on macOS
+            monkeypatch.setattr(cli_mod, "open", no_statm, raising=False)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_OK
+        trace = json.loads((out / "trace.json").read_text())
+        stages = trace["stages"].values()
+        assert {trace["rss_before_mib"], *(stage["rss_after_mib"] for stage in stages)} == {None}
+        peaks = [trace["peak_rss_mib"], *(stage["peak_rise_mib"] for stage in stages)]
+        assert all((peak is None) == (missing == "resource") for peak in peaks)
 
 
 @pytest.mark.parametrize("mask_name", ["box4", "lmask_6x6x3"])
@@ -691,15 +728,6 @@ def test_pipeline_never_reads_the_dense_arrays(tmp_path, monkeypatch, mask_name)
     assert read_summary(out)["status"] == "ok"
 
 
-# the names perfbench/spans.py wraps to trace a run
-TRACED_CLI_NAMES = ["load_mask", "build_operators", "build_hodge", "assemble_stokes",
-                    "estimate_phi_norm", "shrink_horizon", "picard_solve",
-                    "strong_residual", "energy_audit", "imex_oracle"]
-# the kernels the tracer wraps in their own modules; it wraps
-# mild.convolve_semigroup too, but the pipeline never calls it
-TRACED_KERNEL_NAMES = [("mild", "phi"), ("mild", "advect_flat"), ("verify", "advect_flat")]
-
-
 def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
     # the tracer sees a stage only if the run looks its function up as a
     # mildflow.cli global at call time, and a kernel only if the run looks
@@ -709,7 +737,9 @@ def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
     import mildflow.verify
 
     modules = {"cli": mildflow.cli, "mild": mildflow.mild, "verify": mildflow.verify}
-    traced = [("cli", name) for name in TRACED_CLI_NAMES] + TRACED_KERNEL_NAMES
+    # the tracer wraps mild.convolve_semigroup too, but the pipeline never calls it
+    traced = [(module, name) for module, name, _ in load_by_path("perfbench/spans.py")["TRACED"]
+              if (module, name) != ("mild", "convolve_semigroup")]
     calls = dict.fromkeys(traced, 0)
 
     def counting(key, func):
@@ -728,6 +758,10 @@ def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
     assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
     assert read_summary(out)["gate"]["shrink"]["passed"] is True
     assert all(calls.values()), calls
+    # the run's own trace counts the same calls of exactly the ten cli stages
+    stages = read_trace(out, "imex_oracle")
+    assert {name: stage["calls"] for name, stage in stages.items()} == {
+        name: count for (module, name), count in calls.items() if module == "cli"}
 
 
 def test_readme_library_example_runs(monkeypatch):

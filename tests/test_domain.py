@@ -111,6 +111,19 @@ class TestMaskParsing:
         assert np.array_equal(mask.occupancy, again.occupancy)
         assert again.spacing == mask.spacing
 
+    @pytest.mark.parametrize("spacing", [np.float64(0.5), np.float32(0.1), 2],
+                             ids=["float64", "float32", "int"])
+    def test_format_roundtrip_of_any_real_spacing(self, spacing):
+        mask = DomainMask((2, 2, 1), spacing, np.ones((2, 2, 1), bool))
+        again = load_mask(format_mask(mask))
+        assert type(again.spacing) is float and again.spacing == float(spacing)
+
+    @pytest.mark.parametrize("extra", range(6))
+    def test_any_number_of_trailing_newlines(self, extra):
+        assert load_mask(FULL_BOX_2 + "\n" * extra).n_cells == 8
+        with pytest.raises(MaskDimensionError):  # a line of spaces is not empty
+            load_mask(FULL_BOX_2 + "\n" * extra + " \n")
+
 
 class TestFieldChecks:
     @pytest.mark.parametrize("values", [np.zeros(7), np.zeros((8, 1))], ids=["short", "2d"])

@@ -46,11 +46,13 @@ from mildflow import DomainMask, load_mask
 from mildflow.cli import run_experiment, load_config
 from mildflow.domain import format_mask
 from mildflow.verify import SWEEP_DTYPE, SWEEP_TOLERANCE
-from conftest import mask_path
+from conftest import load_by_path, mask_path
 
 TOL = 1e-10
 PICARD_TOL = 1e-10
-ROUNDOFF = 1e-13
+#: The same-numbers check owns the round-off keys and their bound, 1e-13.
+_SAME_NUMBERS = load_by_path("tools/same_numbers.py")
+ROUNDOFF = _SAME_NUMBERS["ROUNDOFF"]
 #: The relative accuracy to which the oracle's sweeps solve its recurrence.
 SWEEP_FLOOR = SWEEP_TOLERANCE * np.finfo(SWEEP_DTYPE).eps
 
@@ -75,13 +77,7 @@ POWERS = {
 }
 
 #: Round-off measurements, held to ``ROUNDOFF`` after scaling to their units.
-ROUNDOFF_PATHS = {
-    "spectrum.margins.divergence_defect",
-    "spectrum.margins.max_merged_gap_rel",
-    "spectrum.margins.max_dropped_coupling_rel",
-    "verification.max_divergence",
-    "verification.max_pressure_consistency",
-}
+ROUNDOFF_PATHS = _SAME_NUMBERS["ROUNDOFF_KEYS"]
 
 #: Relative residuals, compared within max(``TOL`` relative, ``ROUNDOFF``).
 RESIDUAL_PATHS = {

@@ -1,24 +1,13 @@
 """tools/same_numbers.py: the summary comparison that decides a violation."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
+from conftest import load_by_path
 
 
 @pytest.fixture(scope="module")
-def tool():
-    spec = importlib.util.spec_from_file_location("same_numbers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def compare_summaries(tool):
-    return tool.compare_summaries
+def compare_summaries():
+    return load_by_path("tools/same_numbers.py")["compare_summaries"]
 
 
 def summary(distances, ratios, **extra):
@@ -70,10 +59,3 @@ def test_round_off_measurement_may_move_by_round_off(compare_summaries, capsys):
 def test_round_off_measurement_may_not_move_beyond_round_off(compare_summaries):
     violations = compare_summaries(margins(4.1e-16), margins(4.1e-16 + 1e-12), 1e-30)
     assert violations == ["spectrum.margins.max_merged_gap_rel moved"]
-
-
-def test_round_off_keys_are_the_invariance_tests(tool):
-    import test_invariance
-
-    assert tool.ROUNDOFF_KEYS == test_invariance.ROUNDOFF_PATHS
-    assert tool.ROUNDOFF == test_invariance.ROUNDOFF

@@ -91,7 +91,8 @@ CSV_FILES = ("norms.csv", "iterations.csv")
 REL_TOL = 1e-8
 TOL_FACTOR = 10.0
 #: Summary keys that measure round-off, and the absolute move each may make
-#: besides the band: ``ROUNDOFF_PATHS`` and ``ROUNDOFF`` of ``tests/test_invariance.py``.
+#: besides the band; ``tests/test_invariance.py`` reads both and holds the
+#: scaled keys below the same bound.
 ROUNDOFF_KEYS = frozenset({
     "spectrum.margins.divergence_defect",
     "spectrum.margins.max_merged_gap_rel",
