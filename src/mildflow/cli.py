@@ -8,7 +8,8 @@
 and emits four machine-readable files into the output directory:
 
 * ``summary.json``    every norm, gate status, contraction ratios,
-                      residuals, oracle deviations, and a config echo;
+                      residuals, oracle deviations, the warnings the
+                      run showed, and a config echo;
 * ``norms.csv``       the per-node weighted norm terms of the solution;
 * ``iterations.csv``  the per-iterate fixed-point log;
 * ``trace.json``      each stage's calls, seconds and memory (not deterministic).
@@ -25,10 +26,12 @@ apart from the timestamp field.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -299,9 +302,14 @@ def run_experiment(config: ExperimentConfig) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": config.raw,
         "status": "ok",
+        "warnings": [],
     }
     try:
-        spectrum, traj, log = _run_stages(config, summary, trace)
+        # a fresh warnings registry per run, so a rerun in one process records the same
+        with warnings.catch_warnings():
+            warnings.showwarning = functools.partial(_record_warning, summary["warnings"],
+                                                     warnings.showwarning)
+            spectrum, traj, log = _run_stages(config, summary, trace)
     except tuple(_FAILURES) as exc:
         stage, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
         summary["status"] = "failed"
@@ -312,6 +320,13 @@ def run_experiment(config: ExperimentConfig) -> int:
     _write_norms_csv(out_dir / "norms.csv", spectrum, traj)
     _write_iterations_csv(out_dir / "iterations.csv", log)
     return EXIT_OK
+
+
+def _record_warning(record: list, show, message, category, *args, **kwargs):
+    """Append the category and message of a warning the filters let through to
+    ``record``, then ``show`` it as the caller would have."""
+    record.append({"category": category.__name__, "message": str(message)})
+    show(message, category, *args, **kwargs)
 
 
 def _memory_mib() -> tuple:

@@ -21,12 +21,12 @@ second kernel call.  The inputs' derivative samples enter only their
 norms.
 
 Phi sees f only as an exact quadratic in time between grid nodes (see
-below), so each mode integrates it in closed form on every interval
-(exponential time differencing) with weights built from the moments
-nu_k(z) = int_0^1 e^{-z s} s^k ds, k = 0, 1, 2, about the interval's
-right end, taken from a Taylor series where z = lambda h is small; Phi
-has no quadrature error on its own interpolant, and ``grid.quad_order``
-does not enter it.
+below), and one map, ``_interval_map``, gives the mild form on an interval
+for Phi's node steps and the strong audit's midpoints: per mode in closed
+form (exponential time differencing), with weights from the moments
+nu_k(z) = int_0^1 e^{-z s} s^k ds, k = 0, 1, 2, about the interval's right
+end (a Taylor series where z = lambda h is small); Phi has no quadrature
+error on its own interpolant, and ``grid.quad_order`` does not enter it.
 
 ``convolve_semigroup`` is the reference path: it integrates any forcing
 with Gauss-Legendre panels after the substitution s = a + (b - a)
@@ -358,24 +358,27 @@ def _moments(z: np.ndarray) -> np.ndarray:
     return nu
 
 
-def _interval_weights(lam: np.ndarray, elapsed: np.ndarray, w: np.ndarray):
-    """Per-mode weights (c_lo, c_mid, c_hi), each (k, m), with
+def _interval_map(lam, elapsed, w, diag, cross, start=None):
+    """The mild form on grid intervals: the decay e^{-eA} and, per interval i,
 
-        int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} q(s) ds = c_lo lo + c_mid mid + c_hi hi
+        e^{-eA} start[i] + int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} q_i(s) ds,
 
-    for the interval quadratic q = lo (1-x)^2 + mid x(1-x) + hi x^2 in the
-    interval weight x; ``elapsed`` e and its weight ``w`` = e / h_i are
-    (k,).  With x = w (1 - s) the integral is e int_0^1 e^{-lam e s} q ds,
-    a combination of the moments nu_k(lam e) about the interval's right
-    end with nonnegative terms in c_lo and c_mid, which keeps every weight
-    accurate to round-off on stiff modes.
+    each (k, m), for the node-pair quadratic q_i of ``diag`` (k+1, m) and
+    ``cross`` (k, m) (see ``_node_pair_forcings``), without the first term
+    when ``start`` is None; ``elapsed`` e and its weight ``w`` = e / h_i are
+    (k,).  With x = w (1 - s) the integral is e int_0^1 e^{-lam e s} q ds in
+    the moments nu_k(lam e) about the right end; the weights of diag[i] and
+    cross[i] sum nonnegative terms, which keeps them accurate on stiff modes.
     """
-    nu0, nu1, nu2 = _moments(np.outer(elapsed, lam))
-    e, w = elapsed[:, None], w[:, None]
-    v = 1.0 - w
-    return (e * (v**2 * nu0 + 2.0 * w * v * nu1 + w**2 * nu2),
-            e * w * (v * (nu0 - nu1) + w * (nu1 - nu2)),
-            e * w**2 * (nu0 - 2.0 * nu1 + nu2))
+    z, e, w = np.outer(elapsed, lam), elapsed[:, None], w[:, None]
+    nu0, nu1, nu2 = _moments(z)
+    decay, v = np.exp(-z), 1.0 - w
+    values = e * (v**2 * nu0 + 2.0 * w * v * nu1 + w**2 * nu2) * diag[:-1]
+    if start is not None:
+        values = decay * start + values
+    values += e * w * (v * (nu0 - nu1) + w * (nu1 - nu2)) * cross
+    values += e * w**2 * (nu0 - 2.0 * nu1 + nu2) * diag[1:]
+    return decay, values
 
 
 def phi(spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
@@ -403,9 +406,7 @@ def phi(spectrum: StokesSpectrum, u: MildTrajectory, v: MildTrajectory,
 
     # the node convolution, interval by interval
     h = np.diff(grid.nodes)
-    step = np.exp(-np.outer(h, lam))
-    c_lo, c_mid, c_hi = _interval_weights(lam, h, np.ones(h.size))
-    gain = c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:]
+    step, gain = _interval_map(lam, h, np.ones(h.size), diag, cross)
     values = np.zeros((grid.nodes.size, lam.size))
     for k in range(h.size):
         values[k + 1] = step[k] * values[k] + gain[k]

@@ -5,10 +5,11 @@ audited time: every positive node t_j and every interval midpoint
 s_i = (t_i + t_{i+1}) / 2.  At a node the sample and its derivative are
 read from the trajectory.  At a midpoint they follow from the mild form
 on the interval, u(s) = e^{-(s - t_i)A} u(t_i) + int_{t_i}^s e^{-(s-r)A}
-f(r) dr with f the trajectory's own node-pair forcing quadratic, and
-u'(s) = f(s) - A u(s).  The node residual of a Picard iterate thus
-measures its fixed-point distance, and the midpoint residual
-f(s) - B(u(s), u(s)) the interpolation error of the forcing.  Per column:
+f(r) dr with f the trajectory's own node-pair forcing quadratic, from the
+interval map that Phi steps with (``mild._interval_map``), and u'(s) =
+f(s) - A u(s).  The node residual of a Picard iterate thus measures its
+fixed-point distance, and the midpoint residual f(s) - B(u(s), u(s)) the
+interpolation error of the forcing.  Per column:
 
 * divergence of the lifted sample (zero up to round-off by construction),
 * the momentum residual  w = u' - Lap u + (u . grad) u  projected onto the
@@ -48,7 +49,7 @@ from .convection import advect_flat
 from .domain import DiscreteOperators, ScalarField, VectorField, vector_lp_norm
 from .errors import OracleInstabilityError
 from .hodge import HodgeDecomposition
-from .mild import MildTrajectory, TimeGrid, _interval_weights, _node_pair_forcings, modal_forcing
+from .mild import MildTrajectory, TimeGrid, _interval_map, _node_pair_forcings, modal_forcing
 from .stokes import StokesSpectrum
 
 #: Norm growth over the initial norm at which ``imex_oracle`` gives up.
@@ -121,9 +122,7 @@ def strong_residual(spectrum: StokesSpectrum, hodge: HodgeDecomposition,
     half = 0.5 * np.diff(nodes)
     x = spectrum.lift(traj.samples.T)
     diag, cross = _node_pair_forcings(spectrum, x, x, scale)
-    c_lo, c_mid, c_hi = _interval_weights(lam, half, np.full(half.size, 0.5))
-    mid = (np.exp(-np.outer(half, lam)) * traj.samples[:-1]
-           + c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:])
+    mid = _interval_map(lam, half, np.full(half.size, 0.5), diag, cross, traj.samples[:-1])[1]
     dmid = 0.25 * (diag[:-1] + cross + diag[1:]) - lam * mid
     x_mid, du = np.hsplit(spectrum.lift(np.vstack([mid, traj.derivative_samples, dmid]).T),
                           [half.size])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -270,6 +272,17 @@ class TestMaskInfo:
         assert main(["mask-info", str(path)]) == EXIT_OK
         assert f"face-connected components: {components}\n" in capsys.readouterr().out
 
+    def test_cli_import_loads_no_ndimage(self):
+        # mask-info imports scipy.ndimage itself: it adds about 6 MiB to a run's peak RSS
+        import mildflow
+
+        env = dict(os.environ, PYTHONPATH=str(Path(mildflow.__file__).parents[1]))
+        code = ("import sys, mildflow.cli; "
+                "print([m for m in sys.modules if m.startswith('scipy.ndimage')])")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
+
     def test_missing_mask(self, tmp_path, capsys):
         assert main(["mask-info", str(tmp_path / "none.mask")]) == EXIT_MASK
 
@@ -493,19 +506,70 @@ class TestRunPipeline:
         assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_projection_warning_once_per_run(self, tmp_path, box4_ops, box4_spectrum):
+    @staticmethod
+    def _gradient_data_config(tmp_path, box4_ops, box4_spectrum, **overrides):
+        """A box4 config whose file initial data has a gradient part."""
         rng = np.random.default_rng(0)
         gradient = box4_ops.gradient @ rng.standard_normal(box4_ops.mask.n_cells)
         values = 0.03 * box4_spectrum.eigenfield(1).values + 0.01 * gradient.reshape(3, -1)
         npy = tmp_path / "u0.npy"
         np.save(npy, values)
-        out = tmp_path / "out"
-        cfg = base_config(out, initial_data={"kind": "file", "path": str(npy)})
+        return write_config(tmp_path, base_config(
+            tmp_path / "out", initial_data={"kind": "file", "path": str(npy)}, **overrides))
+
+    def test_projection_warning_once_per_run(self, tmp_path, box4_ops, box4_spectrum):
+        config = self._gradient_data_config(tmp_path, box4_ops, box4_spectrum)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
-        assert read_summary(out)["gate"]["passed_initially"] is True
+            assert main(["run", config]) == EXIT_OK
+        assert read_summary(tmp_path / "out")["gate"]["passed_initially"] is True
         assert sum("gradient component" in str(w.message) for w in caught) == 1
+
+    def test_warnings_are_recorded_in_summary(self, tmp_path, box4_ops, box4_spectrum):
+        # the projected data and a coarse oracle step (dt * lambda_max = 2.47)
+        # each warn once; the run records both, still shows them to the
+        # caller, and a rerun in the same process records them again
+        config = self._gradient_data_config(tmp_path, box4_ops, box4_spectrum,
+                                            oracle={"dts": [0.25]})
+        out = tmp_path / "out"
+        outputs, recorded = [], []
+        with warnings.catch_warnings(record=True) as caught:
+            for _ in range(2):
+                assert main(["run", config]) == EXIT_OK
+                summary = (out / "summary.json").read_text()
+                recorded += json.loads(summary)["warnings"]
+                timestamp = json.loads(summary)["timestamp"]
+                outputs.append([summary.replace(timestamp, "")] + [
+                    (out / name).read_bytes() for name in ("norms.csv", "iterations.csv")])
+        assert [w["category"] for w in recorded] == ["UserWarning", "UserWarning"] * 2
+        assert "gradient component" in recorded[0]["message"]
+        assert "oracle step dt=0.25 is coarse" in recorded[1]["message"]
+        assert [(w["category"], w["message"]) for w in recorded] == [
+            (w.category.__name__, str(w.message)) for w in caught]
+        assert outputs[0] == outputs[1]
+
+    def test_failed_run_records_its_warnings(self, tmp_path, box4_ops, box4_spectrum):
+        config = self._gradient_data_config(tmp_path, box4_ops, box4_spectrum,
+                                            picard={"tol": 1e-30, "max_iterations": 1})
+        with pytest.warns(UserWarning, match="gradient component"):
+            assert main(["run", config]) == EXIT_PICARD
+        summary = read_summary(tmp_path / "out")
+        assert summary["status"] == "failed"
+        assert [w["category"] for w in summary["warnings"]] == ["UserWarning"]
+        assert "gradient component" in summary["warnings"][0]["message"]
+
+    def test_warning_filters_still_decide(self, tmp_path):
+        # an ignored warning is not recorded; one the caller turns into an
+        # error stops the run with it, as the test suite's own filters need
+        config = write_config(tmp_path, base_config(tmp_path / "out", oracle={"dts": [0.25]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(["run", config]) == EXIT_OK
+        assert read_summary(tmp_path / "out")["warnings"] == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="is coarse"):
+                main(["run", config])
 
     def test_missing_mask_exit_code(self, tmp_path):
         cfg = base_config(tmp_path / "out", mask=str(tmp_path / "nope.mask"))

@@ -42,6 +42,13 @@ def grid():
     return TimeGrid.graded(0.5, 20, 6)
 
 
+def interval_weights(lam, elapsed, w):
+    """The weights (c_lo, c_mid, c_hi), each (k, m), of diag[i], cross[i] and
+    diag[i+1] in ``_interval_map``, read through unit node-pair forcings."""
+    return [mild_mod._interval_map(lam, elapsed, w, np.array(d)[:, None], c)[1]
+            for d, c in (((1.0, 0.0), 0.0), ((0.0, 0.0), 1.0), ((0.0, 1.0), 0.0))]
+
+
 def _mode_field(spectrum, k, amplitude=1.0):
     u = spectrum.eigenfield(k)
     return VectorField(u.mask, amplitude * u.values)
@@ -255,14 +262,12 @@ class TestMoments:
         # with s = 1 - y the basis quadratics are polynomials in s, and
         # int_0^1 e^{-z s} s^k ds = gamma(k + 1, z) / z^(k + 1)
         mpmath = pytest.importorskip("mpmath")
-        from mildflow.mild import _interval_weights
 
         zs = [0.0, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e8, 1e12, 1e17]
         elapsed = 0.5
         with mpmath.workdps(60):
             for w in (1e-3, 0.3, 0.7, 1.0):
-                got = _interval_weights(np.array(zs) / elapsed, np.array([elapsed]),
-                                        np.array([w]))
+                got = interval_weights(np.array(zs) / elapsed, np.array([elapsed]), np.array([w]))
                 b, a = mpmath.mpf(w), 1 - mpmath.mpf(w)
                 polys = [(a * a, 2 * a * b, b * b), (b * a, b * (b - a), -b * b),
                          (b * b, -2 * b * b, b * b)]
@@ -273,6 +278,26 @@ class TestMoments:
                     for weight, poly in zip(got, polys):
                         want = elapsed * sum(c * n for c, n in zip(poly, nu))
                         assert abs(weight[0, j] - want) <= 1e-14 * want
+
+    def test_interval_map_keeps_the_inline_order(self, box4_spectrum, grid):
+        # bit for bit the sums phi and strong_residual wrote inline: c_lo diag_i
+        # (after e^{-eA} start where one is given), then c_mid cross_i, then
+        # c_hi diag_{i+1}, so their outputs keep their bits
+        rng = np.random.default_rng(23)
+        lam = box4_spectrum.eigenvalues
+        samples = rng.standard_normal((grid.nodes.size, lam.size))
+        x = box4_spectrum.lift(samples.T)
+        diag, cross = mild_mod._node_pair_forcings(box4_spectrum, x, x, 1.0)
+        h = np.diff(grid.nodes)
+        c_lo, c_mid, c_hi = interval_weights(lam, h, np.ones(h.size))
+        step, gain = mild_mod._interval_map(lam, h, np.ones(h.size), diag, cross)
+        assert np.array_equal(step, np.exp(-np.outer(h, lam)))
+        assert np.array_equal(gain, c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:])
+        half = 0.5 * h
+        c_lo, c_mid, c_hi = interval_weights(lam, half, np.full(h.size, 0.5))
+        mid = mild_mod._interval_map(lam, half, np.full(h.size, 0.5), diag, cross, samples[:-1])[1]
+        assert np.array_equal(mid, np.exp(-np.outer(half, lam)) * samples[:-1]
+                              + c_lo * diag[:-1] + c_mid * cross + c_hi * diag[1:])
 
 
 class TestPhi:
@@ -430,7 +455,7 @@ class TestPhi:
         # Phi(t_i + e) = e^{-eA} Phi(t_i) + int_{t_i}^{t_i + e} e^{-(t_i + e - s)A} f(s) ds;
         # its central difference across every interior node t_j, from the
         # intervals on either side, converges to Phi'(t_j) = f(t_j) - A Phi(t_j)
-        from mildflow.mild import _interval_weights, _node_pair_forcings
+        from mildflow.mild import _interval_map, _node_pair_forcings
 
         rng = np.random.default_rng(19)
         lam = box4_spectrum.eigenvalues
@@ -442,9 +467,8 @@ class TestPhi:
         h = np.diff(grid.nodes)
 
         def closed_form(i, elapsed):
-            weights = _interval_weights(lam, np.array([elapsed]), np.array([elapsed / h[i]]))
-            return np.exp(-lam * elapsed) * image.samples[i] + sum(
-                c[0] * f for c, f in zip(weights, (diag[i], cross[i], diag[i + 1])))
+            return _interval_map(lam, np.array([elapsed]), np.array([elapsed / h[i]]),
+                                 diag[i:i + 2], cross[i:i + 1], image.samples[i:i + 1])[1][0]
 
         for j in range(1, grid.segments):
             delta = 1e-6 * min(h[j - 1], h[j])
