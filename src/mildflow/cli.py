@@ -294,8 +294,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for table in ("norms.csv", "iterations.csv"):  # only a run that succeeds writes them
+            (out_dir / table).unlink(missing_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output_dir {out_dir}: {exc}") from exc
+        raise ConfigError(f"cannot prepare output_dir {out_dir}: {exc}") from exc
     trace = _Trace()
     summary = {
         "version": __version__,

@@ -24,13 +24,13 @@ of even popcount(k) first.  Z is never formed: it is the block-diagonal
 matrix of the Z_k, with Z_k's rows at the entries of a flat field the
 block reaches and its columns at the block's span of the coordinates, so
 ``coords``, ``lift_flat``, ``lift``, ``project`` and ``even_odd_block``
-(Z_e^T op Z_o, the coupling of the even to the odd blocks) apply it one
-block at a time, and ``basis`` builds the dense (3n, m) array on demand
-only.  Those blocks and spans are the one description of the parity
-layout: ``stokes`` applies Z only through these methods, and reads only
-how many columns are even (``n_even``, where the fourth block's span
-ends) and ``even_odd_block``, which also rejects an operator entry
-between two blocks of the same parity: the product would drop it.
+(Z_e^T op Z_o, the even-odd coupling, cut per pair from op's row bands)
+apply it one block at a time, and ``basis`` builds the dense (3n, m) array
+on demand only.  Those blocks and spans are the one description of the
+parity layout: ``stokes`` applies Z only through these methods, and reads
+only how many columns are even (``n_even``, where the fourth block's span
+ends) and ``even_odd_block``, which also rejects an operator entry between
+two blocks of the same parity: the product would drop it.
 
 The 8 block SVDs run at one BLAS thread each, on as many worker threads
 as BLAS had (``_block_svds``), which is faster than one block at a time
@@ -178,25 +178,22 @@ class HodgeDecomposition:
         return out
 
     def even_odd_block(self, op) -> np.ndarray:
-        """Z_e^T op Z_o, (n_even, m - n_even), for a sparse (3n, 3n) op, from
-        the pairs of an even and an odd block that op couples.  Raises
-        ``SpectrumError`` if op has a nonzero off-diagonal entry between two
-        blocks of the same parity (or inside one), which that product drops."""
+        """Z_e^T op Z_o, (n_even, m - n_even), for a sparse (3n, 3n) op: one
+        product per pair of an even and an odd block that op couples, cut
+        from the even block's row band of op.  Raises ``SpectrumError`` if op
+        has a nonzero off-diagonal entry between two blocks of the same
+        parity (or inside one), which that product drops."""
         even, odd = self.blocks[:4], self.blocks[4:]  # the even blocks come first
-        odd_rows = np.concatenate([b.rows for b in odd])
-        is_odd = np.isin(np.arange(op.shape[0]), odd_rows)
+        is_odd = np.isin(np.arange(op.shape[0]), np.concatenate([b.rows for b in odd]))
         coo = op.tocoo()
         if np.any((is_odd[coo.row] == is_odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
             raise SpectrumError("operator couples two blocks of the same parity")
-        # op sliced once; each pair's rows and columns are then one contiguous range
-        sliced = op[np.concatenate([b.rows for b in even])][:, odd_rows]
-        row_at = np.cumsum([0] + [b.rows.size for b in even])
-        col_at = np.cumsum([0] + [b.rows.size for b in odd])
         m_e = self.n_even
         out = np.zeros((m_e, self.dim - m_e))
-        for i, be in enumerate(even):
-            for j, bo in enumerate(odd):
-                coupled = sliced[row_at[i]:row_at[i + 1], col_at[j]:col_at[j + 1]]
+        for be in even:
+            band = op[be.rows]
+            for bo in odd:
+                coupled = band[:, bo.rows]
                 if coupled.nnz:
                     out[be.span, bo.span.start - m_e:bo.span.stop - m_e] = \
                         be.kernel.T @ (coupled @ bo.kernel)

@@ -557,6 +557,10 @@ class PicardConfig:
     nonlinearity_scale: float = 1.0
     start: str = "alpha"  # "alpha" or "zero"
 
+    def __post_init__(self):
+        if self.start not in ("alpha", "zero"):
+            raise ValueError(f"Picard start must be 'alpha' or 'zero', not {self.start!r}")
+
 
 @dataclass(eq=False)
 class IterationLog:

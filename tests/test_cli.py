@@ -654,6 +654,15 @@ class TestRunPipeline:
         assert not (out / "norms.csv").exists() and not (out / "iterations.csv").exists()
         read_trace(out, "picard_solve")
 
+    def test_failed_run_removes_the_previous_runs_tables(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, base_config(out))]) == EXIT_OK
+        assert (out / "norms.csv").exists() and (out / "iterations.csv").exists()
+        cfg = base_config(out, picard={"tol": 1e-30, "max_iterations": 1})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_PICARD
+        assert read_summary(out)["status"] == "failed"
+        assert not (out / "norms.csv").exists() and not (out / "iterations.csv").exists()
+
     def test_output_write_error_is_not_a_stage_failure(self, tmp_path, monkeypatch):
         # the one handler maps OSError to stage mask; a failed write must
         # not reach it

@@ -764,6 +764,10 @@ class TestPicard:
         ).total
         assert gap <= 10.0 * tol
 
+    def test_unknown_start_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="'alfa'"):
+            PicardConfig(grid=grid, start="alfa")
+
     def test_divergence_detected(self, box4_spectrum, box4_hodge, grid):
         u0 = _mode_field(box4_spectrum, 0, 80.0)
         with pytest.raises(PicardDivergenceError) as info:
