@@ -312,6 +312,10 @@ def run_experiment(config: ExperimentConfig) -> int:
             warnings.showwarning = functools.partial(_record_warning, summary["warnings"],
                                                      warnings.showwarning)
             spectrum, traj, log = _run_stages(config, summary, trace)
+        overflowed = []
+        _nulled(summary, overflowed)
+        if overflowed:
+            raise SpectrumError(f"a number left the floating-point range: {', '.join(overflowed)}")
     except tuple(_FAILURES) as exc:
         stage, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
         summary["status"] = "failed"
@@ -405,12 +409,15 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
         if modal_forcing(spectrum, x, x).any():
             raise SpectrumError(f"the ||Phi|| probe read 0 on a domain with convective coupling; "
                                 f"raise phi_norm.trials (now {config.phi_trials})")
+    threshold = None if linear_mode else 1.0 / (4.0 * phi_gate)
+    if not (math.isfinite(phi_gate) and (linear_mode or math.isfinite(threshold))):
+        raise ConfigError(f"gate.safety_factor * nonlinearity_scale * ||Phi|| = {phi_gate!r} "
+                          f"and the gate threshold 1/(4 x) = {threshold!r} must both be finite")
     gate_ok = linear_mode or smallness_gate(alpha_norms, phi_gate)
     summary["phi_norm"] = {"estimate": phi_hat, "safety_factor": config.gate_safety,
                            "gate_value": phi_gate}
     summary["gate"] = {"passed_initially": gate_ok, "alpha_total": alpha_norms.total,
-                       "threshold": None if linear_mode else 1.0 / (4.0 * phi_gate),
-                       "shrink": None}
+                       "threshold": threshold, "shrink": None}
 
     shrink_attempts = []
     if not gate_ok:
@@ -496,9 +503,25 @@ def _norms_dict(norms) -> dict | None:
     return None if norms is None else {**vars(norms), "total": norms.total}
 
 
+def _nulled(value, found: list, key: str = ""):
+    """``value`` with each NaN or infinite float replaced by None, as JSON has no
+    such number, and its dotted key appended to ``found``."""
+    if isinstance(value, dict):
+        return {name: _nulled(item, found, f"{key}.{name}" if key else name)
+                for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(item, found, f"{key}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(key)
+        return None
+    return value
+
+
 def _write_json(out_dir: Path, summary: dict, trace: _Trace):
-    """Write ``summary.json``, then ``trace.json`` with the run's seconds and peak so far."""
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    """Write ``summary.json`` as strict JSON, then ``trace.json`` with the run's
+    seconds and peak so far."""
+    text = json.dumps(_nulled(summary, []), indent=2, sort_keys=True)
+    (out_dir / "summary.json").write_text(text + "\n")
     run = {"rss_before_mib": trace.rss_before, "seconds": time.perf_counter() - trace.start,
            "peak_rss_mib": _memory_mib()[0], "stages": trace.stages}
     (out_dir / "trace.json").write_text(json.dumps(run, indent=2) + "\n")

@@ -182,7 +182,8 @@ def vector_lp_norm(u: VectorField, p: float) -> float:
 # body:    nz blocks of ny lines of nx characters from {0, 1};
 #          consecutive blocks are separated by exactly one blank line.
 # Anything else is a parse error.  Character (i, j) of block k sets the
-# occupancy of cell (x=i, y=j, z=k).
+# occupancy of cell (x=i, y=j, z=k).  Every body line is checked, in file
+# order, before the header sizes any array; the first defect is reported.
 
 
 def load_mask(source) -> DomainMask:
@@ -211,45 +212,31 @@ def load_mask(source) -> DomainMask:
 
     body = lines[2:]
     expected = nz * ny + (nz - 1)  # ny lines per block, one blank between blocks
+    for i, line in enumerate(body[:expected]):
+        k, j = divmod(i, ny + 1)
+        if j == ny:
+            if line:
+                raise MaskDimensionError(f"expected a blank line between blocks, got {line!r}")
+        elif len(line) != nx:
+            raise MaskDimensionError(f"block {k} line {j} has {len(line)} characters, expected {nx}")
+        elif bad := set(line) - {"0", "1"}:
+            raise MaskCharacterError(f"block {k} line {j} contains invalid characters {sorted(bad)}")
     if len(body) != expected:
         raise MaskDimensionError(
             f"expected {expected} body lines for {nz} blocks of {ny} lines, got {len(body)}"
         )
-    occ = np.zeros((nx, ny, nz), dtype=bool)
-    pos = 0
-    for k in range(nz):
-        if k > 0:
-            if body[pos] != "":
-                raise MaskDimensionError(
-                    f"expected a blank line between blocks, got {body[pos]!r}"
-                )
-            pos += 1
-        for j in range(ny):
-            row = body[pos]
-            pos += 1
-            if len(row) != nx:
-                raise MaskDimensionError(
-                    f"block {k} line {j} has {len(row)} characters, expected {nx}"
-                )
-            bad = set(row) - {"0", "1"}
-            if bad:
-                raise MaskCharacterError(
-                    f"block {k} line {j} contains invalid characters {sorted(bad)}"
-                )
-            occ[:, j, k] = [c == "1" for c in row]
-    return DomainMask((nx, ny, nz), h, occ)
+    # the blank separators join to nothing: the rows in (z, y, x) order
+    rows = np.frombuffer("".join(body).encode("ascii"), np.uint8).reshape(nz, ny, nx)
+    return DomainMask((nx, ny, nz), h, (rows == ord("1")).T)
 
 
 def format_mask(mask: DomainMask) -> str:
     """Serialize a mask back to the text format (inverse of ``load_mask``)."""
     nx, ny, nz = mask.dims
-    out = [MASK_MAGIC, f"{nx} {ny} {nz} {mask.spacing!r}"]
-    for k in range(nz):
-        if k > 0:
-            out.append("")
-        for j in range(ny):
-            out.append("".join("1" if mask.occupancy[i, j, k] else "0" for i in range(nx)))
-    return "\n".join(out) + "\n"
+    rows = np.full((nz, ny, nx + 1), ord("\n"), np.uint8)  # each row ends in its newline
+    rows[..., :nx] = np.where(mask.occupancy.T, ord("1"), ord("0"))
+    body = b"\n".join(block.tobytes() for block in rows)  # a blank line between blocks
+    return f"{MASK_MAGIC}\n{nx} {ny} {nz} {mask.spacing!r}\n{body.decode('ascii')}"
 
 
 def _as_text(source) -> str:

@@ -23,13 +23,14 @@ blocks, and keeps each block's kernel Z_k on its ``ParityBlock``, blocks
 of even popcount(k) first.  Z is never formed: it is the block-diagonal
 matrix of the Z_k, with Z_k's rows at the entries of a flat field the
 block reaches and its columns at the block's span of the coordinates, so
-``coords``, ``lift_flat``, ``lift``, ``project`` and ``even_odd_block``
-(Z_e^T op Z_o, the even-odd coupling, cut per pair from op's row bands)
-apply it one block at a time, and ``basis`` builds the dense (3n, m) array
-on demand only.  Those blocks and spans are the one description of the
-parity layout: ``stokes`` applies Z only through these methods, and reads
-only how many columns are even (``n_even``, where the fourth block's span
-ends) and ``even_odd_block``, which also rejects an operator entry between
+``coords``, ``lift_flat``, ``lift``, ``project`` and ``coupling``
+(C = -h^2 Z_e^T L Z_o, the even-odd coupling of the Laplacian, cut per
+pair from L's row bands) apply it one block at a time, and ``basis``
+builds the dense (3n, m) array on demand only.  Those blocks and spans are
+the one description of the parity layout: ``stokes`` applies Z only
+through these methods, and reads only how many columns are even
+(``n_even``, where the fourth block's span ends) and ``coupling``, which
+also checks L's constant diagonal 6/h^2 and rejects an entry of L between
 two blocks of the same parity: the product would drop it.
 
 The 8 block SVDs run at one BLAS thread each, on as many worker threads
@@ -177,26 +178,31 @@ class HodgeDecomposition:
             out[b.rows] = b.kernel @ coords[b.span]
         return out
 
-    def even_odd_block(self, op) -> np.ndarray:
-        """Z_e^T op Z_o, (n_even, m - n_even), for a sparse (3n, 3n) op: one
-        product per pair of an even and an odd block that op couples, cut
-        from the even block's row band of op.  Raises ``SpectrumError`` if op
-        has a nonzero off-diagonal entry between two blocks of the same
-        parity (or inside one), which that product drops."""
+    def coupling(self) -> np.ndarray:
+        """The coupling C = -h^2 Z_e^T L Z_o, (n_even, m - n_even), of the
+        Laplacian L of ``ops``: one product per pair of an even and an odd
+        block that L couples, cut from the even block's row band of L, and
+        one scale in place.  Raises ``SpectrumError`` unless L has the
+        constant diagonal 6/h^2 and no nonzero off-diagonal entry between two
+        blocks of the same parity (or inside one), which that product drops."""
+        lap, h2 = self.ops.laplacian, self.mask.spacing ** 2
+        if not np.all(lap.diagonal() == 6.0 / h2):
+            raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
         even, odd = self.blocks[:4], self.blocks[4:]  # the even blocks come first
-        is_odd = np.isin(np.arange(op.shape[0]), np.concatenate([b.rows for b in odd]))
-        coo = op.tocoo()
+        is_odd = np.isin(np.arange(lap.shape[0]), np.concatenate([b.rows for b in odd]))
+        coo = lap.tocoo()
         if np.any((is_odd[coo.row] == is_odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
-            raise SpectrumError("operator couples two blocks of the same parity")
+            raise SpectrumError("Laplacian couples two blocks of the same parity")
         m_e = self.n_even
         out = np.zeros((m_e, self.dim - m_e))
         for be in even:
-            band = op[be.rows]
+            band = lap[be.rows]
             for bo in odd:
                 coupled = band[:, bo.rows]
                 if coupled.nnz:
                     out[be.span, bo.span.start - m_e:bo.span.stop - m_e] = \
                         be.kernel.T @ (coupled @ bo.kernel)
+        out *= -h2  # in place: one C-sized array per call
         return out
 
     def lift(self, coords: np.ndarray) -> VectorField:

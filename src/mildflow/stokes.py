@@ -17,7 +17,7 @@ parity of popcount(k), so with Z = [Z_e | Z_o] split by that parity,
 
 and the SVD C = U diag(sigma) V^T gives the eigenvalues (6 -+ sigma)/h^2
 with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
-6/h^2.  ``assemble_stokes`` checks the diagonal, ``hodge.even_odd_block``
+6/h^2.  ``hodge.coupling`` builds C and checks both: the diagonal, and
 that no entry of L joins two blocks of the same parity.
 
 The SVD is built from the Gram matrix, at about half the LAPACK work of
@@ -190,22 +190,14 @@ def assemble_stokes(hodge: HodgeDecomposition) -> StokesSpectrum:
     tail and the unpaired vectors.  The eigenpairs are kept in factored
     form: U, V and the sparse mixing R = P B, the pairing P of those modes
     times the cluster rotations B (see the module docstring).  Raises
-    ``SpectrumError`` if L breaks that structure (here or in
-    ``even_odd_block``), or if an eigenvalue is not strictly positive
-    beyond round-off, which would signal broken adjointness upstream.
+    ``SpectrumError`` if L breaks that structure (``hodge.coupling``), or
+    if an eigenvalue is not strictly positive beyond round-off, which
+    would signal broken adjointness upstream.
     """
-    h2 = hodge.mask.spacing ** 2
-    if not np.all(hodge.ops.laplacian.diagonal() == 6.0 / h2):
-        raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
     m_e = hodge.n_even
-
-    def coupling():
-        c = hodge.even_odd_block(hodge.ops.laplacian)
-        c *= -h2  # in place: one C-sized array per build
-        return c
-
-    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(coupling)
-    eigenvalues, pairing = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e, h2)
+    u_mat, sigma, v_mat, dropped, tail = _coupling_svd(hodge.coupling)
+    eigenvalues, pairing = _coupled_eigenpairs(sigma, m_e, hodge.dim - m_e,
+                                               hodge.mask.spacing ** 2)
     # the spectrum scales as 1/h^2, so the round-off floor is relative only
     tol = 1e-12 * eigenvalues[-1]
     if eigenvalues[0] <= tol:

@@ -1,9 +1,12 @@
 import ctypes
 import runpy
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
+from hypothesis import strategies as st
 
 from mildflow import (
     DomainMask,
@@ -18,6 +21,23 @@ from mildflow.hodge import _openblas
 from mildflow.stokes import _clusters
 
 DATA = Path(__file__).parent / "data"
+
+# Hypothesis caches the literals of the local source files in its storage
+# directory while it collects a module; keep that cache out of the checkout.
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "mildflow-hypothesis")
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+@st.composite
+def masks(draw):
+    """Masks of extents 1-5 drawn per axis, with cells drawn one by one and
+    at least one occupied."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    cells = int(np.prod(dims))
+    occupied = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    occupied[draw(st.integers(0, cells - 1))] = True
+    return DomainMask(dims, 1.0 / max(dims), np.reshape(occupied, dims))
 
 
 def mask_path(name: str) -> str:

@@ -65,7 +65,11 @@ def write_config(tmp_path, cfg, name="config.yaml"):
 
 
 def read_summary(out_dir):
-    return json.loads((Path(out_dir) / "summary.json").read_text())
+    """``summary.json`` read as strict JSON: a NaN or Infinity literal fails the read."""
+    def reject(literal):
+        raise ValueError(f"summary.json holds {literal}, which is not JSON")
+
+    return json.loads((Path(out_dir) / "summary.json").read_text(), parse_constant=reject)
 
 
 def read_trace(out_dir, last):
@@ -744,6 +748,42 @@ class TestRunPipeline:
         assert failure["stage"] == "initial_data" and failure["error"] == "ConfigError"
         assert failure["message"] == (
             f"initial data too large: ||u0|| = {amplitude:.3e} makes ||alpha|| overflow")
+
+    @pytest.mark.parametrize("scale", [1.0e+308, 1.0e-320], ids=["gate_value", "threshold"])
+    def test_gate_out_of_float_range_is_config_error(self, tmp_path, scale):
+        # the criterion-11 config: safety * scale * ||Phi|| overflows, or
+        # its threshold 1/(4 x) does; a run on either would report infinity
+        out = tmp_path / "out"
+        cfg = base_config(out, seed=4242, nonlinearity_scale=scale,
+                          shrink={"eps_schedule": [0.2, 0.4]},
+                          initial_data={"kind": "random", "amplitude": 0.03, "seed": 7})
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        summary = read_summary(out)
+        assert "phi_norm" not in summary and "gate" not in summary
+        failure = summary["failure"]
+        assert failure["stage"] == "initial_data" and failure["error"] == "ConfigError"
+        assert failure["message"].startswith("gate.safety_factor * nonlinearity_scale * ||Phi||")
+
+    def test_number_out_of_float_range_is_spectrum_error(self, tmp_path):
+        # box4 at spacing 1e-60 in linear mode over a horizon of 1e200: the
+        # eigenvalues times t_1 or dt and the energy balances overflow
+        mask = tmp_path / "fine.mask"
+        mask.write_text(Path(mask_path("box4")).read_text().replace("4 4 4 1.0", "4 4 4 1e-60"))
+        out = tmp_path / "out"
+        cfg = base_config(out, mask=str(mask), horizon=1.0e200, segments=2,
+                          nonlinearity_scale=0.0, oracle={"dts": [1.0e199]})
+        with warnings.catch_warnings():  # the overflows and the coarse oracle step warn
+            warnings.simplefilter("ignore")
+            assert main(["run", write_config(tmp_path, cfg)]) == EXIT_SPECTRUM
+        summary = read_summary(out)
+        assert summary["failure"] == {
+            "stage": "spectrum", "error": "SpectrumError",
+            "message": "a number left the floating-point range: grid.lambda_min_t1, "
+                       "grid.lambda_max_t1, verification.max_energy_balance, "
+                       "verification.energy_balance_floor, oracle[0].dt_lambda_max"}
+        assert summary["grid"] == {"lambda_min_t1": None, "lambda_max_t1": None}
+        assert summary["oracle"][0]["dt_lambda_max"] is None
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.json"]
 
     def test_oracle_failure_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod

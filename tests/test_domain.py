@@ -1,10 +1,13 @@
 """Mask parsing and the stencil operators."""
 
 import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mildflow import (
     DomainMask,
@@ -20,10 +23,12 @@ from mildflow import (
     format_mask,
     load_mask,
 )
-from mildflow.cli import EXIT_OK, main
-from conftest import mask_path, random_scalar_values, random_vector_field
+from mildflow.cli import EXIT_MASK, EXIT_OK, main
+from conftest import PROPERTY_SETTINGS, mask_path, masks, random_scalar_values, random_vector_field
 
 FULL_BOX_2 = "mask v1\n2 2 2 1.0\n11\n11\n\n11\n11\n"
+# one row, where the header sizes a grid of 10^13 cells
+WIDE_ROW = "mask v1\n10000000000000 1 1 1.0\n1\n"
 # the same cells at another spacing: a different mask
 COARSE_BOX_2 = FULL_BOX_2.replace(" 1.0", " 2.0")
 
@@ -118,11 +123,53 @@ class TestMaskParsing:
         again = load_mask(format_mask(mask))
         assert type(again.spacing) is float and again.spacing == float(spacing)
 
+    def test_first_defect_in_file_order_is_reported(self):
+        # a short row in block 0, then no blank line before block 1
+        with pytest.raises(MaskDimensionError, match="^block 0 line 1 has 1 characters, expected 2$"):
+            load_mask("mask v1\n2 2 2 1.0\n11\n1\n11\n11\n")
+
+    def test_rows_are_checked_before_the_header_sizes_an_array(self):
+        with pytest.raises(MaskDimensionError,
+                           match="^block 0 line 0 has 1 characters, expected 10000000000000$"):
+            load_mask(WIDE_ROW)
+
+    @pytest.mark.parametrize("command", ["run", "mask-info"])
+    def test_rows_too_short_for_the_header_are_a_mask_error(self, tmp_path, capsys, command):
+        mask = tmp_path / "wide.mask"
+        mask.write_text(WIDE_ROW)
+        out = tmp_path / "out"
+        config = tmp_path / "config.yaml"
+        config.write_text(f"mask: {mask}\noutput_dir: {out}\nhorizon: 1.0\nsegments: 2\n"
+                          "seed: 1\ninitial_data: {kind: zero}\n")
+        assert main([command, str(config if command == "run" else mask)]) == EXIT_MASK
+        message = "block 0 line 0 has 1 characters, expected 10000000000000"
+        if command == "run":
+            failure = json.loads((out / "summary.json").read_text())["failure"]
+            assert failure == {"stage": "mask", "error": "MaskDimensionError", "message": message}
+            assert (out / "trace.json").is_file()
+        else:
+            assert capsys.readouterr().err == f"mask error: {message}\n"
+
     @pytest.mark.parametrize("extra", range(6))
     def test_any_number_of_trailing_newlines(self, extra):
         assert load_mask(FULL_BOX_2 + "\n" * extra).n_cells == 8
         with pytest.raises(MaskDimensionError):  # a line of spaces is not empty
             load_mask(FULL_BOX_2 + "\n" * extra + " \n")
+
+
+@PROPERTY_SETTINGS
+@given(masks(), st.sampled_from([0.25, 1.0 / 3.0, 1e-3]))
+def test_mask_format_load_round_trip(mask, h):
+    # the text written cell by cell as the format reads it: character i of
+    # line j in block k is cell (i, j, k), so the extents may all differ
+    mask = DomainMask(mask.dims, h, mask.occupancy)
+    (nx, ny, nz), occ = mask.dims, mask.occupancy
+    blocks = ("".join("".join("1" if occ[i, j, k] else "0" for i in range(nx)) + "\n"
+                      for j in range(ny)) for k in range(nz))
+    text = f"mask v1\n{nx} {ny} {nz} {h!r}\n" + "\n".join(blocks)
+    assert load_mask(text).same_as(mask)
+    assert format_mask(load_mask(text)) == text
+    assert format_mask(mask) == text
 
 
 class TestFieldChecks:

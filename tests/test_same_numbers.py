@@ -59,3 +59,15 @@ def test_round_off_measurement_may_move_by_round_off(compare_summaries, capsys):
 def test_round_off_measurement_may_not_move_beyond_round_off(compare_summaries):
     violations = compare_summaries(margins(4.1e-16), margins(4.1e-16 + 1e-12), 1e-30)
     assert violations == ["spectrum.margins.max_merged_gap_rel moved"]
+
+
+def test_summary_that_is_not_strict_json_is_a_violation(tmp_path, capsys):
+    # json.loads alone reads the Infinity literal that json.dumps writes
+    # for an overflowed float
+    compare_case = load_by_path("tools/same_numbers.py")["compare_case"]
+    for side, value in (("parent", "1.0e+308"), ("change", "Infinity")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "summary.json").write_text(f'{{"gate": {{"threshold": {value}}}}}\n')
+    same_inputs, same_codes = {"parent": {}, "change": {}}, {"parent": 0, "change": 0}
+    assert compare_case(tmp_path, same_inputs, same_codes) == ["change summary.json is not JSON"]
+    assert "change summary.json is not JSON: Infinity is not a JSON number" in capsys.readouterr().out

@@ -38,10 +38,6 @@ def _random_coords(hodge, rng):
     return rng.standard_normal(hodge.dim)
 
 
-def _coupling(hodge):
-    return -hodge.mask.spacing ** 2 * hodge.even_odd_block(hodge.ops.laplacian)
-
-
 class TestAssembly:
     def test_single_cell_reduction_is_rayleigh_quotient(self):
         # A single cell has a trivial gradient, so every direction is
@@ -82,14 +78,14 @@ class TestAssembly:
         # sigma_max, and the coupling the factorization drops is round-off
         hodge = request.getfixturevalue(f"{name}_hodge")
         margins = assemble_stokes(hodge).margins
-        svals = np.linalg.svd(_coupling(hodge), compute_uv=False)
+        svals = np.linalg.svd(hodge.coupling(), compute_uv=False)
         assert margins["resolved_tail"] == np.count_nonzero(svals < TAIL * svals[0]) > 0
         assert 0.0 < margins["max_dropped_coupling_rel"] <= 1e-13
 
     def test_factorization_is_deterministic(self, small_sigma_hodge):
         # the complement of the head comes from a seeded draw, so two calls
         # give the same bits
-        coupling = _coupling(small_sigma_hodge)
+        coupling = small_sigma_hodge.coupling()
         first, second = _coupling_svd(lambda: coupling), _coupling_svd(lambda: coupling)
         assert first[3:] == second[3:]
         assert all(np.array_equal(a, b) for a, b in zip(first[:3], second[:3]))
@@ -361,7 +357,7 @@ def test_in_place_eigensolve_matches_the_fallback(name, request, monkeypatch, gr
     if _dsyevd() is None:
         pytest.skip("numpy's OpenBLAS exports no LAPACKE_dsyevd here")
     hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue(f"{name}_hodge")
-    coupling = _coupling(hodge)
+    coupling = hodge.coupling()
     in_place = _coupling_svd(lambda: coupling)
     assert not gram_eighs
     monkeypatch.setattr(stokes_module, "_openblas", lambda name, *types: None)
@@ -387,7 +383,7 @@ def test_empty_and_zero_couplings(shape):
 def test_failed_in_place_eigensolve_raises_linalg_error(box4_hodge, monkeypatch):
     monkeypatch.setattr(stokes_module, "_openblas", lambda name, *types: lambda *args: 3)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        _coupling_svd(lambda: _coupling(box4_hodge))
+        _coupling_svd(box4_hodge.coupling)
 
 
 def test_in_place_route_is_found_with_the_blas_thread_control():
@@ -405,7 +401,7 @@ def test_coupling_svd_allocates_about_two_factors(name):
     # Gram matrix becomes V, and A V, the head and the rotated complement
     # are written into U, with no reversed, concatenated or image copy
     hodge = _rough12_seed1_hodge() if name == "rough12" else build_hodge(rough_ops())
-    coupling = _coupling(hodge)
+    coupling = hodge.coupling()
     rows, p = max(coupling.shape), min(coupling.shape)
     tracemalloc.start()
     try:
@@ -423,10 +419,10 @@ def test_only_the_gram_matrix_is_alive_during_the_eigensolve(name, request, monk
     # (8 rows p bytes) while LAPACK runs
     hodge = build_hodge(rough_ops()) if name == "rough" else request.getfixturevalue("box4_hodge")
     built, entries = [], []
-    even_odd_block, gram_eigh = HodgeDecomposition.even_odd_block, stokes_module._gram_eigh
+    coupling, gram_eigh = HodgeDecomposition.coupling, stokes_module._gram_eigh
 
-    def recording_block(self, op):
-        out = even_odd_block(self, op)
+    def recording_coupling(self):
+        out = coupling(self)
         built.append(weakref.ref(out))
         return out
 
@@ -435,7 +431,7 @@ def test_only_the_gram_matrix_is_alive_during_the_eigensolve(name, request, monk
                         [ref() is None for ref in built]))
         return gram_eigh(gram)
 
-    monkeypatch.setattr(HodgeDecomposition, "even_odd_block", recording_block)
+    monkeypatch.setattr(HodgeDecomposition, "coupling", recording_coupling)
     monkeypatch.setattr(stokes_module, "_gram_eigh", recording_eigh)
     tracemalloc.start()
     try:

@@ -19,6 +19,8 @@ The workload masks and configs come from each checkout's own
 sides run on the same input files, and differing input bytes are a
 violation.  Then, per input:
 
+* each ``summary.json`` must be strict JSON: a ``NaN`` or ``Infinity``
+  literal is a violation, and that summary is not compared;
 * every ``summary.json`` value is compared, ``timestamp`` aside: an
   integer, string, bool or null must match exactly, and a float passes if
   |change - parent| <= max(1e-8 |parent|, 10 picard.tol).  A ratio
@@ -239,6 +241,15 @@ def column_moves(parent: Path, change: Path) -> list:
     return lines
 
 
+def load_summary(path: Path):
+    """The summary at ``path``, or None if there is none, read as strict JSON:
+    a ``NaN`` or ``Infinity`` literal raises ``ValueError``."""
+    def reject(literal):
+        raise ValueError(f"{literal} is not a JSON number")
+
+    return json.loads(path.read_text(), parse_constant=reject) if path.exists() else None
+
+
 def compare_case(directory: Path, inputs: dict, codes: dict) -> list:
     violations = []
     if inputs["parent"] != inputs["change"]:
@@ -249,13 +260,16 @@ def compare_case(directory: Path, inputs: dict, codes: dict) -> list:
         violations.append("exit code moved")
     summaries = {}
     for side in ("parent", "change"):
-        path = directory / side / "summary.json"
-        summaries[side] = json.loads(path.read_text()) if path.exists() else None
+        try:
+            summaries[side] = load_summary(directory / side / "summary.json")
+        except ValueError as exc:
+            print(f"    {side} summary.json is not JSON: {exc}  VIOLATION")
+            violations.append(f"{side} summary.json is not JSON")
     if None in summaries.values():
-        if summaries["parent"] is not summaries["change"]:
+        if summaries.get("parent") is not summaries.get("change"):
             print("    summary.json written by one side only  VIOLATION")
             violations.append("summary.json missing")
-    else:
+    elif len(summaries) == 2:  # a summary that is not JSON is not compared
         picard = summaries["parent"]["config"].get("picard", {})
         violations += compare_summaries(summaries["parent"], summaries["change"],
                                         picard.get("tol", 1e-10))
