@@ -386,12 +386,12 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
     u0 = _build_initial_data(config, spectrum, hodge)
     grid = TimeGrid.graded(config.horizon, config.segments, config.quad_order)
     phi_hat = stage("estimate_phi_norm", spectrum, hodge, grid, config.phi_trials, config.seed)
-    # the iteration runs with scale * Phi, so the gate must guard that norm;
-    # a zero norm (scale 0, or a domain without convective coupling, where a
-    # seeded random field has a zero self-forcing) is the linear mode, which
-    # contracts unconditionally
-    phi_gate = config.gate_safety * config.nonlinearity_scale * phi_hat
-    linear_mode = phi_gate == 0.0
+    # the iteration runs with scale * Phi, so the gate must guard that norm; scale 0,
+    # or a zero probe on a domain without convective coupling (checked below), is the
+    # linear mode: it contracts unconditionally, and every later stage runs at scale 0
+    linear_mode = config.nonlinearity_scale == 0.0 or phi_hat == 0.0
+    scale = 0.0 if linear_mode else config.nonlinearity_scale
+    phi_gate = config.gate_safety * scale * phi_hat
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
         alpha = alpha_trajectory(spectrum, u0, grid)
         alpha_norms = et_norm(spectrum, alpha)
@@ -409,7 +409,8 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
         if modal_forcing(spectrum, x, x).any():
             raise SpectrumError(f"the ||Phi|| probe read 0 on a domain with convective coupling; "
                                 f"raise phi_norm.trials (now {config.phi_trials})")
-    threshold = None if linear_mode else 1.0 / (4.0 * phi_gate)
+    # past linear mode, a gate value that underflowed to 0 has an infinite threshold
+    threshold = None if linear_mode else (1.0 / (4.0 * phi_gate) if phi_gate else math.inf)
     if not (math.isfinite(phi_gate) and (linear_mode or math.isfinite(threshold))):
         raise ConfigError(f"gate.safety_factor * nonlinearity_scale * ||Phi|| = {phi_gate!r} "
                           f"and the gate threshold 1/(4 x) = {threshold!r} must both be finite")
@@ -446,7 +447,7 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
         grid=grid,
         tol=config.picard_tol,
         max_iterations=config.picard_max_iterations,
-        nonlinearity_scale=config.nonlinearity_scale,
+        nonlinearity_scale=scale,
     )
     try:
         traj, log = stage("picard_solve", spectrum, hodge, u0, picard_cfg)
@@ -455,7 +456,7 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
         raise
     summary["picard"] = _picard_summary(log, shrink_attempts)
 
-    report = stage("strong_residual", spectrum, hodge, ops, traj, u0, config.nonlinearity_scale)
+    report = stage("strong_residual", spectrum, hodge, ops, traj, u0, scale)
     balances = stage("energy_audit", spectrum, traj)
     floor = stage("energy_audit", spectrum, alpha)
     summary["verification"] = {
@@ -474,7 +475,7 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
 
     summary["oracle"] = []
     for dt in config.oracle_dts:
-        oracle = stage("imex_oracle", spectrum, hodge, u0, grid, dt, config.nonlinearity_scale)
+        oracle = stage("imex_oracle", spectrum, hodge, u0, grid, dt, scale)
         dev = np.linalg.norm(oracle.samples - traj.samples, axis=1).max()
         ref = max(np.linalg.norm(traj.samples, axis=1).max(), np.finfo(float).tiny)
         summary["oracle"].append({

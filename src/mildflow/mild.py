@@ -323,7 +323,7 @@ def _node_pair_forcings(spectrum: StokesSpectrum, a: np.ndarray, b: np.ndarray, 
     """
     diag = modal_forcing(spectrum, a, b, scale).T
     if a is b:
-        return diag, modal_forcing(spectrum, a[:, :-1], a[:, 1:], 2.0 * scale).T
+        return diag, 2.0 * modal_forcing(spectrum, a[:, :-1], a[:, 1:], scale).T
     return diag, (modal_forcing(spectrum, a[:, :-1], b[:, 1:], scale)
                   + modal_forcing(spectrum, a[:, 1:], b[:, :-1], scale)).T
 

@@ -316,14 +316,22 @@ class TestMaskInfo:
 
 class TestRunPipeline:
     def test_zero_initial_data(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = base_config(out, initial_data={"kind": "zero"})
-        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
-        summary = read_summary(out)
-        assert summary["status"] == "ok"
-        assert summary["picard"]["final_norms"]["total"] == 0.0
-        assert summary["verification"]["max_residual_rel"] == 0.0
-        assert (out / "norms.csv").exists() and (out / "iterations.csv").exists()
+        # u = 0 solves at any scale; at 1e308 the gate passes, and the
+        # self-pair cross term must not double the scale to infinity, whose
+        # product with a zero forcing is NaN
+        for name, changes in (("default", {}),
+                              ("largest", {"nonlinearity_scale": 1.0e+308,
+                                           "gate": {"safety_factor": 1.0}})):
+            out = tmp_path / name
+            cfg = base_config(out, initial_data={"kind": "zero"}, **changes)
+            assert main(["run", write_config(tmp_path, cfg, f"{name}.yaml")]) == EXIT_OK
+            summary = read_summary(out)
+            assert summary["status"] == "ok"
+            assert summary["gate"]["passed_initially"] is True
+            assert summary["picard"]["iterations"] == 1
+            assert summary["picard"]["final_norms"]["total"] == 0.0
+            assert summary["verification"]["max_residual_rel"] == 0.0
+            assert (out / "norms.csv").exists() and (out / "iterations.csv").exists()
 
     def test_linear_mode(self, tmp_path):
         out = tmp_path / "out"
@@ -463,16 +471,19 @@ class TestRunPipeline:
                 "it needs one array saved with np.save")
 
     def test_single_cell_mask_runs(self, tmp_path):
-        # one cell has no convective coupling: ||Phi|| is 0 and the gate
-        # passes as in linear mode
-        out = tmp_path / "out"
-        cfg = base_config(out, mask=mask_path("single"))
-        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
-        summary = read_summary(out)
-        assert summary["phi_norm"]["gate_value"] == 0.0
-        assert summary["gate"]["passed_initially"] is True
-        assert summary["gate"]["threshold"] is None
-        assert summary["picard"]["converged"] is True
+        # one cell has no convective coupling: ||Phi|| is 0, so the run is in
+        # linear mode at any scale, and every stage after the gate runs at 0
+        for name, scale in (("one", 1.0), ("largest", 1.0e+308)):
+            out = tmp_path / name
+            cfg = base_config(out, mask=mask_path("single"), nonlinearity_scale=scale)
+            assert main(["run", write_config(tmp_path, cfg, f"{name}.yaml")]) == EXIT_OK
+            summary = read_summary(out)
+            assert summary["phi_norm"]["gate_value"] == 0.0
+            assert summary["gate"]["passed_initially"] is True
+            assert summary["gate"]["threshold"] is None
+            assert summary["picard"]["converged"] is True
+            assert summary["picard"]["iterations"] == 1
+            assert summary["verification"]["max_convective_l32_weighted"] == 0.0
 
     def test_zero_probe_with_coupling_is_spectrum_error(self, tmp_path):
         # on the L-shape one probe trial, the ground mode, has a zero
@@ -749,10 +760,13 @@ class TestRunPipeline:
         assert failure["message"] == (
             f"initial data too large: ||u0|| = {amplitude:.3e} makes ||alpha|| overflow")
 
-    @pytest.mark.parametrize("scale", [1.0e+308, 1.0e-320], ids=["gate_value", "threshold"])
+    @pytest.mark.parametrize("scale", [1.0e+308, 1.0e-320, 1.0e-323],
+                             ids=["gate_value", "threshold", "gate_value_underflow"])
     def test_gate_out_of_float_range_is_config_error(self, tmp_path, scale):
         # the criterion-11 config: safety * scale * ||Phi|| overflows, or
-        # its threshold 1/(4 x) does; a run on either would report infinity
+        # its threshold 1/(4 x) does; a run on either would report infinity.
+        # A positive scale is not linear mode, so a gate value that underflows
+        # to 0 has an infinite threshold too
         out = tmp_path / "out"
         cfg = base_config(out, seed=4242, nonlinearity_scale=scale,
                           shrink={"eps_schedule": [0.2, 0.4]},

@@ -358,16 +358,20 @@ class TestPhi:
     @pytest.mark.parametrize("hodge_fixture", ["box4_hodge", "lmask_hodge"])
     def test_self_pair_forcings_match_general_path(self, hodge_fixture, request, grid):
         # a is b advects the node pairs once; the general path on a copy
-        # advects them twice and gives the same bits
+        # advects them twice and gives the same bits.  At 1e308 the self
+        # pairs must double the forcing, not the scale: 2 * 1e308 is
+        # infinite, and infinity times a zero forcing is NaN
         from mildflow import assemble_stokes
         from mildflow.mild import _node_pair_forcings
 
         spectrum = assemble_stokes(request.getfixturevalue(hodge_fixture))
         rng = np.random.default_rng(21)
         a = spectrum.lift(rng.standard_normal((spectrum.dim, grid.nodes.size)))
-        for got, want in zip(_node_pair_forcings(spectrum, a, a, 0.7),
-                             _node_pair_forcings(spectrum, a, a.copy(), 0.7)):
-            assert np.array_equal(got, want)
+        for scale, size in ((0.7, 1.0), (1.0e+308, 1e-150), (1.0e+308, 0.0)):
+            b = size * a
+            for got, want in zip(_node_pair_forcings(spectrum, b, b, scale),
+                                 _node_pair_forcings(spectrum, b, b.copy(), scale)):
+                assert np.array_equal(got, want)
 
     def test_self_pair_projects_each_distinct_pair_once(self, box4_spectrum, grid,
                                                         column_counts):

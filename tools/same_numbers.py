@@ -11,6 +11,8 @@ from its own ``src/`` in a fresh subprocess on these inputs:
   stops unconverged (exit 5), and an empty ``shrink.eps_schedule`` at
   ``initial_data.amplitude: 30.0`` leaves the gate unreachable (exit 4),
   so the partial summaries and failure messages are compared too;
+* the criterion-11 config on ``tests/data/single.mask``, a domain without
+  convective coupling, so the run is in linear mode at scale 1;
 * the ``mild_box8`` benchmark workload, seeds 1-10;
 * the ``setup_rough12`` benchmark workload, seed 1.
 
@@ -78,7 +80,8 @@ CRITERION_11 = {
     "oracle": {"dts": [0.01]},
     "initial_data": {"kind": "random", "amplitude": 0.03, "seed": 7},
 }
-# the criterion-11 config and the changes of its failing variants
+# the criterion-11 config and the changes of its variants; ``mask`` names the
+# file in ``tests/data`` (``box4.mask`` if not given)
 CRITERION_11_VARIANTS = {
     "criterion_11": {},
     "criterion_11_no_convergence": {"picard": {"tol": 1e-30, "max_iterations": 1}},
@@ -86,6 +89,7 @@ CRITERION_11_VARIANTS = {
         "shrink": {"eps_schedule": []},
         "initial_data": dict(CRITERION_11["initial_data"], amplitude=30.0),
     },
+    "criterion_11_single_cell": {"mask": "single.mask"},
 }
 CASES = ([(kind, None) for kind in CRITERION_11_VARIANTS]
          + [("mild_box8", s) for s in range(1, 11)] + [("setup_rough12", 1)])
@@ -121,10 +125,11 @@ def write_inputs(checkout: Path, workloads: dict, case: tuple, directory: Path) 
     out = directory / "out"
     if kind not in CRITERION_11_VARIANTS:
         return workloads[kind].write_inputs(directory, seed, out)
+    changes = dict(CRITERION_11_VARIANTS[kind])
     mask = directory / "domain.mask"
-    mask.write_bytes((checkout / "tests" / "data" / "box4.mask").read_bytes())
+    mask.write_bytes((checkout / "tests" / "data" / changes.pop("mask", "box4.mask")).read_bytes())
     config = directory / "config.yaml"
-    config.write_text(yaml.safe_dump(dict(CRITERION_11, **CRITERION_11_VARIANTS[kind],
+    config.write_text(yaml.safe_dump(dict(CRITERION_11, **changes,
                                           mask=str(mask), output_dir=str(out))))
     return config
 
