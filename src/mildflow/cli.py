@@ -29,11 +29,13 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import sys
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import yaml
@@ -86,40 +88,46 @@ _FAILURES = {
     OracleInstabilityError: ("oracle", EXIT_ORACLE),
 }
 
-# The keys and types each initial-data kind reads besides ``kind``.
-_INITIAL_DATA_KEYS = {"zero": {}, "eigenmode": {"mode": int, "amplitude": float},
-                      "random": {"amplitude": float, "seed": int}, "file": {"path": str}}
+# The keys each initial-data kind reads besides ``kind``, with their types and bounds.
+_INITIAL_DATA_KEYS = {"zero": {}, "eigenmode": {"mode": (int, {">=": 0}), "amplitude": (float, {})},
+                      "random": {"amplitude": (float, {}), "seed": (int, {">=": 0})},
+                      "file": {"path": (str, {})}}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}  # a bound's metadata keys
 #: Most oracle steps one ``oracle.dts`` entry may take (``horizon / dt``).
 MAX_ORACLE_STEPS = 10**6
 #: Most time-grid segments N.  Phi's kernel operands hold 3n rows and up to
 #: N + 1 columns: one is 1,536 x 10,001 doubles, 123 MB, on an 8^3 box at N = 10^4.
 MAX_SEGMENTS = 10**4
+#: Most ||Phi|| probe trials: one takes about 1.8 ms on an 8^3 box (2 x86_64 cores), 10^4 18 s.
+MAX_PHI_TRIALS = 10**4
 
 
 @dataclass(eq=False, kw_only=True)
 class ExperimentConfig:
     """Validated experiment description, and the config schema.
 
-    Each field but ``raw`` reads the YAML key in its ``key`` metadata
-    ("section.key" inside a section) as the field's type; a field with no
-    default is a required key.  ``config_from_dict`` accepts these keys and
-    no others (``initial_data`` holds the keys of ``_INITIAL_DATA_KEYS``).
+    Each field but ``raw`` reads the YAML key in its ``key`` metadata ("section.key"
+    inside a section) as the field's type, within its ``_BOUNDS`` metadata (each entry
+    of a list); a field with no default is a required key.  ``config_from_dict`` accepts
+    these keys and no others (``initial_data`` holds the keys of ``_INITIAL_DATA_KEYS``).
     """
 
     mask_path: str = field(metadata={"key": "mask"})
     output_dir: str = field(metadata={"key": "output_dir"})
-    horizon: float = field(metadata={"key": "horizon"})
-    segments: int = field(metadata={"key": "segments"})
-    quad_order: int = field(default=6, metadata={"key": "quad_order"})
-    seed: int = field(metadata={"key": "seed"})
-    nonlinearity_scale: float = field(default=1.0, metadata={"key": "nonlinearity_scale"})
-    picard_tol: float = field(default=1e-10, metadata={"key": "picard.tol"})
-    picard_max_iterations: int = field(default=15, metadata={"key": "picard.max_iterations"})
-    phi_trials: int = field(default=16, metadata={"key": "phi_norm.trials"})
-    gate_safety: float = field(default=2.0, metadata={"key": "gate.safety_factor"})
-    # lists of positive numbers
-    eps_schedule: list = field(default_factory=list, metadata={"key": "shrink.eps_schedule"})
-    oracle_dts: list = field(default_factory=list, metadata={"key": "oracle.dts"})
+    horizon: float = field(metadata={"key": "horizon", ">": 0})
+    segments: int = field(metadata={"key": "segments", ">=": 2, "<=": MAX_SEGMENTS})
+    quad_order: int = field(default=6, metadata={"key": "quad_order", ">=": 1})
+    seed: int = field(metadata={"key": "seed", ">=": 0})
+    nonlinearity_scale: float = field(default=1.0, metadata={"key": "nonlinearity_scale", ">=": 0})
+    picard_tol: float = field(default=1e-10, metadata={"key": "picard.tol", ">": 0})
+    picard_max_iterations: int = field(default=15,
+                                       metadata={"key": "picard.max_iterations", ">=": 1})
+    phi_trials: int = field(default=16, metadata={"key": "phi_norm.trials", ">=": 1,
+                                                  "<=": MAX_PHI_TRIALS})
+    gate_safety: float = field(default=2.0, metadata={"key": "gate.safety_factor", ">=": 1})
+    eps_schedule: list[float] = field(default_factory=list,
+                                      metadata={"key": "shrink.eps_schedule", ">": 0})
+    oracle_dts: list[float] = field(default_factory=list, metadata={"key": "oracle.dts", ">": 0})
     initial_data: dict = field(metadata={"key": "initial_data"})
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -156,10 +164,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     schema = {f.metadata["key"]: f for f in fields(ExperimentConfig) if "key" in f.metadata}
     top = {name.partition(".")[0] for name in schema}
     sections = {"initial_data": {"kind", *set().union(*_INITIAL_DATA_KEYS.values())}}
-    for name in schema:
-        section, _, key = name.partition(".")
-        if key:
-            sections.setdefault(section, set()).add(key)
+    for section, _, key in (name.partition(".") for name in schema if "." in name):
+        sections.setdefault(section, set()).add(key)
     for key, value in data.items():
         if key not in top:
             raise ConfigError(f"unknown config key {key!r}")
@@ -170,64 +176,31 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 if sub not in sections[key]:
                     raise ConfigError(f"unknown config key '{key}.{sub}'")
 
-    def need(name, kind, required=True):
+    def need(name, kind, bounds, required=True):
         section, _, key = name.rpartition(".")
         src = data.get(section, {}) if section else data
         if key not in src:
             if required:
                 raise ConfigError(f"missing config key {name!r}")
             return MISSING
-        value = src[key]
-        if kind is list:
-            bad = [
-                e for e in value
-                if not isinstance(e, (int, float)) or isinstance(e, bool) or not 0 < e < math.inf
-            ] if isinstance(value, list) else [None]
-            if bad:
-                raise ConfigError(
-                    f"{name} must be a list of positive numbers{_float_text_hint(bad[0])}"
-                )
-            return [float(e) for e in value]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            hint = _float_text_hint(value) if kind is float else ""
-            raise ConfigError(f"config key {name!r} must be {kind.__name__}{hint}")
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"config key {name!r} must be finite")
-        return value
+        return _checked(name, src[key], kind, bounds)
 
-    values = {}
-    for name, f in schema.items():
-        value = need(name, f.type, f.default is MISSING and f.default_factory is MISSING)
-        if value is not MISSING:
-            values[f.name] = value
-    config = ExperimentConfig(**values, raw=data)
-    if config.seed < 0:
-        raise ConfigError("config key 'seed' must be >= 0")
+    values = {f.name: need(name, f.type, f.metadata,
+                           f.default is MISSING and f.default_factory is MISSING)
+              for name, f in schema.items()}
+    config = ExperimentConfig(**{k: v for k, v in values.items() if v is not MISSING}, raw=data)
 
     init = config.initial_data
-    kind = need("initial_data.kind", str)
+    kind = need("initial_data.kind", str, {})
     if kind not in _INITIAL_DATA_KEYS:
         raise ConfigError(f"unknown initial_data.kind {kind!r}")
     unread = sorted(init.keys() - _INITIAL_DATA_KEYS[kind].keys() - {"kind"})
     if unread:
         raise ConfigError(f"config key 'initial_data.{unread[0]}' is not read by kind {kind!r}")
-    for key, key_type in _INITIAL_DATA_KEYS[kind].items():
-        need(f"initial_data.{key}", key_type, key != "seed")  # only the random seed is optional
-    if init.get("seed", 0) < 0:
-        raise ConfigError("config key 'initial_data.seed' must be >= 0")
+    for key, (key_type, bounds) in _INITIAL_DATA_KEYS[kind].items():
+        need(f"initial_data.{key}", key_type, bounds, key != "seed")  # the random seed is optional
 
     horizon, segments = config.horizon, config.segments
-    if horizon <= 0 or segments < 2 or config.quad_order < 1:
-        raise ConfigError("horizon must be positive, segments >= 2, quad_order >= 1")
-    if (config.picard_tol <= 0 or config.picard_max_iterations < 1 or config.phi_trials < 1
-            or config.gate_safety < 1.0):
-        raise ConfigError("picard/phi_norm/gate settings out of range")
-    if not config.nonlinearity_scale >= 0.0:
-        raise ConfigError("nonlinearity_scale must be non-negative")
-    if segments > MAX_SEGMENTS:
-        raise ConfigError(f"segments exceeds {MAX_SEGMENTS}")
     if any(horizon / dt > MAX_ORACLE_STEPS for dt in config.oracle_dts):
         raise ConfigError(f"oracle.dts: horizon / dt exceeds {MAX_ORACLE_STEPS} oracle steps")
     try:
@@ -238,11 +211,32 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return config
 
 
+def _checked(name: str, value, kind, bounds: dict):
+    """``value`` of config key ``name`` as a ``kind`` (an int read as a float), finite if a
+    float and within the ``_BOUNDS`` in ``bounds``, each entry ``name[i]`` of a ``list[...]``
+    checked so; else a ConfigError that names the key and what it must be."""
+    base = get_origin(kind) or kind  # list for list[float]
+    if base is float and isinstance(value, int) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # past the float range it stays an int
+            value = float(value)
+    if not isinstance(value, base) or isinstance(value, bool):
+        hint = _float_text_hint(value) if base is float else ""
+        raise ConfigError(f"config key {name!r} must be {base.__name__}{hint}")
+    if base is list:
+        return [_checked(f"{name}[{i}]", e, *get_args(kind), bounds) for i, e in enumerate(value)]
+    if base is float and not math.isfinite(value):
+        raise ConfigError(f"config key {name!r} must be finite")
+    for op, bound in bounds.items():
+        if op in _BOUNDS and not _BOUNDS[op](value, bound):
+            raise ConfigError(f"config key {name!r} must be {op} {bound}")
+    return value
+
+
 def _float_text_hint(value) -> str:
     """The cause when YAML 1.1 read a number such as 1e-12 as text, else ''."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return ""
     text = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
     ok = isinstance(value, str) and math.isfinite(number)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from mildflow.cli import (
     EXIT_PICARD,
     EXIT_SPECTRUM,
     ExperimentConfig,
+    _INITIAL_DATA_KEYS,
     config_from_dict,
     load_config,
     main,
@@ -91,6 +93,36 @@ def readme_schema():
     return yaml.safe_load(block[:block.index("```")])
 
 
+def declared_bounds():
+    """(key, type, operator, bound) of each bound on a config key: the
+    ``ExperimentConfig`` field metadata and the initial-data key table."""
+    declared = [(f.metadata["key"], f.type, f.metadata)
+                for f in dataclasses.fields(ExperimentConfig) if "key" in f.metadata]
+    declared += [(f"initial_data.{key}", kind, bounds) for keys in _INITIAL_DATA_KEYS.values()
+                 for key, (kind, bounds) in keys.items()]
+    return [(key, kind, op, bound) for key, kind, meta in declared
+            for op, bound in meta.items() if op != "key"]
+
+
+DECLARED_BOUNDS = declared_bounds()
+
+
+def with_key(cfg, key, kind, value):
+    """``cfg`` with the config key ``key`` set to ``value`` (as a list's one entry);
+    an initial-data key under the first kind that reads it, its other keys valid
+    (0 if an int, 0.05 if a float)."""
+    section, _, sub = key.rpartition(".")
+    value = [value] if kind == list[float] else value
+    if section == "initial_data":
+        kind_name, keys = next(item for item in _INITIAL_DATA_KEYS.items() if sub in item[1])
+        cfg[section] = {"kind": kind_name, **{k: t(0.05) for k, (t, _) in keys.items()}}
+    if section:
+        cfg[section] = {**cfg.get(section, {}), sub: value}
+    else:
+        cfg[key] = value
+    return cfg
+
+
 class TestConfigParsing:
     def test_valid_config(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -129,6 +161,7 @@ class TestConfigParsing:
             {"initial_data": {"kind": "random", "amplitude": 0.02, "seed": "seven"}},
             {"horizon": float("nan")},
             {"horizon": float("inf")},
+            {"horizon": 10**400},  # an int that float() cannot convert
             {"gate": {"safety_factor": float("nan")}},
             {"oracle": {"dts": [float("nan")]}},
             {"oracle": {"dts": [float("inf")]}},
@@ -139,6 +172,7 @@ class TestConfigParsing:
             {"oracle": {"dts": ["1e-3"]}},
             {"horizon": 1e300},  # 1e302 oracle steps at dt 0.01
             {"segments": 10**4 + 1},  # parsed only: nothing is allocated
+            {"phi_norm": {"trials": 10**4 + 1}},  # about 18 s of probe on an 8^3 box
             {"gate": {"safety_factor": 0.5}},
             {"seed": -3},  # numpy's generators take only non-negative seeds
             {"initial_data": {"kind": "random", "amplitude": 0.05, "seed": -1}},
@@ -153,10 +187,12 @@ class TestConfigParsing:
             {"initial_data": {"kind": "random", "amplitude": 0.05, "path": "zeros.npy"}},
         ],
         ids=["top_level_typo", "flat_section_key", "flat_section_list", "nested_typo", "section_not_mapping", "negative_scale",
-             "random_seed_not_int", "horizon_nan", "horizon_inf", "safety_factor_nan",
+             "random_seed_not_int", "horizon_nan", "horizon_inf", "horizon_int_past_float",
+             "safety_factor_nan",
              "oracle_dt_nan", "oracle_dt_inf", "amplitude_nan", "random_amplitude_inf",
              "picard_tol_nan", "picard_tol_exponent_text", "oracle_dt_exponent_text",
-             "oracle_steps_over_cap", "segments_over_cap", "safety_factor_below_1",
+             "oracle_steps_over_cap", "segments_over_cap", "trials_over_cap",
+             "safety_factor_below_1",
              "negative_seed", "negative_random_seed", "horizon_underflow",
              "zero_amplitude", "file_amplitude", "eigenmode_seed", "random_mode", "random_path"],
     )
@@ -174,9 +210,10 @@ class TestConfigParsing:
         [
             ("picard:\n  tol: 1e-12\n", "float; write 1.0e-12: YAML 1.1 reads 1e-12 as text"),
             ("horizon: 1e5\n", "float; write 100000.0: YAML 1.1 reads 1e5 as text"),
-            ("oracle:\n  dts: [1e-3]\n", "numbers; write 0.001: YAML 1.1 reads 1e-3 as text"),
+            ("oracle:\n  dts: [1e-3]\n",
+             "'oracle.dts\\[0\\]' must be float; write 0.001: YAML 1.1 reads 1e-3 as text"),
             ("oracle:\n  dts: [2.0e-7]\n", "horizon / dt exceeds 1000000 oracle steps"),
-            ("segments: 10001\n", "segments exceeds 10000"),
+            ("segments: 10001\n", "config key 'segments' must be <= 10000$"),
             ("horizon: abc\n", "'horizon' must be float$"),  # no hint for plain text
             ("seed: -3\n", "'seed' must be >= 0"),
             ("initial_data:\n  kind: random\n  amplitude: 0.05\n  seed: -1\n",
@@ -200,6 +237,23 @@ class TestConfigParsing:
         path.write_text(yaml.safe_dump(cfg) + text)
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("key, kind, op, bound", DECLARED_BOUNDS,
+                             ids=[f"{key}{op}{bound}" for key, _, op, bound in DECLARED_BOUNDS])
+    def test_every_declared_bound_is_checked(self, tmp_path, capsys, key, kind, op, bound):
+        # just past the bound is a config error that names the key and the bound
+        entry = float if kind == list[float] else kind
+        past = {(int, ">="): bound - 1, (int, "<="): bound + 1, (float, ">"): float(bound),
+                (float, ">="): math.nextafter(bound, -math.inf)}
+        name = f"{key}[0]" if kind == list[float] else key
+        path = write_config(tmp_path, with_key(base_config(tmp_path / "out"), key, kind,
+                                               past[entry, op]))
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert f"config key '{name}' must be {op} {bound}\n" in capsys.readouterr().err
+        if op != ">":  # an inclusive bound is itself accepted
+            path = write_config(tmp_path, with_key(base_config(tmp_path / "out"), key, kind,
+                                                   entry(bound)))
+            assert main(["validate", path]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("text", [None, "- a list\n"], ids=["unreadable", "not_mapping"])
@@ -889,6 +943,30 @@ def test_pipeline_calls_the_traced_cli_names(tmp_path, monkeypatch):
     stages = read_trace(out, "imex_oracle")
     assert {name: stage["calls"] for name, stage in stages.items()} == {
         name: count for (module, name), count in calls.items() if module == "cli"}
+
+
+@pytest.mark.parametrize("mask_name", ["box4", "lmask_6x6x3"])
+def test_numpy_only_setup_route_gives_the_same_run(tmp_path, monkeypatch, mask_name):
+    # without numpy's OpenBLAS (numpy 1.x wheels) the block SVDs run serially and
+    # the Gram eigensolve is np.linalg.eigh on a copy: the outputs must not move
+    import mildflow.hodge
+    import mildflow.stokes
+
+    runs = {}
+    for route in ("openblas", "numpy_only"):
+        if route == "numpy_only":
+            for module in (mildflow.hodge, mildflow.stokes):  # stokes binds its own name
+                monkeypatch.setattr(module, "_openblas", lambda *args: None)
+        out = tmp_path / route
+        cfg = {**load_by_path("tools/same_numbers.py")["CRITERION_11"],
+               "mask": mask_path(mask_name), "output_dir": str(out)}
+        code = main(["run", write_config(tmp_path, cfg, f"{route}.yaml")])
+        summary = read_summary(out)
+        del summary["timestamp"], summary["config"]["output_dir"]
+        tables = [(out / name).read_bytes() for name in ("norms.csv", "iterations.csv")]
+        runs[route] = code, summary, tables
+    assert runs["openblas"][0] == EXIT_OK
+    assert runs["numpy_only"] == runs["openblas"]
 
 
 def test_readme_library_example_runs(monkeypatch):
