@@ -250,10 +250,8 @@ def _build_initial_data(config: ExperimentConfig, spectrum, hodge) -> VectorFiel
     if kind == "zero":
         return VectorField.zeros(mask)
     if kind == "eigenmode":
-        mode = init["mode"]
-        if not 0 <= mode < spectrum.dim:
-            raise ConfigError(f"eigenmode index {mode} outside 0..{spectrum.dim - 1}")
-        return VectorField(mask, float(init["amplitude"]) * spectrum.eigenfield(mode).values)
+        mode_field = spectrum.eigenfield(init["mode"]).values
+        return VectorField(mask, float(init["amplitude"]) * mode_field)
     if kind == "random":
         rng = np.random.default_rng(init.get("seed", config.seed + 1))
         coords = hodge.coords(rng.standard_normal(3 * mask.n_cells))
@@ -368,6 +366,10 @@ def _run_stages(config: ExperimentConfig, summary: dict, stage: _Trace):
     summary["domain"] = {"dims": list(mask.dims), "spacing": mask.spacing,
                          "cells": mask.n_cells}
     hodge = stage("build_hodge", ops)
+    # the spectrum has the Hodge dimension: a mode past it fails before the eigensolve
+    mode = config.initial_data.get("mode")
+    if mode is not None and not 0 <= mode < hodge.dim:
+        raise ConfigError(f"eigenmode index {mode} outside 0..{hodge.dim - 1}")
     spectrum = stage("assemble_stokes", hodge)
     summary["domain"].update(hodge_dim=hodge.dim, gradient_rank=hodge.grad_rank)
     summary["spectrum"] = {

@@ -30,8 +30,8 @@ builds the dense (3n, m) array on demand only.  Those blocks and spans are
 the one description of the parity layout: ``stokes`` applies Z only
 through these methods, and reads only how many columns are even
 (``n_even``, where the fourth block's span ends) and ``coupling``, which
-also checks L's constant diagonal 6/h^2 and rejects an entry of L between
-two blocks of the same parity: the product would drop it.
+checks, by counting the nonzeros its cuts hold, that L is symmetric with
+the constant diagonal 6/h^2 and couples only blocks of opposite parity.
 
 The 8 block SVDs run at one BLAS thread each, on as many worker threads
 as BLAS had (``_block_svds``), which is faster than one block at a time
@@ -182,26 +182,24 @@ class HodgeDecomposition:
         """The coupling C = -h^2 Z_e^T L Z_o, (n_even, m - n_even), of the
         Laplacian L of ``ops``: one product per pair of an even and an odd
         block that L couples, cut from the even block's row band of L, and
-        one scale in place.  Raises ``SpectrumError`` unless L has the
-        constant diagonal 6/h^2 and no nonzero off-diagonal entry between two
-        blocks of the same parity (or inside one), which that product drops."""
+        one scale in place.  Raises ``SpectrumError`` unless L is symmetric,
+        its diagonal is 6/h^2 and its other nonzeros are twice the pair cuts':
+        any more couple two blocks of one parity, and the product drops them."""
         lap, h2 = self.ops.laplacian, self.mask.spacing ** 2
-        if not np.all(lap.diagonal() == 6.0 / h2):
-            raise SpectrumError("Laplacian diagonal is not the constant 6/h^2")
         even, odd = self.blocks[:4], self.blocks[4:]  # the even blocks come first
-        is_odd = np.isin(np.arange(lap.shape[0]), np.concatenate([b.rows for b in odd]))
-        coo = lap.tocoo()
-        if np.any((is_odd[coo.row] == is_odd[coo.col]) & (coo.row != coo.col) & (coo.data != 0.0)):
-            raise SpectrumError("Laplacian couples two blocks of the same parity")
-        m_e = self.n_even
+        m_e, pair_nonzeros = self.n_even, 0
         out = np.zeros((m_e, self.dim - m_e))
         for be in even:
             band = lap[be.rows]
             for bo in odd:
                 coupled = band[:, bo.rows]
                 if coupled.nnz:
+                    pair_nonzeros += coupled.count_nonzero()
                     out[be.span, bo.span.start - m_e:bo.span.stop - m_e] = \
                         be.kernel.T @ (coupled @ bo.kernel)
+        if ((lap - lap.T).count_nonzero() or not np.all(lap.diagonal() == 6.0 / h2)
+                or lap.count_nonzero() != lap.shape[0] + 2 * pair_nonzeros):
+            raise SpectrumError("Laplacian is not symmetric with diagonal 6/h^2 and even-odd blocks")
         out *= -h2  # in place: one C-sized array per call
         return out
 
@@ -260,20 +258,16 @@ def build_hodge(ops: DiscreteOperators) -> HodgeDecomposition:
 
     Singular values below ``RANK_TOLERANCE`` times the largest over all blocks
     are treated as zero, which fixes the discrete kernel reproducibly.
-    Raises ``SpectrumError`` if the gradient couples a pressure cell to a
-    velocity entry outside its parity block.
+    Raises ``SpectrumError`` unless the 8 disjoint block cuts hold every
+    nonzero of the gradient: one outside them couples two parity blocks.
     """
     mask = ops.mask
-    cell_class = parity_classes(mask)
-    row_class = velocity_classes(mask)
-    grad = ops.gradient.tocoo()
-    coupled = grad.data != 0.0
-    if np.any(row_class[grad.row[coupled]] != cell_class[grad.col[coupled]]):
-        raise SpectrumError("gradient couples cells outside their parity blocks")
-
+    cell_class, row_class = parity_classes(mask), velocity_classes(mask)
     layout = [(np.flatnonzero(cell_class == klass), np.flatnonzero(row_class == klass))
               for klass in _BLOCK_ORDER]
     dense = [ops.gradient[rows][:, cells].toarray() for cells, rows in layout]
+    if sum(np.count_nonzero(d) for d in dense) != ops.gradient.count_nonzero():
+        raise SpectrumError("gradient couples cells outside their parity blocks")
     factors = [(*pair, *svd) for pair, svd in zip(layout, _block_svds(dense))]
     svals = np.concatenate([f[3] for f in factors])
     top = svals.max(initial=0.0)

@@ -9,16 +9,16 @@ to round-off:
 
     f(S) c = Q (f(lambda) * (Q^T c)).
 
-The spectrum comes from one SVD.  The 7-point Laplacian has the constant
-diagonal 6/h^2 and couples only parity blocks (see ``hodge``) of opposite
-parity of popcount(k), so with Z = [Z_e | Z_o] split by that parity,
+The spectrum comes from one SVD.  The 7-point Laplacian is symmetric, has
+the constant diagonal 6/h^2 and couples only parity blocks (see ``hodge``)
+of opposite popcount(k) parity, so with Z = [Z_e | Z_o] split by that parity,
 
     S = (6/h^2) I - (1/h^2) [[0, C], [C^T, 0]],   C = -h^2 Z_e^T L Z_o,
 
 and the SVD C = U diag(sigma) V^T gives the eigenvalues (6 -+ sigma)/h^2
 with eigenvectors [u; +-v]/sqrt(2), plus |m_e - m_o| eigenvalues exactly
-6/h^2.  ``hodge.coupling`` builds C and checks both: the diagonal, and
-that no entry of L joins two blocks of the same parity.
+6/h^2.  ``hodge.coupling`` builds C and checks all three by counting
+nonzeros: an asymmetric L has no spectrum that this SVD gives.
 
 The SVD is built from the Gram matrix, at about half the LAPACK work of
 a full SVD of C.  With A = C or C^T, whichever is tall (p columns),

@@ -692,11 +692,15 @@ class TestRunPipeline:
         assert all(a["alpha_eps_total"] == 0.0 for a in summary["gate"]["shrink"]["attempts"])
 
     def test_bad_eigenmode_index_is_config_error(self, tmp_path):
+        # box4's spectrum has dimension 128: the index fails before the eigensolve
         out = tmp_path / "out"
-        cfg = base_config(out, initial_data={"kind": "eigenmode", "mode": 10**6,
+        cfg = base_config(out, initial_data={"kind": "eigenmode", "mode": 1000,
                                              "amplitude": 0.1})
         assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
-        read_trace(out, "assemble_stokes")
+        assert "assemble_stokes" not in read_trace(out, "build_hodge")
+        summary = read_summary(out)
+        assert summary["failure"] == {"stage": "initial_data", "error": "ConfigError",
+                                      "message": "eigenmode index 1000 outside 0..127"}
 
     def test_picard_divergence_exit_code(self, tmp_path, monkeypatch):
         import mildflow.cli as cli_mod

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
@@ -323,16 +324,37 @@ def test_gradient_entry_outside_blocks_raises():
         build_hodge(dataclasses.replace(ops, gradient=gradient.tocsr()))
 
 
-@pytest.mark.parametrize("defect", ["diagonal", "same_parity"])
+def _with_stored_zero(matrix, row, col):
+    """matrix with an explicit 0.0 stored at (row, col), where it holds none."""
+    coo = matrix.tocoo()
+    stored = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, row),
+                                                       np.append(coo.col, col))), shape=coo.shape)
+    assert matrix[row, col] == 0.0 and stored.nnz == matrix.nnz + 1
+    return stored
+
+
+@pytest.mark.parametrize("defect", ["diagonal", "same_parity", "asymmetric", "stored_zeros"])
 def test_laplacian_outside_block_structure_raises(defect):
     ops = build_operators(load_mask(mask_path("box2")))
     hodge = build_hodge(ops)
     laplacian = ops.laplacian.tolil()
+    rows = np.flatnonzero(velocity_classes(ops.mask) == velocity_classes(ops.mask)[0])
     if defect == "diagonal":
         laplacian[0, 0] *= 1.5
-    else:
-        rows = np.flatnonzero(velocity_classes(ops.mask) == velocity_classes(ops.mask)[0])
+    elif defect == "same_parity":
         laplacian[rows[0], rows[1]] = laplacian[rows[1], rows[0]] = -1.0
+    elif defect == "asymmetric":
+        # an even-odd entry (neighbours differ in one parity bit) changed on one side only
+        neighbour = next(j for j in laplacian.rows[0] if j != 0)
+        laplacian[0, neighbour] *= 1.5
+    else:
+        # stored zeros outside the blocks of G and of L are no coupling: both assemble as before
+        gradient = _with_stored_zero(ops.gradient, 0, 0)  # u_x at cell 0 is in block 4, p in 0
+        zeroed = dataclasses.replace(ops, gradient=gradient,
+                                     laplacian=_with_stored_zero(ops.laplacian, rows[0], rows[1]))
+        spectrum = assemble_stokes(build_hodge(zeroed))
+        assert np.array_equal(spectrum.eigenvalues, assemble_stokes(hodge).eigenvalues)
+        return
     broken = dataclasses.replace(hodge, ops=dataclasses.replace(ops, laplacian=laplacian.tocsr()))
     with pytest.raises(SpectrumError):
         assemble_stokes(broken)
